@@ -272,7 +272,7 @@ class FullSystem:
     def _kick_writeback(self, stream_id: int) -> None:
         if self._writeback_running:
             return
-        if len(self.pagecache.dirty_pages()) < self.pagecache.capacity_pages // 4:
+        if self.pagecache.dirty_count() < self.pagecache.capacity_pages // 4:
             return
         self._writeback_running = True
         self.sim.process(self._writeback(stream_id))
@@ -280,17 +280,19 @@ class FullSystem:
     def _writeback(self, stream_id: int):
         cache = self.pagecache
         try:
-            while len(cache.dirty_pages()) > cache.capacity_pages // 8:
-                batch = cache.dirty_pages()[:16]
+            while cache.dirty_count() > cache.capacity_pages // 8:
                 events = []
-                for index in batch:
+                for index in cache.dirty_pages(16):
                     payload = cache.page_payload(index) if self.data_emulation \
                         else None
+                    # clear the page before the submit yields, as Linux's
+                    # clear_page_dirty_for_io does: a write landing during
+                    # the submit re-dirties it for a later pass
+                    cache.clean(index)
                     wb_req = IORequest(IOKind.WRITE, index * 8, 8, data=payload)
                     event = yield from self.blocklayer.submit(
                         wb_req, stream_id=stream_id)
                     events.append(event)
-                    cache.clean(index)
                 for event in events:
                     yield event
                 for index, page in cache.evict_candidates():

@@ -9,6 +9,7 @@ the Fig 15c DRAM-usage timelines.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.host.memory import HostMemory
@@ -35,6 +36,8 @@ class PageCache:
         self.data_emulation = data_emulation
         self.ledger_tag = ledger_tag
         self._pages: "OrderedDict[int, _CachedPage]" = OrderedDict()
+        # the dirty pages' indices, kept in _pages' LRU order
+        self._dirty: "OrderedDict[int, None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -47,9 +50,12 @@ class PageCache:
         return range(first, last + 1)
 
     def _touch(self, index: int) -> _CachedPage:
+        """The page at ``index``, made most recently used (or allocated)."""
         page = self._pages.get(index)
         if page is not None:
             self._pages.move_to_end(index)
+            if page.dirty:
+                self._dirty.move_to_end(index)
             return page
         page = _CachedPage()
         self._pages[index] = page
@@ -62,11 +68,11 @@ class PageCache:
         excess = len(self._pages) - self.capacity_pages
         if excess <= 0:
             return []
-        return [(idx, self._pages[idx])
-                for idx in list(self._pages)[:excess]]
+        return list(islice(self._pages.items(), excess))
 
     def drop(self, index: int) -> None:
         if self._pages.pop(index, None) is not None:
+            self._dirty.pop(index, None)
             self.memory.free(self.ledger_tag, PAGE)
 
     # -- lookup/update ----------------------------------------------------------
@@ -80,7 +86,7 @@ class PageCache:
         if covered:
             self.hits += 1
             for idx in self._page_range(slba, nsectors):
-                self._pages.move_to_end(idx)
+                self._touch(idx)
         else:
             self.misses += 1
         return covered
@@ -123,20 +129,28 @@ class PageCache:
             return False
         for i, idx in enumerate(self._page_range(slba, nsectors)):
             page = self._touch(idx)
-            page.dirty = True
+            if not page.dirty:
+                page.dirty = True
+                self._dirty[idx] = None   # _touch made it the newest page
             if self.data_emulation:
                 off = i * PAGE
                 page.data = bytearray(
                     data[off:off + PAGE] if data else bytes(PAGE))
         return True
 
-    def dirty_pages(self) -> List[int]:
-        return [idx for idx, page in self._pages.items() if page.dirty]
+    def dirty_count(self) -> int:
+        return len(self._dirty)
+
+    def dirty_pages(self, limit: Optional[int] = None) -> List[int]:
+        """Dirty page indices, least recently used first; at most
+        ``limit`` of them when given."""
+        return list(islice(self._dirty, limit))
 
     def clean(self, index: int) -> None:
         page = self._pages.get(index)
         if page is not None:
             page.dirty = False
+            self._dirty.pop(index, None)
             self.writebacks += 1
 
     def page_payload(self, index: int) -> Optional[bytes]:

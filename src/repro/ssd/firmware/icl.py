@@ -39,19 +39,20 @@ class _SlotState:
 
 
 class _CacheLine:
-    __slots__ = ("line_id", "slots", "flushing")
+    __slots__ = ("line_id", "slots", "flushing", "n_dirty")
 
     def __init__(self, line_id: int) -> None:
         self.line_id = line_id
         self.slots: Dict[int, _SlotState] = {}
         self.flushing = False
+        self.n_dirty = 0          # slots whose dirty bit is set
 
     def dirty_slots(self) -> List[int]:
         return [s for s, state in self.slots.items() if state.dirty]
 
     @property
     def is_dirty(self) -> bool:
-        return any(state.dirty for state in self.slots.values())
+        return self.n_dirty > 0
 
 
 class _LineLockTable:
@@ -99,6 +100,7 @@ class InternalCacheLayer:
         self.slots_per_line = config.superpage_pages
         self._full_mask = (1 << self.sectors_per_page) - 1
         self._lines: "OrderedDict[int, _CacheLine]" = OrderedDict()
+        self._dirty_lines = 0     # resident lines with a dirty slot
         self._locks = _LineLockTable(sim)
         self._lookup_mix = InstructionMix.typical(config.costs.icl_lookup)
         self._fill_mix = InstructionMix.typical(config.costs.icl_fill)
@@ -127,7 +129,33 @@ class InternalCacheLayer:
         return ((1 << count) - 1) << offset
 
     def dirty_line_count(self) -> int:
-        return sum(1 for line in self._lines.values() if line.is_dirty)
+        return self._dirty_lines
+
+    # -- dirty accounting: the only places a dirty bit flips or a line leaves.
+    # A line leaves _lines only once it is clean, so the resident-dirty
+    # count moves with its lines' first and last dirty slots alone.
+
+    def _mark_dirty(self, line: _CacheLine, state: _SlotState) -> None:
+        if state.dirty:
+            return
+        state.dirty = True
+        line.n_dirty += 1
+        if line.n_dirty == 1:
+            self._dirty_lines += 1
+
+    def _mark_clean(self, line: _CacheLine, state: _SlotState) -> None:
+        if not state.dirty:
+            return
+        state.dirty = False
+        line.n_dirty -= 1
+        if not line.n_dirty:
+            self._dirty_lines -= 1
+
+    def _drop_line(self, line: _CacheLine) -> None:
+        """Evict clean ``line``, unless a TRIM dropped it and a new copy
+        of its id took its place while it was being flushed."""
+        if self._lines.get(line.line_id) is line:
+            del self._lines[line.line_id]
 
     def cached_line_count(self) -> int:
         return len(self._lines)
@@ -203,7 +231,7 @@ class InternalCacheLayer:
                     state = line.slots.setdefault(slot, _SlotState())
                     mask = self._sector_mask(sec_off, sec_n)
                     state.sector_mask |= mask
-                    state.dirty = True
+                    self._mark_dirty(line, state)
                     state.version += 1
                     if state.sector_mask == self._full_mask:
                         state.full = True
@@ -279,9 +307,11 @@ class InternalCacheLayer:
             line = self._lines.get(req.line_id)
             if line is not None:
                 for slot in req.page_sectors:
-                    line.slots.pop(slot, None)
+                    state = line.slots.pop(slot, None)
+                    if state is not None:
+                        self._mark_clean(line, state)
                 if not line.slots:
-                    self._lines.pop(req.line_id, None)
+                    self._drop_line(line)
             yield from self.ftl.trim(req.line_id, list(req.page_sectors),
                                      track=req.track)
         finally:
@@ -336,29 +366,40 @@ class InternalCacheLayer:
         line = self._lines.get(line_id)
         if line is not None:
             return line
-        full_assoc = self.config.cache.associativity == "full"
+        cache = self.config.cache
+        full_assoc = cache.associativity == "full"
+        # lru/fifo pick a clean line whenever one exists, so in a full
+        # cache of dirty lines their pick can only lead to the daemon;
+        # random must still pick, because its choice draws from the RNG
+        skip_all_dirty = cache.replacement != "random"
         while True:
             if full_assoc:
                 # fully associative: any frame conflicts, so no candidate
                 # list is needed until eviction time (values() is a view)
                 if len(self._lines) < self.capacity_lines:
                     break
-                conflicts = self._lines.values()
+                if skip_all_dirty and self._dirty_lines == len(self._lines):
+                    victim = None
+                else:
+                    victim = self._pick_victim(self._lines.values())
             else:
                 conflicts = self._conflicting_lines(line_id)
                 if (len(self._lines) < self.capacity_lines
                         and len(conflicts) < self._set_capacity()):
                     break
-            victim = self._pick_victim(conflicts)
+                victim = self._pick_victim(conflicts)
             if victim is not None and not victim.is_dirty:
-                self._lines.pop(victim.line_id, None)
+                self._drop_line(victim)
                 break
-            if (victim is not None and victim.is_dirty
-                    and self.config.cache.associativity != "full"):
-                # a narrow set: flush the conflicting victim directly
+            if victim is not None and not full_assoc:
+                # a narrow set: flush the conflicting victim directly.  The
+                # requester holds its own line lock, not the victim's, so a
+                # host write may re-dirty the victim mid-flush: drop it only
+                # if the flush left it clean, then look again.
                 yield from self._flush_line(victim.line_id)
-                self._lines.pop(victim.line_id, None)
-                break
+                if not victim.is_dirty:
+                    self._drop_line(victim)
+                continue
             # all candidates dirty or mid-flush: lean on the daemon
             self._start_flush_daemon()
             if self._line_freed is None:
@@ -408,22 +449,24 @@ class InternalCacheLayer:
                     self._merge_fetch(line.slots[slot], fetched.get(slot))
 
             slot_data = {}
-            versions = {}
+            written = []
             for slot in flush_slots:
                 state = line.slots.setdefault(slot, _SlotState())
                 if not state.full:
                     self._merge_fetch(state, None)  # never-written: zeros
                 slot_data[slot] = bytes(state.buf) if state.buf is not None \
                     else None
-                versions[slot] = state.version
+                written.append((state, state.version))
                 yield from self.dram.access(
                     self._line_address(line_id, slot), self.page_size)
             yield from self.ftl.service_line_write(line_id, slot_data,
                                                    partial=partial)
-            for slot in flush_slots:
+            # by state, not slot: a TRIM racing a conflict flush (which
+            # holds no line lock) may have removed the slot meanwhile
+            for state, version in written:
                 # a write that raced the flush keeps its dirty bit
-                if line.slots[slot].version == versions[slot]:
-                    line.slots[slot].dirty = False
+                if state.version == version:
+                    self._mark_clean(line, state)
             self.lines_flushed += 1
         finally:
             line.flushing = False
@@ -435,7 +478,7 @@ class InternalCacheLayer:
         """Process: kick background flushing past the high watermark."""
         cache = self.config.cache
         high = int(self.capacity_lines * cache.flush_high_watermark)
-        if self.dirty_line_count() > high:
+        if self._dirty_lines > high:
             self._start_flush_daemon()
         return
         yield  # pragma: no cover - makes this a generator
@@ -467,17 +510,17 @@ class InternalCacheLayer:
                     event.succeed()
 
         try:
-            while (self.dirty_line_count() > low
+            while (self._dirty_lines > low
                    or self._line_freed is not None):
-                victims = [line_id for line_id, line in self._lines.items()
-                           if line.is_dirty and not line.flushing]
+                # oldest first, and only as far as the free flush slots go
                 launched = 0
-                for line_id in victims:
+                for line_id, line in self._lines.items():
                     if inflight["count"] >= max_inflight:
                         break
-                    inflight["count"] += 1
-                    launched += 1
-                    self.sim.process(tracked(line_id))
+                    if line.is_dirty and not line.flushing:
+                        inflight["count"] += 1
+                        launched += 1
+                        self.sim.process(tracked(line_id))
                 if inflight["count"] == 0 and launched == 0:
                     return
                 done_signal[0] = self.sim.event()

@@ -117,6 +117,37 @@ class TestBufferedIo:
         assert system.pagecache.hits == 0
         assert len(system.pagecache.dirty_pages()) == 0
 
+    @pytest.mark.parametrize("rewrite_delay_ns", [200, 350, 500])
+    def test_write_racing_writeback_submit_is_kept(self, rewrite_delay_ns):
+        """Page 1's write kicks writeback of pages 0 and 1; a rewrite of
+        page 0 submitted alongside it lands while page 0's writeback
+        submit is in flight, and must not be marked clean with it."""
+        system = FullSystem(tiny_ssd_config(), data_emulation=True,
+                            page_cache_bytes=8 * 4096)
+        sim = system.sim
+        first = FullSystem.pattern_data(0, 8, seed=1)
+        rewrite = FullSystem.pattern_data(0, 8, seed=2)
+
+        def rewrite_page0():
+            yield sim.timeout(rewrite_delay_ns)
+            yield from system.write(0, 8, rewrite, direct=False)
+
+        def scenario():
+            yield from system.write(0, 8, first, direct=False)
+            racer = sim.process(rewrite_page0())
+            yield from system.write(8, 8, direct=False)
+            yield racer
+            # push page 0 out of the cache, so the read comes from the device
+            for page in range(2, 40):
+                yield from system.write(page * 8, 8, direct=False)
+            while system._writeback_running:
+                yield sim.timeout(100_000)
+            assert 0 not in system.pagecache._pages
+            got = yield from system.read(0, 8, direct=False)
+            return got
+
+        assert system.run_process(scenario()) == rewrite
+
 
 class TestPresets:
     def test_all_presets_valid(self):

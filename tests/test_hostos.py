@@ -238,6 +238,7 @@ class TestPageCache:
         assert mem.usage_of("pagecache") == 2 * 4096
         cache.drop(0)
         assert mem.usage_of("pagecache") == 4096
+        assert cache.dirty_pages() == [1] and cache.dirty_count() == 1
 
     def test_eviction_candidates_when_over_capacity(self):
         sim = Simulator()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import AllOf, Simulator
 from repro.ssd.config import CacheConfig, FTLConfig
 from repro.ssd.device import SSD
 
@@ -62,6 +62,40 @@ class TestAssociativity:
 
         sim.run_process(scenario())
         assert ssd.icl.read_hits == 6
+
+    @pytest.mark.parametrize("delay_ns, trim_first", [
+        (0, False), (100_000, False), (200_000, False), (0, True)])
+    def test_rewrite_during_conflict_flush_is_kept(self, delay_ns,
+                                                   trim_first):
+        """A conflict eviction flushes its dirty victim without the
+        victim's lock.  A host rewrite landing mid-flush must survive it,
+        also after a TRIM that dropped the victim and let the rewrite
+        re-create its line."""
+        sim = Simulator()
+        ssd = SSD(sim, tiny_ssd_config(cache=CacheConfig(
+            associativity="direct", n_sets=4, readahead=False)),
+            data_emulation=True)
+        sectors = line_sectors(ssd)
+        first, rewrite, other = (bytes([fill]) * (sectors * 512)
+                                 for fill in (1, 2, 3))
+
+        def rewrite_line0():
+            yield sim.timeout(delay_ns)
+            if trim_first:
+                yield from ssd.trim(0, sectors)
+            yield from ssd.write(0, sectors, rewrite)
+
+        def scenario():
+            yield from ssd.write(0, sectors, first)
+            # line 4 shares line 0's set: its write evicts line 0
+            yield AllOf(sim, [
+                sim.process(ssd.write(4 * sectors, sectors, other)),
+                sim.process(rewrite_line0())])
+            yield from ssd.flush()
+            got = yield from ssd.read(0, sectors)
+            return got
+
+        assert sim.run_process(scenario()) == rewrite
 
 
 class TestReplacement:
