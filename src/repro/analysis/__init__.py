@@ -6,8 +6,7 @@ Two halves live here:
   ``featurematrix``);
 * the simulation-safety toolchain (docs/ANALYSIS.md): **simlint**, an
   AST linter encoding the simulator's determinism/resource invariants
-  (``python -m repro.analysis lint``), its clone-consistency check for
-  the engine's inlined hot loops, and **SimSanitizer**, the opt-in
+  (``python -m repro.analysis lint``), and **SimSanitizer**, the opt-in
   observe-only runtime checker (``REPRO_SANITIZE=1`` or
   :func:`enable_sanitizer`).
 """

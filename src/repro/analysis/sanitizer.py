@@ -4,10 +4,9 @@ Armed the same way as telemetry (:mod:`repro.obs.telemetry`): a
 process-wide switch — :func:`enable_sanitizer`, or ``REPRO_SANITIZE=1``
 in the environment — after which every newly-built
 :class:`~repro.sim.Simulator` asks :func:`sanitizer_for` and receives a
-live :class:`SimSanitizer` that the engine's hot loops consult once per
-processed event.  Off (the default, and the tier-1 state)
-:func:`sanitizer_for` returns ``None`` and the engine pays one
-``is None`` test per event.
+live :class:`SimSanitizer` for its observer slot: the event loop calls
+it once per processed event and once per stop.  Off (the default, and
+the tier-1 state) :func:`sanitizer_for` returns ``None``.
 
 The sanitizer only *observes* — it never schedules events, acquires
 resources, advances the clock or raises mid-run — so an enabled run is
@@ -19,8 +18,9 @@ detects:
   past (``sim._enqueue`` rejects negative delays, but a raw
   ``heappush`` bypasses it); this is also what a non-monotonic ``now``
   looks like from the loop;
-* **leaked tokens** — ``Resource`` units still held when the queue
-  drains: an acquire whose release was skipped on some path;
+* **leaked tokens** — ``Resource`` units still held when ``run()``
+  drains the queue (a deadline or ``run_process`` is no drain): an
+  acquire whose release was skipped on some path;
 * **stuck processes** — processes that never finished although the
   simulation has no events left to run them with (a deadlock, or a
   wait on an event nobody will trigger);
@@ -110,11 +110,11 @@ def all_violations() -> List[Violation]:
 
 
 class SimSanitizer:
-    """Per-simulator invariant checker driven from the engine hot loop.
+    """Per-simulator invariant checker, an observer of the event loop.
 
     ``on_event`` is the hot-loop entry point: one ring append plus one
     integer comparison per processed event.  Everything else runs on
-    cold paths (construction, drain, cancel, failure).
+    cold paths (construction, stop, cancel, failure).
     """
 
     __slots__ = ("sim", "violations", "label", "flight", "_high_water",
@@ -143,7 +143,7 @@ class SimSanitizer:
         """Track a Process for the stuck-process drain check."""
         self._processes.append(process)
 
-    # -- the engine hot-loop hook ------------------------------------------
+    # -- the observer protocol ----------------------------------------------
 
     def on_event(self, when: int, event: Any) -> None:
         """Record one processed event; flag time running backwards."""
@@ -157,16 +157,10 @@ class SimSanitizer:
         else:
             self._high_water = when
 
-    # -- cold-path hooks ----------------------------------------------------
-
-    def on_double_cancel(self, timeout: Any) -> None:
-        """A Timeout was cancelled twice — two owners for one timer."""
-        self.violations.append(Violation(
-            "double-cancel", self.sim.now,
-            f"cancel() on an already-cancelled {timeout!r}"))
-
-    def on_drain(self) -> None:
-        """The queue drained: audit resources and processes."""
+    def on_stop(self, drained: bool) -> None:
+        """The loop stopped; at a true drain, audit resources and processes."""
+        if not drained:
+            return
         now = self.sim.now
         for resource in self._resources:
             held = resource.in_use
@@ -192,6 +186,14 @@ class SimSanitizer:
     def on_failure(self, error: BaseException) -> Optional[str]:
         """Dump a post-mortem when the run the sanitizer watched failed."""
         return self._dump(error=error)
+
+    # -- cold-path hooks ----------------------------------------------------
+
+    def on_double_cancel(self, timeout: Any) -> None:
+        """A Timeout was cancelled twice — two owners for one timer."""
+        self.violations.append(Violation(
+            "double-cancel", self.sim.now,
+            f"cancel() on an already-cancelled {timeout!r}"))
 
     # -- reporting ----------------------------------------------------------
 

@@ -243,9 +243,15 @@ class FullSystem:
         event = yield from self.blocklayer.submit(req, stream_id=stream_id,
                                                   core=core)
         if not direct and req.kind.is_read:
-            event.add_callback(
-                lambda ev: self.pagecache.install_read(req.slba, req.nsectors,
-                                                       ev.value))
+            cache = self.pagecache
+
+            def install(ev) -> None:
+                """Fill the cache, then hand the reader the merged bytes:
+                this callback runs before the reader's, so the reader is
+                resumed with the replaced value."""
+                ev._value = cache.install_read(req.slba, req.nsectors,
+                                               ev.value)
+            event.add_callback(install)
         if span is not None:
             event.add_callback(lambda _ev: tracer.end(span))
         return event

@@ -188,8 +188,10 @@ def main(argv=None) -> int:
                              "invariant must hold for every request")
     args = parser.parse_args(argv)
 
+    from repro.analysis import sanitizer as _sanitizer
     from repro.obs import causal as _causal
 
+    sanitize = _sanitizer.sanitizer_enabled()
     failures = []
     try:
         for case in (args.case or GOLDEN_CASES):
@@ -198,9 +200,11 @@ def main(argv=None) -> int:
                 print(f"recorded {case}: {doc['digest'][:16]}…",
                       file=sys.stderr)
                 continue
+            # re-arm per case so the counts below cover only this case
             if args.causal:
-                # re-arm per case so the violation count covers only it
                 _causal.enable_causal()
+            if sanitize:
+                _sanitizer.enable_sanitizer()
             ok = check_case(case, args.dir)
             note = ""
             if args.causal:
@@ -210,6 +214,15 @@ def main(argv=None) -> int:
                 note = (f"  [causal: {records} requests, "
                         f"{violations} violations]")
                 if violations:
+                    ok = False
+            if sanitize:
+                # a sanitizer that saw no event was never called: the
+                # digest check alone would not notice it went missing
+                watched = _sanitizer.sanitizers()
+                violations = len(_sanitizer.all_violations())
+                note += (f"  [sanitizer: {len(watched)} simulators, "
+                         f"{violations} violations]")
+                if violations or not any(len(s.flight) for s in watched):
                     ok = False
             print(f"{'ok  ' if ok else 'FAIL'} {case}{note}",
                   file=sys.stderr)

@@ -103,10 +103,14 @@ class PageCache:
         return b"".join(chunks)
 
     def install_read(self, slba: int, nsectors: int,
-                     data: Optional[bytes]) -> None:
-        """Populate cache pages after a device read.
+                     data: Optional[bytes]) -> Optional[bytes]:
+        """Populate cache pages after a device read; returns the payload
+        the reader should get.
 
-        Only whole pages covered by the read are installed.
+        Only whole pages covered by the read are installed.  A dirty page
+        keeps its data, which is newer than the device's, and the
+        returned payload carries the cached bytes of every sector whose
+        page is dirty.
         """
         for idx in self._page_range(slba, nsectors):
             page_first_sector = idx * _SECTORS_PER_PAGE
@@ -114,10 +118,24 @@ class PageCache:
                     page_first_sector + _SECTORS_PER_PAGE > slba + nsectors:
                 continue
             page = self._touch(idx)
-            if self.data_emulation:
+            if self.data_emulation and not page.dirty:
                 off = (page_first_sector - slba) * 512
                 page.data = bytearray(data[off:off + PAGE]) if data \
                     else bytearray(PAGE)
+        if not self.data_emulation or not self._dirty:
+            return data
+        merged = None
+        for idx in self._page_range(slba, nsectors):
+            if idx not in self._dirty:
+                continue
+            if merged is None:
+                merged = bytearray(data or bytes(nsectors * 512))
+            first = max(slba, idx * _SECTORS_PER_PAGE)
+            end = min(slba + nsectors, (idx + 1) * _SECTORS_PER_PAGE)
+            within = (first - idx * _SECTORS_PER_PAGE) * 512
+            merged[(first - slba) * 512:(end - slba) * 512] = \
+                self._pages[idx].data[within:within + (end - first) * 512]
+        return data if merged is None else bytes(merged)
 
     def write(self, slba: int, nsectors: int, data: Optional[bytes]) -> bool:
         """Buffered write into the cache.

@@ -1,34 +1,31 @@
 """Wall-clock self-profiler: where does *simulation* time actually go?
 
 The paper's pitch — modeling all SSD resources is affordable — lives or
-dies on simulator speed, and the next order-of-magnitude speedup
-(ROADMAP item 2) needs to know **which models burn the wall clock**,
-not just how long a whole run took.  Tracing (:mod:`repro.obs.tracer`)
-answers that in *simulated* time; this module answers it in *host*
-time.
+dies on simulator speed, and speeding it up needs to know **which models
+burn the wall clock**, not just how long a whole run took.  Tracing
+(:mod:`repro.obs.tracer`) answers that in *simulated* time; this module
+answers it in *host* time.
 
 When :func:`enable_profiling` is armed, every new
-:class:`~repro.sim.Simulator` carries a :class:`WallProfiler` and its
-``run``/``run_process`` entry points delegate to the profiled loop
-clones below, which wrap each event dispatch in ``perf_counter`` reads
-and attribute the elapsed wall time to the **layer** that consumed it
-(``sim``/``host``/``hostos``/``nvme``/``icl``/``ftl``/``gc``/``fil``/
-``flash``/…).  Attribution keys off the dispatched callback: a plain
-callback is charged to the module its code lives in; resuming a
-:class:`~repro.sim.process.Process` is charged to the module that
-*defines the generator* (the model, not the kernel plumbing).  Loop
-overhead that no callback accounts for — heap pops, tombstone skips,
-the observe-only hooks — is booked under ``sim``, so every measured
-nanosecond is attributed to some layer.
+:class:`~repro.sim.Simulator` carries a :class:`WallProfiler` as the
+last observer in its single observer slot.  Before each dispatch it
+swaps a non-empty callback list for one timing wrapper that calls the
+same callbacks in the same order between two ``perf_counter`` reads,
+and charges the time to the **layer** (``sim``/``host``/``hostos``/
+``nvme``/``icl``/``ftl``/``gc``/``fil``/``flash``/``cores``/``dram``/…)
+of the code that consumed it.  A process resume is charged to its
+**innermost suspended generator**, found by walking ``gi_yieldfrom``
+down the ``yield from`` chain, so an FTL helper's work after its first
+yield is charged to ``ftl``, not to the ICL that delegated to it; work
+a helper does *before* its first yield is still charged to its caller.
+Loop overhead — heap pops, tombstones, the other observers — is the
+run's wall time (first event to ``on_stop``) minus the wrapped
+dispatches, booked under ``sim``.
 
-The profiled loops replicate the engine's inlined hot loops statement
-for statement (tombstones, orphan recording, telemetry/sanitizer hooks,
-deadline semantics), so a profiled run is **bit-identical** to a plain
-one: same ``events_processed``, same ``sim.now``, same results — only
-wall clocks differ (``tests/test_obs_profiler.py`` pins this against
-the perf scenarios).  Off — the default — :func:`profiler_for` returns
-``None`` and the engine pays one ``is None`` test per ``run`` call,
-nothing per event.
+The profiler schedules nothing and the wrapper runs the very callbacks
+the loop would have run, so a profiled run is **bit-identical** to a
+plain one (``tests/test_obs_profiler.py`` pins this against the perf
+scenarios).  Off — the default — :func:`profiler_for` returns ``None``.
 
 Exports: :func:`attribution` (merged per-layer totals),
 :func:`attribution_markdown` (the table the next perf PR reads) and
@@ -61,6 +58,8 @@ _CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
     ("/repro/ssd/firmware/fil", "fil"),
     ("/repro/ssd/firmware/", "hil"),
     ("/repro/ssd/storage/", "flash"),
+    ("/repro/ssd/computation/cores", "cores"),
+    ("/repro/ssd/computation/dram", "dram"),
     ("/repro/ssd/", "ssd"),
     ("/repro/interfaces/nvme/", "nvme"),
     ("/repro/interfaces/sata/", "sata"),
@@ -68,6 +67,7 @@ _CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
     ("/repro/interfaces/ocssd/", "ocssd"),
     ("/repro/interfaces/", "interface"),
     ("/repro/hostos/", "hostos"),
+    ("/repro/host/", "host"),
     ("/repro/core/", "host"),
     ("/repro/workloads/", "host"),
     ("/repro/baselines/", "baseline"),
@@ -135,17 +135,24 @@ def _categorize(filename: Optional[str]) -> str:
 def _callback_code(callback) -> Any:
     """The code object that best identifies where a dispatch will run.
 
-    Resuming a process executes the *generator's* frame, so a bound
-    ``Process._resume`` is keyed by ``gi_code`` of the wrapped
-    generator; anything else is keyed by its own ``__code__``.
+    A bound ``Process._resume`` continues the innermost suspended
+    generator, at the end of the ``gi_yieldfrom`` chain, so call this
+    before the dispatch; anything else is keyed by its own ``__code__``.
     """
     owner = getattr(callback, "__self__", None)
     if owner is not None:
         generator = getattr(owner, "_generator", None)
-        if generator is not None:
-            code = getattr(generator, "gi_code", None)
-            if code is not None:
-                return code
+        code = getattr(generator, "gi_code", None) \
+            if generator is not None else None
+        if code is not None:
+            inner = generator.gi_yieldfrom
+            try:
+                while inner is not None:
+                    code = inner.gi_code
+                    inner = inner.gi_yieldfrom
+            except AttributeError:
+                pass    # delegating to a plain iterator: charge its caller
+            return code
     func = getattr(callback, "__func__", callback)
     return getattr(func, "__code__", None)
 
@@ -153,15 +160,15 @@ def _callback_code(callback) -> Any:
 class WallProfiler:
     """Per-simulator wall-time accumulator, attributed per layer/module.
 
-    ``record`` runs once per dispatched event inside the profiled loops;
-    it is deliberately dictionary arithmetic only.  Category/module
-    lookups are memoized per code object, so steady state costs one
-    dict hit plus two float adds per event.
+    An observer of the event loop (see :class:`~repro.sim.Simulator`).
+    ``record`` runs once per dispatched event and is deliberately
+    dictionary arithmetic only: category/module lookups are memoized per
+    code object.
     """
 
     __slots__ = ("label", "max_slices", "run_wall_s", "dispatch_wall_s",
                  "events", "runs", "categories", "modules", "_slices",
-                 "_by_code")
+                 "_by_code", "_t_start", "_pending", "_timed")
 
     def __init__(self, label: str = "", max_slices: int = 2048) -> None:
         self.label = label
@@ -177,19 +184,63 @@ class WallProfiler:
         #: min-heap of (dur_s, seq, ts_s, category, name): slowest kept
         self._slices: List[Tuple[float, int, float, str, str]] = []
         self._by_code: Dict[Any, Tuple[str, str]] = {}
+        #: perf_counter at the current run's first event; None between runs
+        self._t_start: Optional[float] = None
+        #: (callbacks, code, run start) of the dispatch _timed_dispatch runs next
+        self._pending: Any = None
+        self._timed = [self._timed_dispatch]
 
-    # -- hot path ----------------------------------------------------------
+    # -- the observer protocol ---------------------------------------------
 
-    def record(self, callbacks, ts_s: float, dur_s: float) -> None:
-        """Attribute one event dispatch (``dur_s`` of wall time)."""
+    def on_event(self, when: int, event) -> None:
+        """Swap a non-empty callback list for ``[_timed_dispatch]``, which
+        runs the same callbacks in the same order; record an empty one as
+        a zero-length dispatch.  One list serves every event: the loop
+        takes it right after this call, so ``_pending`` is always its own.
+        """
+        t_start = self._t_start
+        if t_start is None:
+            t_start = self._t_start = time.perf_counter()  # simlint: disable=SIM101 -- the profiler's own wall-clock measurement; never enters simulated state
+        callbacks = event.callbacks
+        if callbacks:
+            self._pending = (callbacks, _callback_code(callbacks[0]), t_start)
+            event.callbacks = self._timed
+        else:
+            self.record(None, time.perf_counter() - t_start, 0.0)  # simlint: disable=SIM101 -- the profiler's own wall-clock measurement; never enters simulated state
+
+    def _timed_dispatch(self, event) -> None:
+        """Run the pending callbacks between two clock reads."""
+        callbacks, code, t_start = self._pending
+        clock = time.perf_counter
+        t0 = clock()
+        for callback in callbacks:
+            callback(event)
+        self.record(code, t0 - t_start, clock() - t0)
+
+    def on_stop(self, drained: bool) -> None:
+        """Close the run that the first ``on_event`` since the last stop opened."""
+        t_start, self._t_start = self._t_start, None
+        wall_s = 0.0
+        if t_start is not None:
+            wall_s = time.perf_counter() - t_start  # simlint: disable=SIM101 -- the profiler's own wall-clock measurement; never enters simulated state
+        self.note_run(wall_s)
+
+    def on_failure(self, error: BaseException) -> None:
+        """Nothing to dump: the attribution so far stays readable."""
+
+    # -- accounting --------------------------------------------------------
+
+    def record(self, code, ts_s: float, dur_s: float) -> None:
+        """Attribute one event dispatch (``dur_s`` of wall time) to
+        ``code``, the code object :func:`_callback_code` chose before the
+        dispatch (``None`` for an event without callbacks)."""
         self.events += 1
         self.dispatch_wall_s += dur_s
-        key = _callback_code(callbacks[0]) if callbacks else None
-        hit = self._by_code.get(key)
+        hit = self._by_code.get(code)
         if hit is None:
-            filename = getattr(key, "co_filename", None)
-            name = getattr(key, "co_name", "(no callback)")
-            hit = self._by_code[key] = (
+            filename = getattr(code, "co_filename", None)
+            name = getattr(code, "co_name", "(no callback)")
+            hit = self._by_code[code] = (
                 _categorize(filename),
                 f"{os.path.basename(filename or 'sim')}:{name}")
         category, name = hit
@@ -211,7 +262,7 @@ class WallProfiler:
                               (dur_s, self.events, ts_s, category, name))
 
     def note_run(self, wall_s: float) -> None:
-        """Account one completed ``run``/``run_process`` invocation."""
+        """Account one completed ``step``/``run``/``run_process`` invocation."""
         self.runs += 1
         self.run_wall_s += wall_s
 
@@ -371,106 +422,3 @@ def write_profile(base_path,
         handle.write(attribution_markdown(profs, title=title))
     write_profile_trace(trace_path, profs)
     return [markdown_path, trace_path]
-
-
-# -- the profiled engine loops ------------------------------------------------
-#
-# Exact mirrors of Simulator.run / Simulator.run_process (repro.sim.
-# engine) with perf_counter reads wrapped around each callback dispatch.
-# They live here — not in engine.py — so every wall-clock read in the
-# tree stays inside a designated profiling module (simlint SIM110), and
-# so the unprofiled hot loops stay byte-for-byte what SIM108 pins.
-# tests/test_obs_profiler.py holds the behavioural equivalence
-# (events_processed, sim.now, results) against the unprofiled engine.
-
-
-def run_profiled(sim, until: Optional[int] = None) -> None:
-    """Profiled clone of :meth:`repro.sim.engine.Simulator.run`."""
-    profiler = sim.profiler
-    queue = sim._queue
-    pop = heapq.heappop
-    record_orphan = sim._record_orphan_failure
-    telemetry = sim.telemetry
-    sanitizer = sim.sanitizer
-    record = profiler.record
-    clock = time.perf_counter
-    t_loop = clock()
-    try:
-        while queue:
-            if until is not None and queue[0][0] > until:
-                sim._now = until
-                return
-            when, _seq, event = pop(queue)
-            if event._cancelled:
-                continue
-            sim._now = when
-            sim._event_count += 1
-            if telemetry is not None:
-                telemetry.on_event(when, event)
-            if sanitizer is not None:
-                sanitizer.on_event(when, event)
-            event._processed = True
-            callbacks, event.callbacks = event.callbacks, None
-            if not event._ok and not callbacks:
-                record_orphan(event)
-            t0 = clock()
-            for callback in callbacks:
-                callback(event)
-            record(callbacks, t0 - t_loop, clock() - t0)
-        if until is not None:
-            sim._now = until
-        elif sanitizer is not None:
-            sanitizer.on_drain()
-    finally:
-        profiler.note_run(clock() - t_loop)
-
-
-def run_process_profiled(sim, generator,
-                         until: Optional[int] = None) -> Any:
-    """Profiled clone of :meth:`repro.sim.engine.Simulator.run_process`."""
-    profiler = sim.profiler
-    proc = sim.process(generator)
-    queue = sim._queue
-    pop = heapq.heappop
-    record_orphan = sim._record_orphan_failure
-    telemetry = sim.telemetry
-    sanitizer = sim.sanitizer
-    record = profiler.record
-    clock = time.perf_counter
-    t_loop = clock()
-    try:
-        while not proc._processed and queue:
-            if until is not None and queue[0][0] > until:
-                break
-            when, _seq, event = pop(queue)
-            if event._cancelled:
-                continue
-            sim._now = when
-            sim._event_count += 1
-            if telemetry is not None:
-                telemetry.on_event(when, event)
-            if sanitizer is not None:
-                sanitizer.on_event(when, event)
-            event._processed = True
-            callbacks, event.callbacks = event.callbacks, None
-            if not event._ok and not callbacks:
-                record_orphan(event)
-            t0 = clock()
-            for callback in callbacks:
-                callback(event)
-            record(callbacks, t0 - t_loop, clock() - t0)
-    finally:
-        profiler.note_run(clock() - t_loop)
-    if not proc._processed:
-        if until is not None and sim._now < until:
-            sim._now = until
-        sim.check_orphan_failures()
-        error = RuntimeError("process did not complete"
-                             + ("" if until is None
-                                else " before the deadline"))
-        sim._notify_failure(error)
-        raise error
-    if not proc._ok:
-        sim._notify_failure(proc._value)
-        raise proc._value
-    return proc._value

@@ -4,11 +4,12 @@ Like span tracing (:mod:`repro.obs.runtime`), telemetry is a
 process-wide switch because experiments build a fresh ``Simulator`` per
 data point.  :func:`enable_telemetry` arms it; afterwards every new
 ``Simulator`` asks :func:`probe_for` and receives a live
-:class:`TelemetryProbe` that the engine's hot loop consults once per
-processed event.  With the switch off — the default and the tier-1
-state — :func:`probe_for` returns ``None`` and the engine pays exactly
-one ``is not None`` test per event, scheduling nothing, so runs are
-bit-identical to a build without this module.
+:class:`TelemetryProbe`, which it puts first in its single observer
+slot; the event loop calls the probe once per processed event.  With
+the switch off — the default and the tier-1 state — :func:`probe_for`
+returns ``None`` and costs the loop nothing beyond its one ``is None``
+test per event, scheduling nothing, so runs are bit-identical to a
+build without this module.
 
 The probe does three things, all in *observation only* — it never
 schedules events, acquires resources or advances the clock, so even
@@ -122,11 +123,11 @@ def label_latest_probe(label: str) -> None:
 
 
 class TelemetryProbe:
-    """Per-simulator epoch sampler + flight recorder.
+    """Per-simulator epoch sampler + flight recorder, a loop observer.
 
-    ``on_event`` is the engine hot-loop entry point: ring-append plus a
-    single integer comparison against ``next_due``; the expensive
-    registry sweep happens at most once per crossed epoch boundary.
+    ``on_event`` is the hot-loop entry point: ring-append plus a single
+    integer comparison against ``next_due``; the expensive registry
+    sweep happens at most once per crossed epoch boundary.
     """
 
     __slots__ = ("sim", "epoch_ns", "next_due", "max_points", "series",
@@ -166,13 +167,16 @@ class TelemetryProbe:
             self.label = label
             self.flight.label = label
 
-    # -- the engine hot-loop hook -----------------------------------------
+    # -- the observer protocol --------------------------------------------
 
     def on_event(self, when: int, event) -> None:
         """Record one processed event; sample when an epoch boundary passes."""
         self.flight.note_event(when, type(event).__name__)
         if when >= self.next_due:
             self._sample(when)
+
+    def on_stop(self, drained: bool) -> None:
+        """Nothing to do when the loop stops: sampling is event-driven."""
 
     def _sample(self, when: int) -> None:
         """Read every bound metric into its time series; advance the epoch."""

@@ -1,14 +1,12 @@
 """The event loop at the heart of the simulation.
 
-Hot-path note: ``run``/``run_process`` inline the pop-and-process body
-of :meth:`Simulator.step` (and of ``Event._process``) with the heap and
-counters bound to locals — the loop runs hundreds of thousands of times
-per macro benchmark and attribute lookups dominate otherwise.  All three
-copies must stay semantically identical; the golden determinism suite
-(``tests/golden``) pins the observable behaviour, and simlint's
-clone-consistency rule (SIM108, ``repro.analysis.clones``) diffs the
-normalized loop bodies so any drift fails
-``python -m repro.analysis lint`` before it can ship.
+:meth:`Simulator.step`, :meth:`~Simulator.run` and
+:meth:`~Simulator.run_process` all drive one dispatch loop,
+:meth:`Simulator._dispatch`, which stops at a deadline (``until``),
+right after a stop event, or when the queue drains.  It binds the heap
+and counters to locals: it runs hundreds of thousands of times per
+macro benchmark and attribute lookups dominate otherwise.  The golden
+determinism suite (``tests/golden``) pins its observable behaviour.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from itertools import count
 from typing import Any, Iterator, Optional
 
 from repro.analysis.sanitizer import sanitizer_for
-from repro.obs.profiler import profiler_for, run_process_profiled, run_profiled
+from repro.obs.profiler import profiler_for
 from repro.obs.runtime import tracer_for
 from repro.obs.telemetry import probe_for
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -27,6 +25,30 @@ from repro.sim.process import Process
 
 class EmptySchedule(Exception):
     """Raised by :meth:`Simulator.step` when no events remain."""
+
+
+class _FanOut:
+    """Several armed observers behind the one slot, called in order."""
+
+    __slots__ = ("observers",)
+
+    def __init__(self, observers) -> None:
+        self.observers = tuple(observers)
+
+    def on_event(self, when: int, event: Event) -> None:
+        """Hand one event to every observer."""
+        for observer in self.observers:
+            observer.on_event(when, event)
+
+    def on_stop(self, drained: bool) -> None:
+        """Tell every observer the loop has stopped."""
+        for observer in self.observers:
+            observer.on_stop(drained)
+
+    def on_failure(self, error: BaseException) -> None:
+        """Hand a run failure to every observer."""
+        for observer in self.observers:
+            observer.on_failure(error)
 
 
 class Simulator:
@@ -46,30 +68,15 @@ class Simulator:
     process-wide tracing is enabled.  Spans record simulated time only
     and never schedule events, so tracing cannot perturb results.
 
-    It likewise carries a ``telemetry`` probe (``None`` by default, live
-    when :func:`repro.obs.telemetry.enable_telemetry` was called): the
-    loop hands it each processed event so it can flight-record and take
-    epoch samples.  The probe only *observes* — it schedules nothing —
-    so even enabled telemetry changes neither ``events_processed`` nor
-    any simulated result; disabled, it costs one ``is None`` test per
-    event.
-
-    A third observe-only hook, the ``sanitizer`` (``None`` by default,
-    live when :func:`repro.analysis.sanitizer.enable_sanitizer` was
-    called or ``REPRO_SANITIZE=1`` is set), sees each processed event
-    the same way and audits resources and processes when the queue
-    drains — detecting causality violations, leaked resource tokens and
-    stuck processes without scheduling anything, so a sanitized run is
-    bit-identical to a plain one.
-
-    The fourth hook, the ``profiler`` (``None`` by default, live when
-    :func:`repro.obs.profiler.enable_profiling` was called), works
-    differently: instead of being consulted per event, its presence
-    makes ``run``/``run_process`` delegate to the profiled loop clones
-    in :mod:`repro.obs.profiler`, which wrap each dispatch in
-    ``perf_counter`` reads to attribute wall time per layer.  Profiled
-    runs stay bit-identical to plain ones (pinned by test); off, the
-    cost is one ``is None`` test per ``run`` call, nothing per event.
+    ``telemetry``, ``sanitizer`` and ``profiler`` are ``None`` unless
+    their process-wide switch was armed before construction, which folds
+    the armed ones into one observer slot: ``None``, the one hook, or a
+    fan-out in that order.  The loop calls ``on_event(when, event)``
+    before each live event's callbacks and ``on_stop(drained)`` on every
+    exit, a raise included (``drained``: ``run()`` without ``until``
+    emptied the queue); ``run_process`` calls ``on_failure(error)``
+    before it raises.  Observers schedule nothing, so they leave every
+    simulated result bit-identical.
     """
 
     def __init__(self) -> None:
@@ -82,16 +89,15 @@ class Simulator:
         self.telemetry = probe_for(self)
         self.sanitizer = sanitizer_for(self)
         self.profiler = profiler_for(self)
-
-    def _record_orphan_failure(self, event) -> None:
-        self._orphan_failures.append(event)
+        armed = [hook for hook in (self.telemetry, self.sanitizer,
+                                   self.profiler) if hook is not None]
+        self._observer = (None if not armed else armed[0] if len(armed) == 1
+                          else _FanOut(armed))
 
     def _notify_failure(self, error: BaseException) -> None:
-        """Hand a run failure to the telemetry/sanitizer post-mortems."""
-        if self.telemetry is not None:
-            self.telemetry.on_failure(error)
-        if self.sanitizer is not None:
-            self.sanitizer.on_failure(error)
+        """Hand a run failure to the observers' post-mortems."""
+        if self._observer is not None:
+            self._observer.on_failure(error)
 
     def check_orphan_failures(self) -> None:
         """Raise the first failure of a process nobody waited on."""
@@ -162,62 +168,57 @@ class Simulator:
                 return queue[0][0]
         return None
 
+    def _dispatch(self, until: Optional[int], stop: Optional[Event]) -> None:
+        """The event loop: pop live events in time order and run them.
+
+        Stops when the queue drains, before the first event later than
+        ``until``, or right after ``stop`` has been dispatched.  A failed
+        event nobody waits on is kept for :meth:`check_orphan_failures`.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        orphans = self._orphan_failures
+        observer = self._observer
+        drained = False
+        try:
+            while queue:
+                if until is not None and queue[0][0] > until:
+                    break
+                when, _seq, event = pop(queue)
+                if event._cancelled:
+                    continue
+                self._now = when
+                self._event_count += 1
+                if observer is not None:
+                    observer.on_event(when, event)
+                event._processed = True
+                callbacks, event.callbacks = event.callbacks, None
+                if not event._ok and not callbacks:
+                    orphans.append(event)
+                for callback in callbacks:
+                    callback(event)
+                if event is stop:
+                    break
+            # with neither a deadline nor a stop event, only an empty
+            # queue ends the loop
+            drained = until is None and stop is None
+        finally:
+            if observer is not None:
+                observer.on_stop(drained)
+
     def step(self) -> None:
         """Process exactly one live event (skipping tombstones)."""
-        queue = self._queue
-        telemetry = self.telemetry
-        sanitizer = self.sanitizer
-        while queue:
-            when, _seq, event = heapq.heappop(queue)
-            if event._cancelled:
-                continue
-            self._now = when
-            self._event_count += 1
-            if telemetry is not None:
-                telemetry.on_event(when, event)
-            if sanitizer is not None:
-                sanitizer.on_event(when, event)
-            event._process()
-            return
-        raise EmptySchedule()
+        if self.peek() is None:
+            raise EmptySchedule()
+        self._dispatch(None, self._queue[0][2])
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``."""
         if until is not None and until < self._now:
             raise ValueError("until lies in the past")
-        if self.profiler is not None:
-            return run_profiled(self, until)
-        # Inlined step()/Event._process() with locals for the hot loop.
-        queue = self._queue
-        pop = heapq.heappop
-        record_orphan = self._record_orphan_failure
-        telemetry = self.telemetry
-        sanitizer = self.sanitizer
-        while queue:
-            if until is not None and queue[0][0] > until:
-                self._now = until
-                return
-            when, _seq, event = pop(queue)
-            if event._cancelled:
-                continue
-            self._now = when
-            self._event_count += 1
-            if telemetry is not None:
-                telemetry.on_event(when, event)
-            if sanitizer is not None:
-                sanitizer.on_event(when, event)
-            event._processed = True
-            callbacks, event.callbacks = event.callbacks, None
-            if not event._ok and not callbacks:
-                record_orphan(event)
-            for callback in callbacks:
-                callback(event)
+        self._dispatch(until, None)
         if until is not None:
             self._now = until
-        elif sanitizer is not None:
-            # true drain (no deadline cut the run short): audit held
-            # tokens and unfinished processes
-            sanitizer.on_drain()
 
     def run_process(self, generator, until: Optional[int] = None) -> Any:
         """Convenience: drive ``generator`` as a process to completion.
@@ -234,32 +235,8 @@ class Simulator:
         before raising, matching :meth:`run`'s drain behaviour, so
         ``now`` never sits behind a deadline that has already passed.
         """
-        if self.profiler is not None:
-            return run_process_profiled(self, generator, until)
         proc = self.process(generator)
-        queue = self._queue
-        pop = heapq.heappop
-        record_orphan = self._record_orphan_failure
-        telemetry = self.telemetry
-        sanitizer = self.sanitizer
-        while not proc._processed and queue:
-            if until is not None and queue[0][0] > until:
-                break
-            when, _seq, event = pop(queue)
-            if event._cancelled:
-                continue
-            self._now = when
-            self._event_count += 1
-            if telemetry is not None:
-                telemetry.on_event(when, event)
-            if sanitizer is not None:
-                sanitizer.on_event(when, event)
-            event._processed = True
-            callbacks, event.callbacks = event.callbacks, None
-            if not event._ok and not callbacks:
-                record_orphan(event)
-            for callback in callbacks:
-                callback(event)
+        self._dispatch(until, proc)
         if not proc._processed:
             if until is not None and self._now < until:
                 self._now = until

@@ -104,18 +104,6 @@ class Event:
         else:
             self.callbacks.append(callback)
 
-    def _process(self) -> None:
-        # NOTE: the simulator inlines this body in its run loops; keep the
-        # two in sync (engine.step / engine.run / engine.run_process).
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, None
-        if not self._ok and not callbacks:
-            # a failure nobody is waiting on would otherwise vanish and
-            # typically surface as a deadlock; let the simulator report it
-            self.sim._record_orphan_failure(self)
-        for callback in callbacks:
-            callback(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else (
             "processed" if self._processed else (

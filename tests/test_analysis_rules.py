@@ -22,8 +22,7 @@ from repro.analysis.registry import all_project_rules
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
-#: rules with a bad/good file pair (SIM108 is exercised on engine sources
-#: in test_analysis_selfcheck.py; SIM100 is the meta-rule, tested below)
+#: rules with a bad/good file pair (SIM100 is the meta-rule, tested below)
 FIXTURE_RULES = ("SIM101", "SIM102", "SIM103", "SIM104",
                  "SIM105", "SIM106", "SIM107", "SIM109", "SIM110")
 
@@ -44,7 +43,7 @@ def _rule_ids(findings):
 class TestRegistry:
     def test_every_rule_registered_once(self):
         rules = all_rules()
-        assert [r.id for r in rules] == sorted(FIXTURE_RULES + ("SIM108",))
+        assert [r.id for r in rules] == sorted(FIXTURE_RULES)
 
     def test_every_project_rule_registered_once(self):
         rules = all_project_rules()
@@ -188,8 +187,9 @@ class TestCli:
     def test_rules_subcommand_lists_catalog(self):
         proc = _run_cli("rules")
         assert proc.returncode == 0
-        for rule_id in FIXTURE_RULES + ("SIM108",) + PROJECT_FIXTURE_RULES:
+        for rule_id in FIXTURE_RULES + PROJECT_FIXTURE_RULES:
             assert rule_id in proc.stdout
+        assert "SIM108" not in proc.stdout
 
 
 # -- lint_paths over the fixture tree -----------------------------------------

@@ -154,6 +154,32 @@ class TestViolations:
         sim.run(until=50)  # mid-hold; not a leak
         assert sim.sanitizer.violations == []
 
+    @pytest.mark.parametrize("entry", ["run", "run_until", "run_process",
+                                       "step"])
+    def test_drain_audit_runs_only_at_a_true_drain(self, entry):
+        """Only `run()` without a deadline drains; every other stop
+        leaves the stuck waiter unaudited."""
+        enable_sanitizer()
+        sim = Simulator()
+
+        def waiter():
+            yield Event(sim)  # nobody will ever trigger this
+
+        def quick():
+            yield sim.timeout(10)
+
+        sim.process(waiter())
+        if entry == "run":
+            sim.run()
+        elif entry == "run_until":
+            sim.run(until=50)
+        elif entry == "run_process":
+            sim.run_process(quick())
+        else:
+            sim.step()
+        expected = ["stuck-process"] if entry == "run" else []
+        assert _kinds(sim.sanitizer.violations) == expected
+
     def test_double_cancel_detected(self):
         enable_sanitizer()
         sim = Simulator()

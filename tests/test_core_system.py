@@ -149,6 +149,34 @@ class TestBufferedIo:
         assert system.run_process(scenario()) == rewrite
 
 
+    def test_read_miss_keeps_a_dirty_page(self):
+        """A buffered read of pages 0-1 misses on uncached page 1; page 0
+        holds a buffered write newer than the device's copy.  The reader
+        must get the cached bytes, and the cache must keep them, so
+        writeback puts them on the device."""
+        system = FullSystem(tiny_ssd_config(), data_emulation=True,
+                            page_cache_bytes=8 * 4096)
+        sim = system.sim
+        old, new = b"\x11" * 4096, b"\xab" * 4096
+
+        def scenario():
+            yield from system.write(0, 8, old)
+            yield from system.write(0, 8, new, direct=False)
+            got = yield from system.read(0, 16, direct=False)
+            assert system.pagecache.misses == 1
+            # a second dirty page kicks writeback of both
+            yield from system.write(16, 8, direct=False)
+            while system._writeback_running:
+                yield sim.timeout(100_000)
+            on_device = yield from system.read(0, 8)
+            return got, on_device
+
+        got, on_device = system.run_process(scenario())
+        assert got[:4096] == new
+        assert got[4096:] == bytes(4096)
+        assert on_device == new
+
+
 class TestPresets:
     def test_all_presets_valid(self):
         for name in presets.PRESETS:

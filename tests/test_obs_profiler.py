@@ -138,6 +138,17 @@ class TestBitIdentical:
         with pytest.raises(RuntimeError, match="did not complete"):
             stalled.run_process(forever())
 
+        broken = Simulator()
+
+        def not_an_event():
+            yield 42                    # raises out of the event loop
+
+        with pytest.raises(TypeError, match="non-event"):
+            broken.run_process(not_an_event())
+        # every raise still closes its run
+        assert [prof.runs for prof in profilers()] == [1, 1, 1]
+        assert all(prof.run_wall_s > 0 for prof in profilers())
+
     def test_run_process_deadline_advances_clock(self):
         enable_profiling()
         sim = Simulator()
@@ -148,6 +159,28 @@ class TestBitIdentical:
         with pytest.raises(RuntimeError, match="deadline"):
             sim.run_process(patient(), until=100)
         assert sim.now == 100
+
+    def test_all_three_observers_together(self):
+        """Telemetry, sanitizer and profiler share the one observer slot:
+        the perf-scenario golden digest holds, the profiler sees every
+        processed event, telemetry samples and the sanitizer stays clean."""
+        from repro.analysis.sanitizer import (
+            all_violations, disable_sanitizer, enable_sanitizer)
+        from repro.experiments import golden
+        from repro.obs.telemetry import (
+            disable_telemetry, enable_telemetry, probes)
+        enable_telemetry()
+        enable_sanitizer()
+        enable_profiling()
+        try:
+            assert golden.check_case("perf_scenarios")
+            events = sum(probe.sim.events_processed for probe in probes())
+            assert attribution()["events"] == events > 0
+            assert sum(probe.epochs_sampled for probe in probes()) > 0
+            assert all_violations() == []
+        finally:
+            disable_telemetry()
+            disable_sanitizer()
 
     def test_bench_scenario_facts_identical(self):
         """The perf scenarios produce the same deterministic facts."""
@@ -185,7 +218,7 @@ class TestAttribution:
 
     def test_kernel_overhead_is_booked_under_sim(self):
         prof = WallProfiler(label="x")
-        prof.record([], 0.0, 0.25)
+        prof.record(None, 0.0, 0.25)
         prof.note_run(1.0)
         doc = attribution([prof])
         assert doc["kernel_wall_s"] == pytest.approx(0.75)
@@ -195,7 +228,7 @@ class TestAttribution:
     def test_merges_across_profilers(self):
         a, b = WallProfiler(label="a"), WallProfiler(label="b")
         for prof in (a, b):
-            prof.record([], 0.0, 0.5)
+            prof.record(None, 0.0, 0.5)
             prof.note_run(0.5)
         doc = attribution([a, b])
         assert doc["runs"] == 2 and doc["events"] == 2
@@ -279,8 +312,13 @@ class TestCategorize:
         ("/x/src/repro/ssd/firmware/fil.py", "fil"),
         ("/x/src/repro/ssd/firmware/hil.py", "hil"),
         ("/x/src/repro/ssd/storage/flash.py", "flash"),
+        ("/x/src/repro/ssd/computation/cores.py", "cores"),
+        ("/x/src/repro/ssd/computation/dram.py", "dram"),
+        ("/x/src/repro/ssd/config.py", "ssd"),
         ("/x/src/repro/interfaces/nvme/queues.py", "nvme"),
         ("/x/src/repro/hostos/blocklayer.py", "hostos"),
+        ("/x/src/repro/host/cpu.py", "host"),
+        ("/x/src/repro/host/pcie.py", "host"),
         ("/x/src/repro/core/system.py", "host"),
         ("/x/src/repro/workloads/fio.py", "host"),
         ("/x/src/repro/baselines/replay.py", "baseline"),
@@ -290,6 +328,38 @@ class TestCategorize:
     ])
     def test_path_to_layer(self, path, layer):
         assert profiler_mod._categorize(path) == layer
+
+    def test_yield_from_helper_is_charged_to_its_layer(self):
+        """A resume is charged to the innermost suspended generator: an
+        FTL helper reached through ``yield from`` owns the work it does
+        after its first yield, not the caller that delegated to it."""
+        def planted(sim):
+            yield sim.timeout(10)
+            total = 0
+            for value in range(50_000):    # fixed work after the first yield
+                total += value
+            return total
+
+        planted.__code__ = planted.__code__.replace(
+            co_filename="/x/src/repro/ssd/firmware/ftl/planted.py")
+        enable_profiling()
+        sim = Simulator()
+
+        def caller():
+            for _ in range(20):
+                yield from planted(sim)
+
+        sim.run_process(caller())
+        doc = attribution()
+        # 20 resumes continue inside the helper; only the bootstrap
+        # starts in the caller (this file: "other").  The key is taken
+        # where each resume starts: taken after it, the last spin would
+        # land on the finished caller.
+        assert doc["layers"]["ftl"]["calls"] == 20
+        assert doc["layers"]["other"]["calls"] == 1
+        assert doc["layers"]["other"]["seconds"] < \
+            doc["layers"]["ftl"]["seconds"] / 40
+        assert doc["modules"]["planted.py:planted"]["calls"] == 20
 
     def test_process_resume_attributes_to_the_generator(self):
         enable_profiling()
