@@ -240,17 +240,20 @@ class FullSystem:
                 if span is not None:
                     tracer.end(span)
                 return served
+        buffered_read = not direct and req.kind.is_read
+        if buffered_read:
+            cache = self.pagecache
+            resident = cache.resident_data(req.slba, req.nsectors)
         event = yield from self.blocklayer.submit(req, stream_id=stream_id,
                                                   core=core)
-        if not direct and req.kind.is_read:
-            cache = self.pagecache
+        if buffered_read:
 
             def install(ev) -> None:
                 """Fill the cache, then hand the reader the merged bytes:
                 this callback runs before the reader's, so the reader is
                 resumed with the replaced value."""
                 ev._value = cache.install_read(req.slba, req.nsectors,
-                                               ev.value)
+                                               ev.value, resident)
             event.add_callback(install)
         if span is not None:
             event.add_callback(lambda _ev: tracer.end(span))

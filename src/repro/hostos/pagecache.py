@@ -102,16 +102,43 @@ class PageCache:
             chunks.append(bytes(data[within * 512:(within + 1) * 512]))
         return b"".join(chunks)
 
-    def install_read(self, slba: int, nsectors: int,
-                     data: Optional[bytes]) -> Optional[bytes]:
+    def resident_data(self, slba: int,
+                      nsectors: int) -> Optional[Dict[int, bytes]]:
+        """The bytes of the range's cached pages, taken when a read that
+        missed is issued (data emulation only; None otherwise)."""
+        if not self.data_emulation:
+            return None
+        resident = {}
+        for idx in self._page_range(slba, nsectors):
+            page = self._pages.get(idx)
+            if page is not None and page.data is not None:
+                resident[idx] = bytes(page.data)
+        return resident
+
+    def install_read(self, slba: int, nsectors: int, data: Optional[bytes],
+                     resident: Optional[Dict[int, bytes]] = None
+                     ) -> Optional[bytes]:
         """Populate cache pages after a device read; returns the payload
         the reader should get.
 
-        Only whole pages covered by the read are installed.  A dirty page
-        keeps its data, which is newer than the device's, and the
-        returned payload carries the cached bytes of every sector whose
-        page is dirty.
+        Only whole pages covered by the read are installed.  The device
+        bytes can be older than the cache's: writeback may have cleaned,
+        or even dropped, a page while the read was in flight.  So for both
+        the cached pages and the payload, the cached bytes of a page that
+        is dirty, or was cached when the read was issued and still is,
+        win; then the bytes it held at issue (``resident``, from
+        :meth:`resident_data`); then the device's.
         """
+        newer = {}
+        if self.data_emulation:
+            resident = resident or {}
+            for idx in self._page_range(slba, nsectors):
+                page = self._pages.get(idx)
+                if page is not None and page.data is not None and (
+                        page.dirty or idx in resident):
+                    newer[idx] = page.data
+                elif idx in resident:
+                    newer[idx] = resident[idx]
         for idx in self._page_range(slba, nsectors):
             page_first_sector = idx * _SECTORS_PER_PAGE
             if page_first_sector < slba or \
@@ -120,22 +147,21 @@ class PageCache:
             page = self._touch(idx)
             if self.data_emulation and not page.dirty:
                 off = (page_first_sector - slba) * 512
-                page.data = bytearray(data[off:off + PAGE]) if data \
-                    else bytearray(PAGE)
-        if not self.data_emulation or not self._dirty:
+                if idx in newer:
+                    page.data = bytearray(newer[idx])
+                else:
+                    page.data = bytearray(data[off:off + PAGE]) if data \
+                        else bytearray(PAGE)
+        if not newer:
             return data
-        merged = None
-        for idx in self._page_range(slba, nsectors):
-            if idx not in self._dirty:
-                continue
-            if merged is None:
-                merged = bytearray(data or bytes(nsectors * 512))
+        merged = bytearray(data or bytes(nsectors * 512))
+        for idx, source in newer.items():
             first = max(slba, idx * _SECTORS_PER_PAGE)
             end = min(slba + nsectors, (idx + 1) * _SECTORS_PER_PAGE)
             within = (first - idx * _SECTORS_PER_PAGE) * 512
             merged[(first - slba) * 512:(end - slba) * 512] = \
-                self._pages[idx].data[within:within + (end - first) * 512]
-        return data if merged is None else bytes(merged)
+                source[within:within + (end - first) * 512]
+        return bytes(merged)
 
     def write(self, slba: int, nsectors: int, data: Optional[bytes]) -> bool:
         """Buffered write into the cache.

@@ -18,6 +18,7 @@ from repro.ssd.computation.dram import InternalDram
 from repro.ssd.config import SSDConfig
 from repro.ssd.content import ContentStore
 from repro.ssd.firmware.fil import FlashInterfaceLayer
+from repro.ssd.firmware.ftl.allocator import OutOfBlocksError
 from repro.ssd.firmware.ftl.ftl import FlashTranslationLayer
 from repro.ssd.firmware.hil import HostInterfaceLayer
 from repro.ssd.firmware.icl import InternalCacheLayer
@@ -109,25 +110,45 @@ class SSD:
         writing the whole target space; doing that through the timed path
         would simulate minutes of wall-clock writes, so this fills the
         mapping/array state directly.  Returns the number of pages placed.
+
+        Each parallel unit holds one page of every line of its channel/way
+        group, so its share of the fill is one strided LPN run, claimed a
+        block at a time and bound with array slices.  A unit's pages go in
+        the same order as writing the lines one page at a time, so the end
+        state is that of the per-page fill.  The fill is all or nothing:
+        if any unit lacks the room, :class:`OutOfBlocksError` is raised
+        before anything changes.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         if self.config.ftl.mapping != "page":
             raise ValueError("preconditioning supports page mapping only")
         ftl = self.ftl
-        slots = ftl.allocator.slots_per_line
+        allocator = ftl.allocator
+        slots = allocator.slots_per_line
         n_lines = int(self.config.logical_pages * fraction) // slots
-        placed = 0
-        for line_id in range(n_lines):
-            units = ftl.allocator.line_units(line_id)
-            for slot in range(slots):
-                lpn = ftl.line_lpn(line_id, slot)
-                ppn = ftl.allocator.allocate(units[slot], self.sim.now)
-                old = ftl.mapping.bind(lpn, ppn)
-                if old is not None:
-                    self.array.invalidate_ppn(old)
-                placed += 1
-        return placed
+        groups = allocator.line_groups(n_lines)
+        for units, lines in groups:
+            for unit in units:
+                room = allocator.free_pages(unit)
+                if room < len(lines):
+                    raise OutOfBlocksError(
+                        f"unit {unit} has room for {room} of the "
+                        f"{len(lines)} pages the fill needs")
+        now = self.sim.now
+        for units, lines in groups:
+            for slot, unit in enumerate(units):
+                # the unit's page of each line, in line order
+                lpns = range(ftl.line_lpn(lines.start, slot),
+                             ftl.line_lpn(lines.stop, slot),
+                             lines.step * slots)
+                while lpns:
+                    ppn, count = allocator.allocate_run(unit, len(lpns), now)
+                    for old in ftl.mapping.bind_run(lpns[:count],
+                                                    ppn).tolist():
+                        self.array.invalidate_ppn(old)
+                    lpns = lpns[count:]
+        return n_lines * slots
 
     # -- reports ----------------------------------------------------------------
 

@@ -10,7 +10,7 @@ multi-way parallelism of Figure 2.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.ssd.config import SSDConfig
 from repro.ssd.storage.array import FlashArray
@@ -48,6 +48,26 @@ class PageAllocator:
             raise ValueError("superpage channel span must divide channel count")
         if geom.ways_per_channel % self._span_ways:
             raise ValueError("superpage way span must divide way count")
+        n_cgroups = geom.channels // self._span_channels
+        n_wgroups = geom.ways_per_channel // self._span_ways
+        self._banded = config.fil.placement == "banded"
+        # the band width's denominator
+        self._logical_lines = max(1, config.logical_capacity
+                                  // config.superpage_size)
+        # slot->unit tuple of each (channel, way) group, in the order
+        # lines reach them: under rotate line l uses group l % groups,
+        # channel groups first; under banded band b uses group b,
+        # channel-major, so adjacent bands share a channel and a tenant
+        # holding a contiguous run of bands owns whole channels (bus
+        # isolation), not just whole dies
+        if self._banded:
+            order = [(band // n_wgroups, band % n_wgroups)
+                     for band in range(n_cgroups * n_wgroups)]
+        else:
+            order = [(index % n_cgroups, index // n_cgroups)
+                     for index in range(n_cgroups * n_wgroups)]
+        self._group_units = [self._slot_units(cgroup, wgroup)
+                             for cgroup, wgroup in order]
 
     # -- superpage geometry -------------------------------------------------
 
@@ -55,7 +75,7 @@ class PageAllocator:
     def slots_per_line(self) -> int:
         return self._slots
 
-    def line_units(self, line_id: int) -> List[int]:
+    def line_units(self, line_id: int) -> Tuple[int, ...]:
         """Parallel units backing each page slot of a logical line.
 
         With ``fil.placement == "rotate"`` (default), consecutive lines
@@ -67,24 +87,38 @@ class PageAllocator:
         parallel unit, its garbage collection cannot disturb other
         bands (die-level tenant isolation; see docs/MULTITENANT.md).
         """
+        groups = self._group_units
+        if self._banded:
+            return groups[min(len(groups) - 1,
+                              line_id * len(groups) // self._logical_lines)]
+        return groups[line_id % len(groups)]
+
+    def line_groups(self, n_lines: int) -> List[Tuple[Tuple[int, ...], range]]:
+        """Every (channel, way) group's slot->unit tuple with the lines
+        below ``n_lines`` it backs: each ``len(groups)``-th line under
+        ``rotate``, one contiguous band under ``banded``.
+
+        A unit sits in one group at one slot, so it holds one page of
+        each of its group's lines; the groups partition the lines.
+        """
+        groups = self._group_units
+        if not self._banded:
+            return [(units, range(index, n_lines, len(groups)))
+                    for index, units in enumerate(groups)]
+        # band b holds the lines with
+        # line * len(groups) // _logical_lines == b (the last band also
+        # the rest): they start at this ceiling
+        starts = [-(-band * self._logical_lines // len(groups))
+                  for band in range(len(groups))] + [n_lines]
+        return [(units, range(min(starts[band], n_lines),
+                              min(starts[band + 1], n_lines)))
+                for band, units in enumerate(groups)]
+
+    def _slot_units(self, cgroup: int, wgroup: int) -> Tuple[int, ...]:
+        """The unit behind each slot of a line placed on this group."""
         geom = self.config.geometry
         planes = geom.planes_per_die
         ways = geom.ways_per_channel
-        n_cgroups = geom.channels // self._span_channels
-        n_wgroups = ways // self._span_ways
-        if self.config.fil.placement == "banded":
-            n_groups = n_cgroups * n_wgroups
-            n_lines = self.config.logical_capacity // self.config.superpage_size
-            band = min(n_groups - 1, line_id * n_groups // max(1, n_lines))
-            # channel-major: adjacent bands share a channel, so a tenant
-            # holding a contiguous run of bands owns whole channels (bus
-            # isolation), not just whole dies
-            cgroup = band // n_wgroups
-            wgroup = band % n_wgroups
-        else:
-            cgroup = line_id % n_cgroups
-            wgroup = (line_id // n_cgroups) % n_wgroups
-
         order = self.config.fil.parallelism_order
         units: List[int] = []
         for slot in range(self._slots):
@@ -100,7 +134,7 @@ class PageAllocator:
             channel = cgroup * self._span_channels + ch_in
             way = wgroup * self._span_ways + w_in
             units.append((channel * ways + way) * planes + plane)
-        return units
+        return tuple(units)
 
     # -- allocation -----------------------------------------------------------
 
@@ -117,26 +151,45 @@ class PageAllocator:
             return True
         return bool(state.free)
 
+    def free_pages(self, unit: int) -> int:
+        """Pages the unit can still program: the rest of its active
+        block plus every free block."""
+        state = self._units[unit]
+        pages = self.config.geometry.pages_per_block
+        room = len(state.free) * pages
+        if state.active is not None:
+            room += pages - self.array.block(unit, state.active).next_page
+        return room
+
     def allocate(self, unit: int, now: int) -> int:
         """Claim the next in-order page of the unit's active block.
 
         Updates the array state immediately (the physical write pointer
         advanced); the caller charges flash timing separately.
         """
-        geom = self.config.geometry
+        return self.allocate_run(unit, 1, now)[0]
+
+    def allocate_run(self, unit: int, count: int,
+                     now: int) -> Tuple[int, int]:
+        """Claim up to ``count`` next in-order pages of the unit's active
+        block, as many ``allocate`` calls would; returns the first PPN
+        and how many were claimed (fewer when the block fills first).
+        """
+        pages = self.config.geometry.pages_per_block
         state = self._units[unit]
         if state.active is None:
             if not state.free:
                 raise OutOfBlocksError(f"unit {unit} has no free blocks")
             state.active = state.free.popleft()
         block = self.array.block(unit, state.active)
-        page = block.next_page
-        ppn = self.array.mapper.ppn_from_unit(unit, state.active, page)
-        self.array.program_ppn(ppn, now)
-        if block.is_fully_programmed(geom.pages_per_block):
+        first = block.next_page
+        count = min(count, pages - first)
+        ppn = self.array.mapper.ppn_from_unit(unit, state.active, first)
+        self.array.program_run(ppn, count, now)
+        if block.is_fully_programmed(pages):
             state.filled[state.active] = None
             state.active = None
-        return ppn
+        return ppn, count
 
     # -- GC support -------------------------------------------------------------
 

@@ -55,6 +55,19 @@ class PageMapping:
             return old
         return None
 
+    def bind_run(self, lpns: range, first_ppn: int) -> np.ndarray:
+        """Map a strided LPN run onto the PPNs from ``first_ppn`` on, as
+        :meth:`bind` would one pair at a time; returns the displaced old
+        PPNs (for the caller to invalidate)."""
+        where = slice(lpns.start, lpns.stop, lpns.step)
+        end = first_ppn + len(lpns)
+        old = self.l2p[where]
+        displaced = old[old != UNMAPPED]
+        self.p2l[displaced] = UNMAPPED
+        self.l2p[where] = np.arange(first_ppn, end)
+        self.p2l[first_ppn:end] = np.arange(lpns.start, lpns.stop, lpns.step)
+        return displaced
+
     def unbind(self, lpn: int) -> Optional[int]:
         old = int(self.l2p[lpn])
         if old == UNMAPPED:

@@ -44,14 +44,19 @@ class BlockState:
         return PageState.INVALID
 
     def program(self, page: int, now: int) -> None:
-        if page != self.next_page:
+        self.program_run(page, 1, now)
+
+    def program_run(self, first: int, count: int, now: int) -> None:
+        """Program ``count`` pages from ``first`` on, in page order."""
+        if first != self.next_page:
             raise RuntimeError(
                 f"out-of-order program: block {self.index} expects page "
-                f"{self.next_page}, got {page}")
-        self._programmed_bits |= 1 << page
-        self._valid_bits |= 1 << page
-        self.next_page += 1
-        self.valid_count += 1
+                f"{self.next_page}, got {first}")
+        run = ((1 << count) - 1) << first
+        self._programmed_bits |= run
+        self._valid_bits |= run
+        self.next_page += count
+        self.valid_count += count
         self.last_write_time = now
 
     def invalidate(self, page: int) -> None:
@@ -112,11 +117,15 @@ class FlashArray:
         return self._blocks[unit][block].page_state(page)
 
     def program_ppn(self, ppn: int, now: int) -> None:
+        self.program_run(ppn, 1, now)
+
+    def program_run(self, ppn: int, count: int, now: int) -> None:
+        """Program ``count`` consecutive pages of one block from ``ppn``."""
         unit = self.mapper.unit_of_ppn(ppn)
         block = self.mapper.block_of_ppn(ppn)
         page = self.mapper.page_of_ppn(ppn)
-        self._blocks[unit][block].program(page, now)
-        self.total_programs += 1
+        self._blocks[unit][block].program_run(page, count, now)
+        self.total_programs += count
 
     def invalidate_ppn(self, ppn: int) -> None:
         unit = self.mapper.unit_of_ppn(ppn)

@@ -176,6 +176,73 @@ class TestBufferedIo:
         assert got[4096:] == bytes(4096)
         assert on_device == new
 
+    def test_read_miss_keeps_a_page_cleaned_in_flight(self):
+        """As above, but writeback cleans page 0 while the read is in
+        flight: a buffered write from another process, 1 us into the
+        read, kicks it.  The device bytes the read fetched predate the
+        writeback, so the reader must still get page 0's cached bytes,
+        and the cache must keep them."""
+        system = FullSystem(tiny_ssd_config(), data_emulation=True,
+                            page_cache_bytes=8 * 4096)
+        sim = system.sim
+        cache = system.pagecache
+        old, new = b"\x11" * 4096, b"\xab" * 4096
+
+        def other_writer():
+            yield sim.timeout(1_000)
+            yield from system.write(16, 8, direct=False)
+
+        def scenario():
+            yield from system.write(0, 8, old)
+            yield from system.write(0, 8, new, direct=False)
+            sim.process(other_writer())
+            got = yield from system.read(0, 16, direct=False)
+            assert cache.misses == 1
+            assert cache.writebacks >= 1 and 0 not in cache.dirty_pages()
+            again = yield from system.read(0, 8, direct=False)
+            assert cache.hits == 1
+            while system._writeback_running:
+                yield sim.timeout(100_000)
+            on_device = yield from system.read(0, 8)
+            return got, again, on_device
+
+        got, again, on_device = system.run_process(scenario())
+        assert got[:4096] == new
+        assert got[4096:] == bytes(4096)
+        assert again == new
+        assert on_device == new
+
+    def test_read_miss_keeps_a_page_rewritten_in_flight(self):
+        """The other process first rewrites page 0 (``first`` -> ``last``)
+        and then kicks writeback, all while the read is in flight: the
+        cache must end up holding ``last``, as the device does, not the
+        bytes page 0 held when the read was issued."""
+        system = FullSystem(tiny_ssd_config(), data_emulation=True,
+                            page_cache_bytes=8 * 4096)
+        sim = system.sim
+        first, last = b"\xaa" * 4096, b"\xbb" * 4096
+
+        def other_writer():
+            yield sim.timeout(1_000)
+            yield from system.write(0, 8, last, direct=False)
+            yield from system.write(16, 8, direct=False)
+
+        def scenario():
+            yield from system.write(0, 8, b"\x11" * 4096)
+            yield from system.write(0, 8, first, direct=False)
+            sim.process(other_writer())
+            got = yield from system.read(0, 16, direct=False)
+            assert 0 not in system.pagecache.dirty_pages()
+            while system._writeback_running:
+                yield sim.timeout(100_000)
+            again = yield from system.read(0, 8, direct=False)
+            on_device = yield from system.read(0, 8)
+            return got, again, on_device
+
+        got, again, on_device = system.run_process(scenario())
+        assert got[:4096] == last
+        assert again == on_device == last
+
 
 class TestPresets:
     def test_all_presets_valid(self):

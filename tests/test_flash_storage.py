@@ -70,6 +70,16 @@ class TestFlashArrayState:
         with pytest.raises(RuntimeError, match="out-of-order"):
             array.program_ppn(2, now=0)  # page 2 before pages 0, 1
 
+    def test_program_run_keeps_the_in_order_check(self, geometry):
+        array = FlashArray(geometry)
+        array.program_run(0, 3, now=5)
+        assert [array.page_state(p) for p in range(4)] == \
+            [PageState.VALID] * 3 + [PageState.FREE]
+        assert array.block(0, 0).valid_count == 3
+        assert array.total_programs == 3
+        with pytest.raises(RuntimeError, match="out-of-order"):
+            array.program_run(4, 2, now=5)  # pages 4-5 before page 3
+
     def test_overwrite_without_erase_rejected(self, geometry):
         array = FlashArray(geometry)
         array.program_ppn(0, now=0)

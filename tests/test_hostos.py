@@ -218,6 +218,27 @@ class TestPageCache:
         assert cache.lookup_read(0, 8)
         assert cache.read_data(0, 8) == b"x" * 4096
 
+    def test_read_keeps_bytes_of_a_page_dropped_in_flight(self):
+        """Page 0 is dirty when a read of pages 0-1 misses; writeback
+        then cleans and drops it before the device bytes, older than the
+        write-back, arrive.  The bytes page 0 held at issue win."""
+        sim = Simulator()
+        cache, _mem = self._cache(sim)
+        new, stale = b"n" * 4096, b"s" * 4096
+        cache.write(0, 8, new)
+        resident = cache.resident_data(0, 16)
+        cache.clean(0)
+        cache.drop(0)
+        got = cache.install_read(0, 16, stale + stale, resident)
+        assert got == new + stale
+        assert cache.read_data(0, 16) == new + stale
+
+    def test_resident_data_needs_data_emulation(self):
+        sim = Simulator()
+        cache, _mem = self._cache(sim, data=False)
+        cache.write(0, 8, None)
+        assert cache.resident_data(0, 8) is None
+
     def test_partial_page_read_not_installed(self):
         sim = Simulator()
         cache, _mem = self._cache(sim)
