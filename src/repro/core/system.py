@@ -240,6 +240,12 @@ class FullSystem:
                 if span is not None:
                     tracer.end(span)
                 return served
+        if self.data_emulation and req.kind in (IOKind.WRITE, IOKind.TRIM):
+            # a write or TRIM reaching the device past the page cache:
+            # its resident pages take the new bytes (zeros for a TRIM)
+            self.pagecache.overwrite(
+                req.slba, req.nsectors,
+                req.data if req.kind is IOKind.WRITE else None)
         buffered_read = not direct and req.kind.is_read
         if buffered_read:
             cache = self.pagecache

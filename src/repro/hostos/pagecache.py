@@ -182,6 +182,26 @@ class PageCache:
                     data[off:off + PAGE] if data else bytes(PAGE))
         return True
 
+    def overwrite(self, slba: int, nsectors: int,
+                  data: Optional[bytes]) -> None:
+        """Copy a device write that bypasses the cache (or a TRIM's
+        zeros, ``data`` None) into the range's resident pages.
+
+        Called as the request is submitted, under data emulation only.
+        Hits, misses, LRU order and dirty state are left alone: a dirty
+        page stays dirty and its next writeback carries the new bytes.
+        """
+        for idx in self._page_range(slba, nsectors):
+            page = self._pages.get(idx)
+            if page is None or page.data is None:
+                continue
+            first = max(slba, idx * _SECTORS_PER_PAGE)
+            end = min(slba + nsectors, (idx + 1) * _SECTORS_PER_PAGE)
+            within = (first - idx * _SECTORS_PER_PAGE) * 512
+            off, size = (first - slba) * 512, (end - first) * 512
+            page.data[within:within + size] = \
+                data[off:off + size] if data else bytes(size)
+
     def dirty_count(self) -> int:
         return len(self._dirty)
 

@@ -25,6 +25,7 @@ from repro.interfaces.nvme.structures import (
     SubmissionEntry,
     TransferMode,
 )
+from repro.obs.tracer import NULL_SPAN_CONTEXT
 
 _HOST_PAGE = 4096
 _PRP_ENTRY_BYTES = 8
@@ -186,7 +187,9 @@ class NvmeDriver(HostAdapter):
         return event
 
     def _submit_proc(self, req: IORequest, qid: int, event):
-        with self.sim.tracer.span("nvme.sq", req.req_id, qid=qid):
+        tracer = self.sim.tracer
+        with (tracer.span("nvme.sq", req.req_id, qid=qid)
+              if tracer.enabled else NULL_SPAN_CONTEXT):
             qpair = self.qpairs[qid]
             if qpair.sq.is_full:
                 waiter = self.sim.event()

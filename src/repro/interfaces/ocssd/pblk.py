@@ -21,6 +21,7 @@ from repro.host.memory import HostMemory
 from repro.host.pcie import PcieLink
 from repro.interfaces.base import HostAdapter
 from repro.interfaces.ocssd.controller import OcssdController
+from repro.obs.tracer import NULL_SPAN_CONTEXT
 
 UNMAPPED = -1
 
@@ -131,8 +132,10 @@ class PblkDriver(HostAdapter):
     # -- write path -------------------------------------------------------------------
 
     def _write(self, req: IORequest, event):
-        with self.sim.tracer.span("ocssd.pblk.write", req.req_id,
-                                  nsectors=req.nsectors):
+        tracer = self.sim.tracer
+        with (tracer.span("ocssd.pblk.write", req.req_id,
+                          nsectors=req.nsectors)
+              if tracer.enabled else NULL_SPAN_CONTEXT):
             req.t_device = self.sim.now
             first_lpn = req.slba // self.sectors_per_page
             n_pages = max(1, -(-req.nsectors // self.sectors_per_page))
@@ -270,8 +273,10 @@ class PblkDriver(HostAdapter):
     # -- read path -----------------------------------------------------------------------
 
     def _read(self, req: IORequest, event):
-        with self.sim.tracer.span("ocssd.pblk.read", req.req_id,
-                                  nsectors=req.nsectors):
+        tracer = self.sim.tracer
+        with (tracer.span("ocssd.pblk.read", req.req_id,
+                          nsectors=req.nsectors)
+              if tracer.enabled else NULL_SPAN_CONTEXT):
             req.t_device = self.sim.now
             first_lpn = req.slba // self.sectors_per_page
             n_pages = max(1, -(-(req.slba % self.sectors_per_page

@@ -23,6 +23,7 @@ from repro.interfaces.sata.fis import (
     FisType,
     prdt_for,
 )
+from repro.obs.tracer import NULL_SPAN_CONTEXT
 
 NCQ_SLOTS = 32
 _COMMAND_TABLE_BYTES = 256      # command FIS + ATAPI + PRDT header
@@ -59,7 +60,9 @@ class AhciHba(HostAdapter):
         return event
 
     def _submit_proc(self, req: IORequest, event):
-        with self.sim.tracer.span("ahci.submit", req.req_id):
+        tracer = self.sim.tracer
+        with (tracer.span("ahci.submit", req.req_id)
+              if tracer.enabled else NULL_SPAN_CONTEXT):
             if not self._free_slots:
                 waiter = self.sim.event()
                 self._slot_waiters.append(waiter)
@@ -95,7 +98,9 @@ class AhciHba(HostAdapter):
     def command_done(self, ncq_tag: int, payload: Optional[bytes]):
         """Process generator: Set Device Bits FIS -> interrupt -> slot free."""
         cmd, req, event = self._outstanding.pop(ncq_tag)
-        with self.sim.tracer.span("ahci.complete", req.req_id):
+        tracer = self.sim.tracer
+        with (tracer.span("ahci.complete", req.req_id)
+              if tracer.enabled else NULL_SPAN_CONTEXT):
             yield from self.link.receive(FIS_SIZES[FisType.SET_DEVICE_BITS])
             yield self.sim.timeout(_HBA_PROCESS_NS)
         self.interrupts_raised += 1

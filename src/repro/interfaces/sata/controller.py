@@ -13,6 +13,7 @@ from repro.common.iorequest import IOKind, IORequest
 from repro.host.dma import DmaEngine, PointerList
 from repro.interfaces.sata.ahci import AhciHba
 from repro.interfaces.sata.fis import FIS_SIZES, AhciCommand, FisType
+from repro.obs.tracer import NULL_SPAN_CONTEXT
 from repro.ssd.device import SSD
 from repro.ssd.firmware.requests import DeviceCommand
 
@@ -31,8 +32,9 @@ class SataDeviceController:
         self.sim.process(self._execute(cmd, req))
 
     def _execute(self, cmd: AhciCommand, req: IORequest):
-        with self.sim.tracer.span("sata.cmd", req.req_id,
-                                  ncq_tag=cmd.ncq_tag):
+        tracer = self.sim.tracer
+        with (tracer.span("sata.cmd", req.req_id, ncq_tag=cmd.ncq_tag)
+              if tracer.enabled else NULL_SPAN_CONTEXT):
             # device controller parses the FIS, builds an internal command
             yield from self.ssd.cores.execute("hil", self._parse_mix)
             pointers = PointerList([(e.address, e.nbytes) for e in cmd.prdt])

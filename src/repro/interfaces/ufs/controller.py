@@ -7,6 +7,7 @@ from repro.common.iorequest import IOKind, IORequest
 from repro.host.dma import DmaEngine, PointerList
 from repro.interfaces.ufs.upiu import UPIU_SIZES, UpiuType, Utrd
 from repro.interfaces.ufs.utp import UtpEngine
+from repro.obs.tracer import NULL_SPAN_CONTEXT
 from repro.ssd.device import SSD
 from repro.ssd.firmware.requests import DeviceCommand
 
@@ -25,7 +26,9 @@ class UfsDeviceController:
         self.sim.process(self._execute(utrd, req))
 
     def _execute(self, utrd: Utrd, req: IORequest):
-        with self.sim.tracer.span("ufs.cmd", req.req_id, slot=utrd.slot):
+        tracer = self.sim.tracer
+        with (tracer.span("ufs.cmd", req.req_id, slot=utrd.slot)
+              if tracer.enabled else NULL_SPAN_CONTEXT):
             yield from self.ssd.cores.execute("hil", self._parse_mix)
             pointers = PointerList([(e.address, e.nbytes) for e in utrd.prdt])
             payload = None

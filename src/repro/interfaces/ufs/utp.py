@@ -22,6 +22,7 @@ from repro.interfaces.ufs.upiu import (
     Utrd,
     utrd_for,
 )
+from repro.obs.tracer import NULL_SPAN_CONTEXT
 
 _UTRD_BYTES = 32
 _PRDT_ENTRY_BYTES = 16
@@ -55,7 +56,9 @@ class UtpEngine(HostAdapter):
         return event
 
     def _submit_proc(self, req: IORequest, event):
-        with self.sim.tracer.span("ufs.utp.submit", req.req_id):
+        tracer = self.sim.tracer
+        with (tracer.span("ufs.utp.submit", req.req_id)
+              if tracer.enabled else NULL_SPAN_CONTEXT):
             if not self._free_slots:
                 waiter = self.sim.event()
                 self._slot_waiters.append(waiter)
@@ -82,7 +85,9 @@ class UtpEngine(HostAdapter):
     def command_done(self, slot: int, payload: Optional[bytes]):
         """Process generator: response UPIU -> interrupt -> slot recycle."""
         utrd, req, event = self._outstanding.pop(slot)
-        with self.sim.tracer.span("ufs.utp.complete", req.req_id):
+        tracer = self.sim.tracer
+        with (tracer.span("ufs.utp.complete", req.req_id)
+              if tracer.enabled else NULL_SPAN_CONTEXT):
             yield from self.link.receive(UPIU_SIZES[UpiuType.RESPONSE])
             yield self.sim.timeout(_UTP_PROCESS_NS + _DOMAIN_FIFO_NS)
         self.interrupts_raised += 1

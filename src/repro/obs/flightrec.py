@@ -60,7 +60,7 @@ class FlightRecorder:
         if sim is not None:
             doc["sim"] = {"now_ns": sim.now,
                           "events_processed": sim.events_processed,
-                          "queue_length": len(sim._queue)}
+                          "queue_length": sim.queue_length}
             tracer = getattr(sim, "tracer", None)
             if tracer is not None and tracer.enabled:
                 doc["open_spans"] = [

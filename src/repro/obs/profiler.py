@@ -18,7 +18,7 @@ of the code that consumed it.  A process resume is charged to its
 down the ``yield from`` chain, so an FTL helper's work after its first
 yield is charged to ``ftl``, not to the ICL that delegated to it; work
 a helper does *before* its first yield is still charged to its caller.
-Loop overhead — heap pops, tombstones, the other observers — is the
+Loop overhead — queue pops, tombstones, the other observers — is the
 run's wall time (first event to ``on_stop``) minus the wrapped
 dispatches, booked under ``sim``.
 

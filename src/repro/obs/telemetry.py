@@ -150,7 +150,7 @@ class TelemetryProbe:
         # built-in engine gauges, available even for bare simulators
         self._readers: List[Tuple[str, Callable[[], float]]] = [
             ("sim.events_processed", lambda: float(sim.events_processed)),
-            ("sim.queue_length", lambda: float(len(sim._queue))),
+            ("sim.queue_length", lambda: float(sim.queue_length)),
         ]
 
     # -- wiring ------------------------------------------------------------

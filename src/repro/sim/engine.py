@@ -3,15 +3,19 @@
 :meth:`Simulator.step`, :meth:`~Simulator.run` and
 :meth:`~Simulator.run_process` all drive one dispatch loop,
 :meth:`Simulator._dispatch`, which stops at a deadline (``until``),
-right after a stop event, or when the queue drains.  It binds the heap
-and counters to locals: it runs hundreds of thousands of times per
-macro benchmark and attribute lookups dominate otherwise.  The golden
+right after a stop event, or when the queue drains.  The queue has two
+levels: a heap of ``(when, seq, event)`` entries for events due later,
+and a FIFO of events due now, which a zero-delay schedule appends to
+without a sequence number or a heap push.  The loop binds both and the
+counters to locals: it runs hundreds of thousands of times per macro
+benchmark and attribute lookups dominate otherwise.  The golden
 determinism suite (``tests/golden``) pins its observable behaviour.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import count
 from typing import Any, Iterator, Optional
 
@@ -55,13 +59,20 @@ class Simulator:
     """Deterministic discrete-event simulator.
 
     Events scheduled for the same instant are processed in the order they
-    were enqueued (FIFO tie-break via a monotonically increasing sequence
-    number), which keeps every run bit-for-bit reproducible.
+    were enqueued, which keeps every run bit-for-bit reproducible.  An
+    event due later goes on a heap with a monotonically increasing
+    sequence number as its tie-break; an event due now is appended to a
+    FIFO instead.  When the FIFO runs dry the loop pops the heap head,
+    moves the clock to it, and moves that instant's other heap entries
+    into the FIFO in heap order before running the head's callbacks.
+    Every one of those entries was scheduled before the instant began,
+    so this is exactly the (time, sequence) order of a single heap.
 
     Cancelled events (see :meth:`~repro.sim.events.Timeout.cancel`) stay
-    in the heap as tombstones and are discarded when popped — without
-    counting toward ``events_processed``, so a cancel storm does not
-    perturb the simulation-speed metric.
+    queued as tombstones and are discarded when they reach the front —
+    without moving the clock and without counting toward
+    ``events_processed``, so a cancel storm does not perturb the
+    simulation-speed metric.
 
     Every simulator carries a ``tracer`` (see :mod:`repro.obs`): the
     shared no-op ``NULL_TRACER`` by default, or a live span recorder when
@@ -81,7 +92,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: int = 0
+        #: events due later: a heap of (when, seq, event)
         self._queue: list = []
+        #: events due now, in dispatch order
+        self._ready: deque = deque()
         self._sequence: Iterator[int] = count()
         self._event_count: int = 0
         self._orphan_failures: list = []
@@ -116,6 +130,13 @@ class Simulator:
         """Total events processed so far (simulation-speed metric)."""
         return self._event_count
 
+    @property
+    def queue_length(self) -> int:
+        """Events queued and not yet dispatched: those due later plus
+        those due now.  A cancelled timeout counts until the loop (or
+        :meth:`peek`) discards it at the front of the queue."""
+        return len(self._queue) + len(self._ready)
+
     # -- factory helpers -------------------------------------------------
 
     def event(self) -> Event:
@@ -143,7 +164,12 @@ class Simulator:
     def _enqueue(self, delay: int, event: Event) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._queue, (self._now + int(delay), next(self._sequence), event))
+        delay = int(delay)
+        if delay:
+            heapq.heappush(self._queue,
+                           (self._now + delay, next(self._sequence), event))
+        else:
+            self._ready.append(event)
 
     def schedule(self, delay: int, callback, *args) -> Event:
         """Run ``callback(*args)`` after ``delay`` ns; returns the event."""
@@ -160,6 +186,12 @@ class Simulator:
         Tombstoned (cancelled) heads are purged on the way, so the
         answer always refers to an event that will actually fire.
         """
+        ready = self._ready
+        while ready:
+            if ready[0]._cancelled:
+                ready.popleft()
+            else:
+                return self._now
         queue = self._queue
         while queue:
             if queue[0][2]._cancelled:
@@ -172,25 +204,43 @@ class Simulator:
         """The event loop: pop live events in time order and run them.
 
         Stops when the queue drains, before the first event later than
-        ``until``, or right after ``stop`` has been dispatched.  A failed
-        event nobody waits on is kept for :meth:`check_orphan_failures`.
+        ``until``, or right after ``stop`` has been dispatched.  Events
+        due now come from the FIFO; when it is empty the heap head is
+        popped (a tombstone is dropped without moving the clock), the
+        clock moves to it, and that instant's other heap entries join
+        the FIFO before the head's callbacks run.  A failed event nobody
+        waits on is kept for :meth:`check_orphan_failures`.
         """
         queue = self._queue
+        ready = self._ready
         pop = heapq.heappop
+        popleft = ready.popleft
+        append = ready.append
         orphans = self._orphan_failures
         observer = self._observer
         drained = False
         try:
-            while queue:
-                if until is not None and queue[0][0] > until:
+            if until is not None and until < self._now:
+                return  # a deadline behind the clock admits no event
+            while True:
+                if ready:
+                    event = popleft()
+                    if event._cancelled:
+                        continue
+                elif queue:
+                    if until is not None and queue[0][0] > until:
+                        break
+                    when, _seq, event = pop(queue)
+                    if event._cancelled:
+                        continue
+                    self._now = when
+                    while queue and queue[0][0] == when:
+                        append(pop(queue)[2])
+                else:
                     break
-                when, _seq, event = pop(queue)
-                if event._cancelled:
-                    continue
-                self._now = when
                 self._event_count += 1
                 if observer is not None:
-                    observer.on_event(when, event)
+                    observer.on_event(self._now, event)
                 event._processed = True
                 callbacks, event.callbacks = event.callbacks, None
                 if not event._ok and not callbacks:
@@ -210,7 +260,8 @@ class Simulator:
         """Process exactly one live event (skipping tombstones)."""
         if self.peek() is None:
             raise EmptySchedule()
-        self._dispatch(None, self._queue[0][2])
+        ready = self._ready
+        self._dispatch(None, ready[0] if ready else self._queue[0][2])
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``."""

@@ -77,9 +77,8 @@ class Event:
             self.sim._enqueue(delay, self)
         else:
             # zero-delay trigger is the overwhelmingly common case:
-            # push at the current instant without the _enqueue call
-            sim = self.sim
-            heappush(sim._queue, (sim._now, next(sim._sequence), self))
+            # join the events due now without the _enqueue call
+            self.sim._ready.append(self)
         return self
 
     def fail(self, exception: BaseException, delay: int = 0) -> "Event":
@@ -136,8 +135,11 @@ class Timeout(Event):
         self._processed = False
         self._cancelled = False
         self.delay = delay = int(delay)
-        # delay was validated non-negative above; push directly
-        heappush(sim._queue, (sim._now + delay, next(sim._sequence), self))
+        # delay was validated non-negative above; queue directly
+        if delay:
+            heappush(sim._queue, (sim._now + delay, next(sim._sequence), self))
+        else:
+            sim._ready.append(self)
 
     def cancel(self) -> None:
         """Tombstone the timeout so it never fires.
@@ -168,42 +170,53 @@ class Interrupt(Exception):
 
 
 class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+    """Base for AllOf/AnyOf composite events.
+
+    Each subclass decides in its own ``_child_done``, which every
+    pending child calls when it is processed; the constructor settles a
+    condition whose children are already processed (or that has none).
+    ``_pending`` counts the children not yet processed at construction;
+    ``AllOf`` counts it down.
+    """
 
     __slots__ = ("events", "_pending")
 
     def __init__(self, sim, events) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        self._pending = 0
+        # Inline the Event field setup, as Timeout does: conditions are
+        # built once per composite wait.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._cancelled = False
+        self.events = events = list(events)
+        pending = 0
         child_done = self._child_done
-        for event in self.events:
+        for event in events:
             if event._processed:
                 if not event._ok:
+                    self._pending = pending
                     self.fail(event._value)
                     return
             else:
-                self._pending += 1
+                pending += 1
                 # children are pending or queued here, so their callback
                 # list exists; append directly (no add_callback dispatch)
                 event.callbacks.append(child_done)
-        self._check()
+        self._pending = pending
+        if pending < len(events) or not events:
+            self._settle()
 
     def _child_done(self, event: Event) -> None:
-        self._pending -= 1
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._check()
-
-    def _check(self) -> None:
+        """A pending child was processed: trigger if that decides it."""
         raise NotImplementedError
 
-    def _results(self):
-        return [event._value for event in self.events
-                if event._processed and event._ok]
+    def _settle(self) -> None:
+        """Decide at construction: some child was already processed, or
+        there are none."""
+        raise NotImplementedError
 
 
 class AllOf(_Condition):
@@ -211,9 +224,22 @@ class AllOf(_Condition):
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        if self._pending == 0 and not self._triggered:
-            self.succeed(self._results())
+    def _child_done(self, event: Event) -> None:
+        self._pending -= 1
+        if self._triggered:
+            return
+        if not event._ok:
+            self.fail(event._value)
+        elif not self._pending:
+            # every child is processed, and none failed (a failure
+            # would have triggered this condition): inlined succeed()
+            self._triggered = True
+            self._value = [child._value for child in self.events]
+            self.sim._ready.append(self)
+
+    def _settle(self) -> None:
+        if not self._pending:
+            self.succeed([event._value for event in self.events])
 
 
 class AnyOf(_Condition):
@@ -221,9 +247,17 @@ class AnyOf(_Condition):
 
     __slots__ = ()
 
-    def _check(self) -> None:
+    def _child_done(self, event: Event) -> None:
         if self._triggered:
             return
-        if self._pending < len(self.events) or not self.events:
-            done = [event for event in self.events if event._processed]
-            self.succeed(done[0]._value if done else None)
+        if not event._ok:
+            self.fail(event._value)
+        else:
+            # the first child processed: inlined succeed()
+            self._triggered = True
+            self._value = event._value
+            self.sim._ready.append(self)
+
+    def _settle(self) -> None:
+        self.succeed(next((event._value for event in self.events
+                           if event._processed), None))

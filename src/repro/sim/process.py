@@ -9,7 +9,6 @@ for error diagnostics and already-processed targets.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Generator
 
 from repro.sim.events import Event, Interrupt
@@ -36,7 +35,7 @@ class Process(Event):
         bootstrap = Event(sim)
         bootstrap.callbacks.append(self._resume)
         bootstrap._triggered = True
-        heappush(sim._queue, (sim._now, next(sim._sequence), bootstrap))
+        sim._ready.append(bootstrap)
         sanitizer = getattr(sim, "sanitizer", None)
         if sanitizer is not None:
             sanitizer.watch_process(self)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from heapq import heappush
 from itertools import count
 from typing import Any, Deque, List, Optional, Tuple
 
@@ -58,7 +57,7 @@ class Resource:
             self._in_use += 1
             event._triggered = True
             event._value = self
-            heappush(sim._queue, (sim._now, next(sim._sequence), event))
+            sim._ready.append(event)
         else:
             self._waiters.append(event)
         return event

@@ -244,6 +244,90 @@ class TestBufferedIo:
         assert again == on_device == last
 
 
+class TestCacheBypassingWrites:
+    """A write or TRIM that reaches the device past the page cache must
+    not leave a resident page's old bytes to be read (or written back)."""
+
+    @staticmethod
+    def _system():
+        return FullSystem(tiny_ssd_config(), data_emulation=True,
+                          page_cache_bytes=8 * 4096)
+
+    @staticmethod
+    def _cache_page0(system):
+        """Direct-write 0x11 to page 0, then cache it with a buffered read
+        that misses."""
+        yield from system.write(0, 8, b"\x11" * 4096)
+        cached = yield from system.read(0, 8, direct=False)
+        assert cached == b"\x11" * 4096
+        assert system.pagecache.misses == 1
+
+    def test_direct_write_updates_a_cached_page(self):
+        system = self._system()
+
+        def scenario():
+            yield from self._cache_page0(system)
+            yield from system.write(0, 8, b"\xab" * 4096)
+            got = yield from system.read(0, 8, direct=False)
+            assert system.pagecache.hits == 1
+            on_device = yield from system.read(0, 8)
+            return got, on_device
+
+        got, on_device = system.run_process(scenario())
+        assert got == on_device == b"\xab" * 4096
+
+    def test_trim_zeroes_a_cached_page(self):
+        system = self._system()
+
+        def scenario():
+            yield from self._cache_page0(system)
+            yield from system.trim(0, 8)
+            got = yield from system.read(0, 8, direct=False)
+            assert system.pagecache.hits == 1
+            on_device = yield from system.read(0, 8)
+            return got, on_device
+
+        got, on_device = system.run_process(scenario())
+        assert got == on_device == bytes(4096)
+
+    def test_direct_write_updates_a_dirty_page_for_writeback(self):
+        system = self._system()
+        sim = system.sim
+
+        def scenario():
+            yield from self._cache_page0(system)
+            yield from system.write(0, 8, b"\x22" * 4096, direct=False)
+            yield from system.write(0, 8, b"\xab" * 4096)
+            assert system.pagecache.dirty_pages() == [0]
+            got = yield from system.read(0, 8, direct=False)
+            # a second dirty page kicks writeback of both
+            yield from system.write(16, 8, direct=False)
+            while system._writeback_running:
+                yield sim.timeout(100_000)
+            on_device = yield from system.read(0, 8)
+            return got, on_device
+
+        got, on_device = system.run_process(scenario())
+        assert got == on_device == b"\xab" * 4096
+
+    def test_unaligned_buffered_write_updates_covered_sectors(self):
+        """An unaligned buffered write falls back to the device; only the
+        sectors it covers change in the cached page."""
+        system = self._system()
+
+        def scenario():
+            yield from self._cache_page0(system)
+            yield from system.write(2, 3, b"\xcd" * 1536, direct=False)
+            got = yield from system.read(0, 8, direct=False)
+            assert system.pagecache.hits == 1
+            on_device = yield from system.read(0, 8)
+            return got, on_device
+
+        got, on_device = system.run_process(scenario())
+        assert got == on_device == (b"\x11" * 1024 + b"\xcd" * 1536
+                                    + b"\x11" * 1536)
+
+
 class TestPresets:
     def test_all_presets_valid(self):
         for name in presets.PRESETS:

@@ -222,6 +222,24 @@ class TestEpochSampler:
             return series
         assert run_once() == run_once()
 
+    def test_queue_length_counts_events_due_now_and_later(self):
+        """The gauge counts both queue levels: events due now (the FIFO)
+        and events due later (the heap)."""
+        enable_telemetry(epoch_ns=10)
+        sim = Simulator()
+        later = [sim.timeout(25), sim.timeout(25)]
+        sim.run(until=10)            # the clock sits on a boundary
+        now = [sim.timeout(0) for _ in range(3)]
+        snapshot = sim.telemetry.flight.snapshot(sim)
+        assert snapshot["sim"]["queue_length"] == 5
+        sim.run()
+        # t=10: the first zero-delay timeout is being dispatched; two
+        # more are due now and two later.  t=25 (boundary 20): one of
+        # the pair is being dispatched, its sibling is due now.
+        assert sim.telemetry.series["sim.queue_length"].points() == [
+            (10, 4.0), (20, 1.0)]
+        assert all(timeout.processed for timeout in later + now)
+
     def test_probes_collected_and_labelled(self):
         enable_telemetry(epoch_ns=100)
         s1, s2 = Simulator(), Simulator()
