@@ -14,7 +14,8 @@ Three rule families build on it (docs/ANALYSIS.md, "The dataflow pass"):
   set-iteration-order values tracked across call edges into sim-visible
   state (:mod:`~repro.analysis.flow.taint`);
 * **SIM220** — static lock-order deadlock detection over
-  ``Resource.acquire`` sites (:mod:`~repro.analysis.flow.locks`).
+  ``Resource.acquire`` and ``Resource.hold`` sites
+  (:mod:`~repro.analysis.flow.locks`).
 
 Importing this package registers the project rules with the simlint
 registry, exactly as importing :mod:`repro.analysis.rules` registers

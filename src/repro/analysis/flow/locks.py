@@ -8,7 +8,8 @@ fixed timestamp, which is miserable to debug from a trace.
 
 This pass builds a static **acquire-order graph**: a directed edge
 ``A -> B`` whenever some function acquires lock ``B`` while already
-holding lock ``A``.  Holding is tracked through an ordered walk of each
+holding lock ``A``; ``B.hold(...)`` acquires ``B`` as ``B.acquire()``
+does.  Holding is tracked through an ordered walk of each
 function body (``try/finally`` release pairing included), and the
 analysis is interprocedural: a function's summary lists every lock it
 transitively acquires, with locks received as *parameters* resolved at
@@ -41,6 +42,7 @@ from repro.analysis.flow.project import (
     ordered_body,
 )
 from repro.analysis.registry import ProjectSite, project_rule
+from repro.analysis.rules import ACQUIRE_CALLS
 
 #: longest simple cycle searched for (deadlocks beyond this are rare
 #: and the search is exponential in this bound)
@@ -142,13 +144,13 @@ class _FunctionLocks:
 
     def visit_call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "acquire":
+        if isinstance(func, ast.Attribute) and func.attr in ACQUIRE_CALLS:
             identity = self.lock_id(func.value)
             if identity is not None:
                 self.record_acquire(
                     _Acquire(identity, self.func.module.path,
                              getattr(node, "lineno", 1),
-                             f"`{identity}.acquire()` at "
+                             f"`{identity}.{func.attr}()` at "
                              f"{self._where(node)} in "
                              f"`{self.func.name}()`"))
             return

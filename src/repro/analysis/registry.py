@@ -21,6 +21,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
@@ -64,7 +65,12 @@ class ProjectSite:
 
 @dataclass
 class SourceFile:
-    """One parsed module: path, text, AST, and parsed suppressions."""
+    """One parsed module: path, text, AST, and parsed suppressions.
+
+    The rules share one walk of the tree: :attr:`nodes`,
+    :meth:`functions` and :attr:`aliases` are computed on first use and
+    kept.
+    """
 
     path: str
     source: str
@@ -80,11 +86,40 @@ class SourceFile:
         return cls(path=path, source=source, tree=tree,
                    suppressions=parse_suppressions(source))
 
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree, in ``ast.walk`` order."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def _functions(self) -> List[ast.AST]:
+        return [node for node in self.nodes
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
     def functions(self) -> Iterator[ast.AST]:
         """Every function/method definition, outermost first."""
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
+        return iter(self._functions)
+
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Map local names to the dotted thing they import.
+
+        ``import time as _time`` -> ``{"_time": "time"}``;
+        ``from random import randint`` -> ``{"randint": "random.randint"}``.
+        """
+        aliases: Dict[str, str] = {}
+        for node in self.nodes:
+            if isinstance(node, ast.Import):
+                for name in node.names:
+                    aliases[name.asname or name.name.split(".")[0]] = \
+                        name.name
+            elif isinstance(node, ast.ImportFrom) and node.module \
+                    and not node.level:
+                for name in node.names:
+                    if name.name != "*":
+                        aliases[name.asname or name.name] = \
+                            f"{node.module}.{name.name}"
+        return aliases
 
 
 @dataclass(frozen=True)

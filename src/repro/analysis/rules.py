@@ -30,25 +30,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Map local names to the dotted thing they import.
-
-    ``import time as _time`` -> ``{"_time": "time"}``;
-    ``from random import randint`` -> ``{"randint": "random.randint"}``.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                aliases[name.asname or name.name.split(".")[0]] = name.name
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for name in node.names:
-                if name.name != "*":
-                    aliases[name.asname or name.name] = \
-                        f"{node.module}.{name.name}"
-    return aliases
-
-
 def _resolve_call(func: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
     """Fully-qualified dotted name of a call target, alias-expanded."""
     dotted = _dotted(func)
@@ -94,8 +75,8 @@ _WALLCLOCK = {
       "is the one legitimate use — those sites are suppressed with the "
       "reason, and their outputs live in golden VOLATILE_KEYS.")
 def check_wallclock(src: SourceFile) -> Iterator[Site]:
-    aliases = _import_aliases(src.tree)
-    for node in ast.walk(src.tree):
+    aliases = src.aliases
+    for node in src.nodes:
         if isinstance(node, ast.Call):
             target = _resolve_call(node.func, aliases)
             if target in _WALLCLOCK:
@@ -135,8 +116,8 @@ def _in_wallclock_module(path: str) -> bool:
 def check_wallclock_containment(src: SourceFile) -> Iterator[Site]:
     if _in_wallclock_module(src.path):
         return
-    aliases = _import_aliases(src.tree)
-    for node in ast.walk(src.tree):
+    aliases = src.aliases
+    for node in src.nodes:
         if isinstance(node, ast.Call):
             target = _resolve_call(node.func, aliases)
             if target in _WALLCLOCK:
@@ -160,8 +141,8 @@ _GLOBAL_RNG_FNS = {
       "wall-clock-seeded RNG; any draw from it makes runs irreproducible. "
       "Construct `random.Random(seed)` and thread it explicitly.")
 def check_unseeded_random(src: SourceFile) -> Iterator[Site]:
-    aliases = _import_aliases(src.tree)
-    for node in ast.walk(src.tree):
+    aliases = src.aliases
+    for node in src.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = _resolve_call(node.func, aliases)
@@ -267,7 +248,7 @@ _EVENT_MAKERS = {"timeout", "acquire", "all_of", "any_of"}
       "handed to `sim.process(...)` that contain no yield at all.")
 def check_discarded_event(src: SourceFile) -> Iterator[Site]:
     # (a) expression statements that create-and-drop a wait
-    for node in ast.walk(src.tree):
+    for node in src.nodes:
         if not (isinstance(node, ast.Expr) and
                 isinstance(node.value, ast.Call)):
             continue
@@ -290,10 +271,10 @@ def check_discarded_event(src: SourceFile) -> Iterator[Site]:
 
     # (b) local functions driven as processes but containing no yield
     defs: Dict[str, List[ast.AST]] = {}
-    for node in ast.walk(src.tree):
+    for node in src.nodes:
         if isinstance(node, ast.FunctionDef):
             defs.setdefault(node.name, []).append(node)
-    for node in ast.walk(src.tree):
+    for node in src.nodes:
         if not isinstance(node, ast.Call):
             continue
         name = None
@@ -356,12 +337,18 @@ def _finally_ranges(func: ast.AST) -> List[Tuple[int, int]]:
     return ranges
 
 
+#: the calls that take a unit of a Resource (SIM106, SIM220): ``hold``
+#: is an acquire whose timer starts at the grant
+ACQUIRE_CALLS = ("acquire", "hold")
+
+
 @rule("SIM106", "acquire-release",
-      "Every `Resource.acquire()` needs a `release()` on *all* exit paths "
-      "of the same function: an exception (Interrupt, model error) thrown "
-      "into the process between the two leaks the token and deadlocks "
-      "every later waiter. Put the release in a try/finally when any "
-      "yield sits between them.")
+      "Every `Resource.acquire()` or `Resource.hold()` needs a "
+      "`release()` on *all* exit paths of the same function: an "
+      "exception (Interrupt, model error) thrown into the process "
+      "between the two leaks the token and deadlocks every later waiter. "
+      "Put the release in a try/finally when any yield sits between "
+      "them.")
 def check_acquire_release(src: SourceFile) -> Iterator[Site]:
     for func in src.functions():
         nodes = list(_own_nodes(func))
@@ -370,7 +357,7 @@ def check_acquire_release(src: SourceFile) -> Iterator[Site]:
         for node in nodes:
             if isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute):
-                if node.func.attr == "acquire":
+                if node.func.attr in ACQUIRE_CALLS:
                     acquires.append((node, ast.unparse(node.func.value)))
                 elif node.func.attr == "release":
                     releases.append((node, ast.unparse(node.func.value)))
@@ -384,7 +371,7 @@ def check_acquire_release(src: SourceFile) -> Iterator[Site]:
                         for n, r in releases if r == recv]
             if not matching:
                 yield call, call.col_offset, \
-                    f"`{recv}.acquire()` has no matching " \
+                    f"`{recv}.{call.func.attr}()` has no matching " \
                     f"`{recv}.release()` in this function"
                 continue
             after = [n.lineno for n, _p in matching if n.lineno > call.lineno]
@@ -476,7 +463,7 @@ def _seed_expr_verdict(expr: ast.AST,
       "breaking the 1-worker == N-worker determinism guarantee and "
       "poisoning the content-addressed result cache.")
 def check_fleet_seed(src: SourceFile) -> Iterator[Site]:
-    aliases = _import_aliases(src.tree)
+    aliases = src.aliases
     for func in src.functions():
         name = func.name.lower()
         if not any(marker in name for marker in _WORKER_NAME_MARKERS):

@@ -10,7 +10,7 @@ these counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable
 
 CLASSES = ("arith", "branch", "load", "store", "fp", "other")
 
@@ -81,20 +81,39 @@ class InstructionMix:
                    fp=fp, other=other)
 
 
+class MixRuns:
+    """One instruction mix on one core: its costs, computed once when the
+    core first runs it, and how many runs have completed.
+
+    A core keeps one record per mix object, keyed by ``id(mix)``; the
+    record holds the mix, so the key stays unique while the core lives.
+    """
+
+    __slots__ = ("mix", "ns", "energy", "runs")
+
+    def __init__(self, mix: InstructionMix, ns: int,
+                 energy: float = 0.0) -> None:
+        self.mix = mix
+        self.ns = ns
+        self.energy = energy
+        self.runs = 0
+
+
 @dataclass
 class InstructionStats:
     """Accumulated per-class instruction counts (one per core or module)."""
 
     counts: Dict[str, int] = field(default_factory=lambda: {c: 0 for c in CLASSES})
 
-    def record(self, mix: InstructionMix) -> None:
-        counts = self.counts
-        counts["arith"] += mix.arith
-        counts["branch"] += mix.branch
-        counts["load"] += mix.load
-        counts["store"] += mix.store
-        counts["fp"] += mix.fp
-        counts["other"] += mix.other
+    @classmethod
+    def of_runs(cls, records: Iterable[MixRuns]) -> "InstructionStats":
+        """The counts of every completed run in ``records``."""
+        stats = cls()
+        counts = stats.counts
+        for record in records:
+            for name in CLASSES:
+                counts[name] += getattr(record.mix, name) * record.runs
+        return stats
 
     @property
     def total(self) -> int:

@@ -5,6 +5,8 @@ Simulated time is integer nanoseconds; sizes are integer bytes.
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 # -- sizes (bytes) -------------------------------------------------------
 KB = 1024
 MB = 1024 * KB
@@ -47,3 +49,22 @@ def cycles_to_ns(cycles: float, freq_hz: float) -> int:
     if freq_hz <= 0:
         raise ValueError("frequency must be positive")
     return max(0, round(cycles * SEC / freq_hz))
+
+
+class PerSize(dict):
+    """A cost per byte count, computed on the first lookup of each size.
+
+    ``costs[nbytes]`` calls ``cost(nbytes)`` once per distinct size and
+    keeps the result, so a hot path pays one dict lookup and no call.
+    Every other input of ``cost`` must be fixed when the table is built.
+    """
+
+    __slots__ = ("_cost",)
+
+    def __init__(self, cost: Callable[[int], Any]) -> None:
+        super().__init__()
+        self._cost = cost
+
+    def __missing__(self, nbytes: int) -> Any:
+        value = self[nbytes] = self._cost(nbytes)
+        return value

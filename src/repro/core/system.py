@@ -197,10 +197,6 @@ class FullSystem:
             return self.adapter.logical_sectors
         return self.ssd.config.logical_sectors
 
-    def set_host_frequency(self, frequency: int) -> None:
-        """Host CPU frequency knob for the Fig 14 sweep."""
-        self.cpu.set_frequency(frequency)
-
     # -- data helpers -----------------------------------------------------------
 
     @staticmethod

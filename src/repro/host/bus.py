@@ -8,7 +8,7 @@ latency.
 
 from __future__ import annotations
 
-from repro.common.units import transfer_ns
+from repro.common.units import PerSize, transfer_ns
 from repro.sim import Resource
 
 
@@ -19,6 +19,8 @@ class SystemBus:
         self.bandwidth = bandwidth
         self.arbitration_ns = arbitration_ns
         self._lanes = Resource(sim, 1, name=name)
+        self._transfer_ns = PerSize(
+            lambda nbytes: arbitration_ns + transfer_ns(nbytes, bandwidth))
         self.bytes_moved = 0
         self.transactions = 0
 
@@ -26,12 +28,12 @@ class SystemBus:
         """Process generator: move ``nbytes`` across the crossbar."""
         if nbytes <= 0:
             return
-        yield self._lanes.acquire()
+        lanes = self._lanes
+        timer = lanes.hold(self._transfer_ns[nbytes])
         try:
-            yield self.sim.timeout(
-                self.arbitration_ns + transfer_ns(nbytes, self.bandwidth))
+            yield timer
         finally:
-            self._lanes.release()
+            lanes.release(timer)
         self.bytes_moved += nbytes
         self.transactions += 1
 

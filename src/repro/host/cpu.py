@@ -18,10 +18,15 @@ utilization (Fig 15b) can be reported.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.common.instructions import DEFAULT_CPI, InstructionMix, InstructionStats
-from repro.common.units import SEC, cycles_to_ns
+from repro.common.instructions import (
+    DEFAULT_CPI,
+    InstructionMix,
+    InstructionStats,
+    MixRuns,
+)
+from repro.common.units import cycles_to_ns
 from repro.sim import Resource, UtilizationTracker
 
 
@@ -48,13 +53,19 @@ _MODEL_CPI_FACTOR = {
 
 
 class _Core:
-    __slots__ = ("resource", "kernel_util", "user_util", "stats")
+    __slots__ = ("resource", "kernel_util", "user_util", "runs")
 
     def __init__(self, sim, index: int) -> None:
         self.resource = Resource(sim, 1, name=f"host-core{index}")
         self.kernel_util = UtilizationTracker(sim)
         self.user_util = UtilizationTracker(sim)
-        self.stats = InstructionStats()
+        # the mixes this core has run: one MixRuns record each, by id(mix)
+        self.runs: Dict[int, MixRuns] = {}
+
+    @property
+    def stats(self) -> InstructionStats:
+        """Per-class counts of the instructions this core has run."""
+        return InstructionStats.of_runs(self.runs.values())
 
 
 class HostCpu:
@@ -72,26 +83,12 @@ class HostCpu:
         self._functional = model.is_functional
         self.cpi_scale = cpi_scale
         self._cores: List[_Core] = [_Core(sim, i) for i in range(n_cores)]
-        # exec_ns memo: InstructionMix is frozen/hashable and workloads
-        # reuse a handful of mixes millions of times.
-        self._exec_ns_cache: dict = {}
-
-    def set_frequency(self, frequency: int) -> None:
-        self.frequency = frequency
-        self._exec_ns_cache.clear()
 
     def exec_ns(self, mix: InstructionMix) -> int:
-        try:
-            return self._exec_ns_cache[mix]
-        except KeyError:
-            pass
         factor = _MODEL_CPI_FACTOR[self.model] * self.cpi_scale
         if factor == 0.0:
-            ns = 0
-        else:
-            ns = cycles_to_ns(mix.cycles(DEFAULT_CPI) * factor, self.frequency)
-        self._exec_ns_cache[mix] = ns
-        return ns
+            return 0
+        return cycles_to_ns(mix.cycles(DEFAULT_CPI) * factor, self.frequency)
 
     def execute(self, mix: InstructionMix, core: Optional[int] = None,
                 kernel: bool = True):
@@ -99,20 +96,25 @@ class HostCpu:
 
         With the atomic (functional) model this costs no simulated time —
         exactly gem5's AtomicSimpleCPU behaviour for the storage stack.
+        The core's kernel or user utilization is busy from the grant to
+        the release.
         """
         if self._functional:
             return
             yield  # pragma: no cover
         chosen = self._cores[self._pick(core)]
-        tracker = chosen.kernel_util if kernel else chosen.user_util
-        yield chosen.resource.acquire()
-        tracker.begin()
         try:
-            yield self.sim.timeout(self.exec_ns(mix))
+            record = chosen.runs[id(mix)]
+        except KeyError:
+            record = chosen.runs[id(mix)] = MixRuns(mix, self.exec_ns(mix))
+        resource = chosen.resource
+        timer = resource.hold(record.ns, chosen.kernel_util if kernel
+                              else chosen.user_util)
+        try:
+            yield timer
         finally:
-            tracker.end()
-            chosen.resource.release()
-        chosen.stats.record(mix)
+            resource.release(timer)
+        record.runs += 1
 
     def _pick(self, core: Optional[int]) -> int:
         if core is not None:

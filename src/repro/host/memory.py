@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.common.units import transfer_ns
+from repro.common.units import PerSize, transfer_ns
 from repro.sim import Resource, TimeAverage
 
 
@@ -22,6 +22,8 @@ class HostMemory:
         self.bandwidth = bandwidth
         self.access_latency = access_latency
         self._bus = Resource(sim, 1, name="host-dram")
+        self._access_ns = PerSize(
+            lambda nbytes: access_latency + transfer_ns(nbytes, bandwidth))
         # the usage ledger feeds the Fig 15c timelines, so it keeps its
         # (capped) change-point history
         self._usage = TimeAverage(sim, 0.0, keep_timeline=True)
@@ -35,12 +37,12 @@ class HostMemory:
         del write  # symmetric timing; kept for call-site clarity
         if nbytes <= 0:
             return
-        yield self._bus.acquire()
+        bus = self._bus
+        timer = bus.hold(self._access_ns[nbytes])
         try:
-            yield self.sim.timeout(
-                self.access_latency + transfer_ns(nbytes, self.bandwidth))
+            yield timer
         finally:
-            self._bus.release()
+            bus.release(timer)
         self.bytes_moved += nbytes
 
     # -- footprint ledger --------------------------------------------------------

@@ -7,7 +7,7 @@ doorbell writes.  Links serialize transfers per direction.
 
 from __future__ import annotations
 
-from repro.common.units import GB, MB, transfer_ns
+from repro.common.units import GB, MB, PerSize, transfer_ns
 from repro.sim import Resource
 
 
@@ -23,6 +23,10 @@ class _Link:
         self.name = name
         self._tx = Resource(sim, 1, name=f"{name}-tx")  # host -> device
         self._rx = Resource(sim, 1, name=f"{name}-rx")  # device -> host
+        # a transfer occupies its lane for the serialization time only;
+        # the propagation latency overlaps with other in-flight packets
+        self._serialize_ns = PerSize(
+            lambda nbytes: transfer_ns(nbytes, bandwidth * efficiency))
         self.bytes_tx = 0
         self.bytes_rx = 0
 
@@ -30,27 +34,28 @@ class _Link:
     def effective_bandwidth(self) -> float:
         return self.raw_bandwidth * self.efficiency
 
-    def _move(self, lane: Resource, nbytes: int):
-        if nbytes <= 0:
-            return
-        # the lane is occupied for the serialization time only; the
-        # propagation latency overlaps with other in-flight packets
-        yield lane.acquire()
-        try:
-            yield self.sim.timeout(
-                transfer_ns(nbytes, self.effective_bandwidth))
-        finally:
-            lane.release()
-        yield self.sim.timeout(self.latency_ns)
-
     def send(self, nbytes: int):
         """Process: host-to-device transfer."""
-        yield from self._move(self._tx, nbytes)
+        if nbytes > 0:
+            lane = self._tx
+            timer = lane.hold(self._serialize_ns[nbytes])
+            try:
+                yield timer
+            finally:
+                lane.release(timer)
+            yield self.sim.timeout(self.latency_ns)
         self.bytes_tx += nbytes
 
     def receive(self, nbytes: int):
         """Process: device-to-host transfer."""
-        yield from self._move(self._rx, nbytes)
+        if nbytes > 0:
+            lane = self._rx
+            timer = lane.hold(self._serialize_ns[nbytes])
+            try:
+                yield timer
+            finally:
+                lane.release(timer)
+            yield self.sim.timeout(self.latency_ns)
         self.bytes_rx += nbytes
 
     def utilization(self) -> float:

@@ -30,6 +30,11 @@ from repro.obs.tracer import NULL_SPAN_CONTEXT
 _HOST_PAGE = 4096
 _PRP_ENTRY_BYTES = 8
 
+_OPCODES = {IOKind.READ: NvmeOpcode.READ,
+            IOKind.WRITE: NvmeOpcode.WRITE,
+            IOKind.FLUSH: NvmeOpcode.FLUSH,
+            IOKind.TRIM: NvmeOpcode.DATASET_MANAGEMENT}
+
 
 class NvmeDriver(HostAdapter):
     def __init__(self, sim, memory: HostMemory, link: PcieLink,
@@ -196,10 +201,7 @@ class NvmeDriver(HostAdapter):
                 self._waiting[qid].append(waiter)
                 yield waiter
 
-            opcode = {IOKind.READ: NvmeOpcode.READ,
-                      IOKind.WRITE: NvmeOpcode.WRITE,
-                      IOKind.FLUSH: NvmeOpcode.FLUSH,
-                      IOKind.TRIM: NvmeOpcode.DATASET_MANAGEMENT}[req.kind]
+            opcode = _OPCODES[req.kind]
             if req.nsid:
                 ns = self.namespaces.get(req.nsid)
                 if ns is None:

@@ -27,7 +27,15 @@ class Process(Event):
     def __init__(self, sim, generator: Generator) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {type(generator)!r}")
-        super().__init__(sim)
+        # Inline the Event field setup, as Timeout does: a process is
+        # built per spawn.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._cancelled = False
         self._generator = generator
         self._waiting_on: Event = None
         # Kick off at the current instant (after already-queued events);

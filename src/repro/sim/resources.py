@@ -9,6 +9,36 @@ from typing import Any, Deque, List, Optional, Tuple
 
 from repro.sim.events import Event
 
+_new = object.__new__
+
+
+class _HoldTimer(Event):
+    """The timer of one :meth:`Resource.hold`.
+
+    It stays pending until the hold's grant is dispatched; the grant's
+    one callback, :meth:`_start`, then queues it ``delay`` ns ahead.
+    The sequence number is drawn at that moment, which is exactly when
+    a holder woken by the grant would have drawn it for its timeout.
+    """
+
+    __slots__ = ("delay", "grant", "tracker")
+
+    def _start(self, _grant: Event) -> None:
+        """The grant's callback: queue the timer, busy the tracker."""
+        if self._cancelled:
+            return  # withdrawn: the holder left before this grant ran
+        sim = self.sim
+        self._triggered = True
+        delay = self.delay
+        if delay:
+            heapq.heappush(sim._queue,
+                           (sim._now + delay, next(sim._sequence), self))
+        else:
+            sim._ready.append(self)
+        tracker = self.tracker
+        if tracker is not None:
+            tracker.begin()
+
 
 class Resource:
     """A capacity-limited resource with FIFO granting.
@@ -19,6 +49,15 @@ class Resource:
         yield grant
         ...  # hold the resource
         resource.release()
+
+    A holder whose work is a fixed delay decided at the call uses
+    :meth:`hold` instead, which wakes it once, when the delay is over::
+
+        timer = resource.hold(delay)
+        try:
+            yield timer
+        finally:
+            resource.release(timer)
     """
 
     def __init__(self, sim, capacity: int = 1, name: str = "") -> None:
@@ -62,15 +101,77 @@ class Resource:
             self._waiters.append(event)
         return event
 
-    def release(self) -> None:
-        """Return one unit, granting the oldest waiter if any."""
+    def hold(self, delay: int, tracker=None) -> Event:
+        """Request one unit and hold it for ``delay`` ns from the grant.
+
+        Returns the hold's timer, which fires ``delay`` ns after the
+        grant; the holder yields it and passes it to :meth:`release` in a
+        ``finally``.  The grant is an event of its own, dispatched where
+        :meth:`acquire`'s would be, and its callback starts the timer, so
+        the schedule is that of ``yield acquire()`` followed by ``yield
+        sim.timeout(delay)``, without waking the holder at the grant.  A
+        :class:`~repro.sim.stats.UtilizationTracker` given as ``tracker``
+        is busy from the grant to the release.
+        """
+        if delay < 0:
+            raise ValueError(f"negative hold delay: {delay}")
+        sim = self.sim
+        # Inline the Event field setup, as Timeout does: this runs once
+        # per modelled operation.
+        timer = _new(_HoldTimer)
+        timer.sim = sim
+        timer.callbacks = []
+        timer._value = None
+        timer._ok = True
+        timer._triggered = False
+        timer._processed = False
+        timer._cancelled = False
+        timer.delay = int(delay)
+        timer.tracker = tracker
+        timer.grant = grant = _new(Event)
+        grant.sim = sim
+        grant.callbacks = [timer._start]
+        grant._value = self
+        grant._ok = True
+        grant._processed = False
+        grant._cancelled = False
+        if self._in_use < self.capacity:
+            # inline _grant + succeed: the uncontended fast path
+            if self._in_use == 0 and self._busy_since is None:
+                self._busy_since = sim._now
+            self._in_use += 1
+            grant._triggered = True
+            sim._ready.append(grant)
+        else:
+            grant._triggered = False
+            self._waiters.append(grant)
+        return timer
+
+    def release(self, hold: Optional[Event] = None) -> None:
+        """Return one unit, granting the oldest waiter if any.
+
+        A holder passes the timer :meth:`hold` gave it.  If the timer has
+        not started, the holder is leaving before its grant ran (an
+        exception thrown into it while it waited): a request still
+        queued is withdrawn and no unit is returned; a unit already
+        granted is returned, and the timer never starts.
+        """
+        if hold is not None:
+            if not hold._triggered:
+                hold._cancelled = True
+                grant = hold.grant
+                if not grant._triggered:
+                    self._waiters.remove(grant)
+                    return
+            elif hold.tracker is not None:
+                hold.tracker.end()
         if self._in_use <= 0:
             raise RuntimeError(f"release() on idle resource {self.name!r}")
         self._in_use -= 1
         if self._waiters:
             self._grant(self._waiters.popleft())
         elif self._in_use == 0 and self._busy_since is not None:
-            self._busy_time += self.sim.now - self._busy_since
+            self._busy_time += self.sim._now - self._busy_since
             self._busy_since = None
 
     def _grant(self, event: Event) -> None:
@@ -83,12 +184,12 @@ class Resource:
         """Total ns during which at least one unit was held."""
         total = self._busy_time
         if self._busy_since is not None:
-            total += self.sim.now - self._busy_since
+            total += self.sim._now - self._busy_since
         return total
 
     def utilization(self, elapsed: Optional[int] = None) -> float:
         """Busy fraction over ``elapsed`` ns (default: since t=0)."""
-        elapsed = elapsed if elapsed is not None else self.sim.now
+        elapsed = elapsed if elapsed is not None else self.sim._now
         return self.busy_time() / elapsed if elapsed > 0 else 0.0
 
 

@@ -99,14 +99,14 @@ class UtilizationTracker:
         self._busy_depth = 0
         self._busy_since: Optional[int] = None
         self._busy_time = 0
-        self._origin = sim.now
+        self._origin = sim._now
         self._max_points = max(4, max_points)
         self._marks: List[Tuple[int, int]] = []  # (time, cumulative busy ns)
 
     def begin(self) -> None:
         """Enter a busy section (re-entrant; depth-counted)."""
         if self._busy_depth == 0:
-            self._busy_since = self.sim.now
+            self._busy_since = self.sim._now
         self._busy_depth += 1
 
     def end(self) -> None:
@@ -115,19 +115,19 @@ class UtilizationTracker:
             raise RuntimeError("end() without matching begin()")
         self._busy_depth -= 1
         if self._busy_depth == 0:
-            self._busy_time += self.sim.now - self._busy_since
+            self._busy_time += self.sim._now - self._busy_since
             self._busy_since = None
 
     def busy_ns(self) -> int:
         """Total busy time so far, including any open busy section."""
         total = self._busy_time
         if self._busy_since is not None:
-            total += self.sim.now - self._busy_since
+            total += self.sim._now - self._busy_since
         return total
 
     def utilization(self) -> float:
         """Busy fraction of the time elapsed since construction."""
-        elapsed = self.sim.now - self._origin
+        elapsed = self.sim._now - self._origin
         return self.busy_ns() / elapsed if elapsed > 0 else 0.0
 
     def mark(self) -> None:
@@ -135,7 +135,7 @@ class UtilizationTracker:
         if len(self._marks) >= self._max_points:
             # halve: cumulative samples stay consistent when thinned
             del self._marks[::2]
-        self._marks.append((self.sim.now, self.busy_ns()))
+        self._marks.append((self.sim._now, self.busy_ns()))
 
     def interval_utilization(self) -> List[Tuple[int, float]]:
         """Per-interval utilization between successive ``mark()`` calls."""

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.common.instructions import DEFAULT_CPI, InstructionMix, InstructionStats
+from repro.common.instructions import (
+    DEFAULT_CPI,
+    InstructionMix,
+    InstructionStats,
+    MixRuns,
+)
 from repro.common.units import SEC, cycles_to_ns
 from repro.sim import Resource
 from repro.ssd.config import CoreConfig
@@ -30,40 +35,49 @@ class EmbeddedCore:
         self.cpi: Dict[str, float] = dict(DEFAULT_CPI)
         self.cpi.update(config.cpi)
         self.resource = Resource(sim, 1, name=f"emb-core{index}")
-        self.stats = InstructionStats()
         self._dynamic_energy = 0.0
         self._origin = sim.now
-        # exec_ns memo: firmware reuses a small set of frozen mixes on
-        # every I/O; cpi/frequency are fixed after construction.
-        self._exec_ns_cache: Dict[InstructionMix, int] = {}
+        # the mixes this core has run: one MixRuns record each, by
+        # id(mix).  Firmware reuses a small set of mixes on every I/O,
+        # and cpi, frequency and energy per instruction are fixed at
+        # construction, so each mix's costs are computed once.
+        self._runs: Dict[int, MixRuns] = {}
 
     def execute(self, mix: InstructionMix):
         """Process generator: run the mix to completion on this core."""
-        yield self.resource.acquire()
         try:
-            yield self.sim.timeout(self.exec_ns(mix))
+            record = self._runs[id(mix)]
+        except KeyError:
+            record = self._runs[id(mix)] = MixRuns(
+                mix, self.exec_ns(mix),
+                mix.total * self.config.energy_per_instruction)
+        resource = self.resource
+        timer = resource.hold(record.ns)
+        try:
+            yield timer
         finally:
-            self.resource.release()
-        self.stats.record(mix)
-        self._dynamic_energy += mix.total * self.config.energy_per_instruction
+            resource.release(timer)
+        record.runs += 1
+        self._dynamic_energy += record.energy
 
     def exec_ns(self, mix: InstructionMix) -> int:
-        try:
-            return self._exec_ns_cache[mix]
-        except KeyError:
-            ns = cycles_to_ns(mix.cycles(self.cpi), self.frequency)
-            self._exec_ns_cache[mix] = ns
-            return ns
+        return cycles_to_ns(mix.cycles(self.cpi), self.frequency)
+
+    @property
+    def stats(self) -> InstructionStats:
+        """Per-class counts of the instructions this core has run."""
+        return InstructionStats.of_runs(self._runs.values())
 
     def utilization(self) -> float:
         return self.resource.utilization()
 
     def cpi_achieved(self) -> float:
         """Observed cycles-per-instruction (busy cycles / instructions)."""
-        if self.stats.total == 0:
+        total = self.stats.total
+        if total == 0:
             return 0.0
         busy_cycles = self.resource.busy_time() * self.frequency / SEC
-        return busy_cycles / self.stats.total
+        return busy_cycles / total
 
     def energy(self) -> float:
         elapsed_s = (self.sim.now - self._origin) / SEC
@@ -98,7 +112,11 @@ class CpuComplex:
             raise ValueError(f"unknown firmware role {role!r}") from None
 
     def execute(self, role: str, mix: InstructionMix):
-        return self.core_for(role).execute(mix)
+        try:
+            core = self._role_map[role]
+        except KeyError:
+            raise ValueError(f"unknown firmware role {role!r}") from None
+        return core.execute(mix)
 
     def instruction_stats(self) -> InstructionStats:
         merged = InstructionStats()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.common.units import SEC, transfer_ns
+from repro.common.units import SEC, PerSize, transfer_ns
 from repro.sim import Resource
 from repro.ssd.config import DramConfig
 
@@ -23,6 +23,10 @@ class InternalDram:
         self.config = config
         self._bus = Resource(sim, 1, name="ssd-dram-bus")
         self._open_rows: List[int] = [-1] * config.banks
+        # per size: the streaming transfer time and the burst count
+        self._stream = PerSize(lambda nbytes: (
+            transfer_ns(nbytes, config.bandwidth),
+            max(1, -(-nbytes // config.burst_bytes))))
         self._origin = sim.now
         # energy accounting
         self.activates = 0
@@ -73,6 +77,7 @@ class InternalDram:
             return
         cfg = self.config
         bank, row = self._bank_and_row(address)
+        stream_ns, bursts = self._stream[nbytes]
         yield self._bus.acquire()
         try:
             # account the idle gap since the last access; anything past
@@ -84,12 +89,11 @@ class InternalDram:
                 wakeup = cfg.t_rcd  # tXS-ish exit latency
                 self._open_rows = [-1] * cfg.banks
             latency = wakeup + self._row_latency(bank, row)
-            latency += transfer_ns(nbytes, cfg.bandwidth)
+            latency += stream_ns
             yield self.sim.timeout(latency)
         finally:
             self._last_access_end = self.sim.now
             self._bus.release()
-        bursts = max(1, -(-nbytes // cfg.burst_bytes))
         if write:
             self.write_bursts += bursts
         else:

@@ -7,3 +7,11 @@ def tidy(sim, gate):
         yield sim.timeout(5)
     finally:
         gate.release()
+
+
+def held(sim, gate):
+    timer = gate.hold(5)
+    try:
+        yield timer
+    finally:
+        gate.release(timer)

@@ -23,3 +23,29 @@ class Backend:
                 self.die.release()
         finally:
             self.channel.release()
+
+
+class Bridge:
+    """The same inversion through ``hold``: it acquires as ``acquire``."""
+
+    def upstream(self, sim):
+        yield self.left.acquire()
+        try:
+            timer = self.right.hold(5)
+            try:
+                yield timer
+            finally:
+                self.right.release(timer)
+        finally:
+            self.left.release()
+
+    def downstream(self, sim):
+        yield self.right.acquire()      # inverted: right before left
+        try:
+            timer = self.left.hold(7)
+            try:
+                yield timer
+            finally:
+                self.left.release(timer)
+        finally:
+            self.right.release()

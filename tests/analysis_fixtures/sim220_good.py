@@ -23,3 +23,29 @@ class Backend:
                 self.channel.release()
         finally:
             self.die.release()
+
+
+class Bridge:
+    """``hold`` keeps the one order too: left, then right."""
+
+    def upstream(self, sim):
+        yield self.left.acquire()
+        try:
+            timer = self.right.hold(5)
+            try:
+                yield timer
+            finally:
+                self.right.release(timer)
+        finally:
+            self.left.release()
+
+    def downstream(self, sim):
+        yield self.left.acquire()
+        try:
+            timer = self.right.hold(7)
+            try:
+                yield timer
+            finally:
+                self.right.release(timer)
+        finally:
+            self.left.release()

@@ -99,6 +99,28 @@ class TestFixturePairs:
             f"{rule_id} findings should explain themselves"
 
 
+class TestHoldIsAnAcquire:
+    """``Resource.hold`` takes a unit as ``acquire`` does, so SIM106 and
+    SIM220 check it the same way."""
+
+    def test_sim106_flags_each_unpaired_hold(self):
+        path = FIXTURES / "sim106_bad.py"
+        hold_lines = {number for number, text
+                      in enumerate(path.read_text().splitlines(), 1)
+                      if ".hold(" in text}
+        flagged = {f.line for f in lint_source(str(path))
+                   if f.rule == "SIM106" and not f.suppressed}
+        assert len(hold_lines) == 2
+        assert hold_lines <= flagged
+
+    def test_sim220_sees_an_inversion_made_of_holds(self):
+        hits = [f for f in lint_source(str(FIXTURES / "sim220_bad.py"))
+                if f.rule == "SIM220" and not f.suppressed
+                and "Bridge.left" in f.message]
+        assert len(hits) == 1
+        assert any(".hold()` at" in hop for hop in hits[0].witness)
+
+
 # -- suppression semantics ----------------------------------------------------
 
 class TestSuppressions:

@@ -11,7 +11,16 @@ the current instant and runs the old ``_dispatch``, ``peek`` and
 Hypothesis programs of a few processes drive both kernels through
 ``run()``, stepped ``run(until=...)``, ``step()`` and ``run_process``;
 after every driver call the dispatch traces, ``events_processed``,
-``now``, ``queue_length`` and ``peek()`` must agree.
+``now``, ``queue_length``, ``peek()`` and every resource's
+``busy_time()`` must agree.
+
+The same programs also check ``Resource.hold`` against the idiom it
+replaces: a program's ``hold`` ops run once as ``hold(delay)`` and once
+as ``yield acquire()`` then ``yield sim.timeout(delay)``, on the one
+kernel, and the two runs must agree in the same way.  The hold's grant
+runs a kernel callback where the idiom resumes the holder, so the trace
+names the grant's owners as the processes waiting on its timer, and the
+timer as a ``Timeout``.
 """
 
 import heapq
@@ -20,9 +29,18 @@ from itertools import count
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Event, Interrupt, Process, Resource, Simulator, Store
+from repro.sim import (
+    Event,
+    Interrupt,
+    Process,
+    Resource,
+    Simulator,
+    Store,
+    UtilizationTracker,
+)
 from repro.sim.engine import EmptySchedule
 from repro.sim.events import AllOf, AnyOf
+from repro.sim.resources import _HoldTimer
 
 
 class _HeapReady:
@@ -178,12 +196,15 @@ class World:
 
     It is the kernel's observer: every dispatch is recorded as its
     instant, the event's kind, value and ok flag, and the owners of its
-    callbacks (named processes, or the condition kind).
+    callbacks (named processes, or the condition kind).  ``holds``
+    picks how the program's ``hold`` ops take their resource:
+    ``Resource.hold`` or the acquire-then-timeout idiom.
     """
 
-    def __init__(self, kernel) -> None:
+    def __init__(self, kernel, holds=False) -> None:
         self.sim = sim = kernel()
         sim._observer = self
+        self.holds = holds
         self.names = {}
         self.trace = []
         self.resources = (Resource(sim, 1, "r0"), Resource(sim, 2, "r1"))
@@ -191,20 +212,28 @@ class World:
         for item in ("seed0", "seed1"):
             self.store.put(item)
 
-    # the observer protocol
-    def on_event(self, when, event):
-        kind = type(event).__name__
+    def _owners(self, callbacks):
         owners = []
-        for callback in event.callbacks:
+        for callback in callbacks:
             target = getattr(callback, "__self__", None)
             if isinstance(target, Process):
                 owners.append(self.names.get(target, "main"))
             elif isinstance(target, _CONDITIONS):
                 owners.append(type(target).__name__)
+            elif isinstance(target, _HoldTimer):
+                # a hold's grant: the idiom would resume the processes
+                # now waiting on the timer
+                owners.extend(self._owners(target.callbacks))
             else:
                 owners.append(getattr(callback, "__qualname__", "?"))
+        return owners
+
+    # the observer protocol
+    def on_event(self, when, event):
+        kind = ("Timeout" if isinstance(event, _HoldTimer)
+                else type(event).__name__)
         self.trace.append((when, kind, _value_label(event._value),
-                           event._ok, tuple(owners)))
+                           event._ok, tuple(self._owners(event.callbacks))))
 
     def on_stop(self, drained):
         self.trace.append(("stop", drained))
@@ -221,7 +250,9 @@ class World:
         sim = self.sim
         length = sim.queue_length     # before peek() purges tombstones
         return (list(self.trace), sim.events_processed, sim.now, length,
-                sim.peek(), len(sim._orphan_failures))
+                sim.peek(), len(sim._orphan_failures),
+                [(r.busy_time(), r.in_use, r.queued)
+                 for r in self.resources])
 
 
 def _sleeper(sim, delay, value):
@@ -258,7 +289,7 @@ def _script(world, name, ops):
             if kind == "timeout":
                 event = sim.timeout(op[1], tag())
                 yield event
-            elif kind == "hold":
+            elif kind == "acquire":
                 resource = world.resources[op[1]]
                 event = resource.acquire()
                 yield event
@@ -266,6 +297,20 @@ def _script(world, name, ops):
                     yield sim.timeout(op[2], tag())
                 finally:
                     resource.release()
+            elif kind == "hold":
+                resource = world.resources[op[1]]
+                if world.holds:
+                    timer = resource.hold(op[2])
+                    try:
+                        yield timer
+                    finally:
+                        resource.release(timer)
+                else:
+                    yield resource.acquire()
+                    try:
+                        yield sim.timeout(op[2])
+                    finally:
+                        resource.release()
             elif kind == "put":
                 event = world.store.put(tag())
                 yield event
@@ -319,23 +364,38 @@ def _main(world, program):
 _DELAY = st.sampled_from([0, 1, 3])
 _CHILD = st.one_of(st.tuples(st.just("t"), _DELAY), st.just(("done",)),
                    st.tuples(st.just("fail"), _DELAY))
+#: take resource 0 (one slot) or 1 (two slots) for 0, 1 or 3 ns
+_HOLD = st.tuples(st.just("hold"), st.sampled_from([0, 1]), _DELAY)
+_ACQUIRE = st.tuples(st.just("acquire"), st.sampled_from([0, 1]), _DELAY)
+# cancel a timeout of delay d at once, or after waiting less than d
+_CANCEL = st.sampled_from([("cancel", 0, None), ("cancel", 1, None),
+                           ("cancel", 1, 0), ("cancel", 3, None),
+                           ("cancel", 3, 0), ("cancel", 3, 1)])
 _LEAF = st.one_of(
     st.tuples(st.just("timeout"), _DELAY),
-    st.tuples(st.just("hold"), st.sampled_from([0, 1]), _DELAY),
+    _HOLD,
+    _ACQUIRE,
     st.just(("put",)),
     st.just(("get",)),
     st.tuples(st.sampled_from(["allof", "anyof"]),
               st.lists(_CHILD, max_size=3)),
-    # cancel a timeout of delay d at once, or after waiting less than d
-    st.sampled_from([("cancel", 0, None), ("cancel", 1, None),
-                     ("cancel", 1, 0), ("cancel", 3, None),
-                     ("cancel", 3, 0), ("cancel", 3, 1)]),
+    _CANCEL,
     st.tuples(st.just("trigger"), st.booleans(), _DELAY, st.booleans()),
     st.tuples(st.just("interrupt"), _DELAY, _DELAY),
 )
-_OP = st.one_of(_LEAF, st.tuples(st.just("spawn"),
-                                 st.lists(_LEAF, max_size=3), st.booleans()))
-PROGRAMS = st.lists(st.lists(_OP, max_size=6), min_size=1, max_size=4)
+
+
+def _programs(leaf):
+    op = st.one_of(leaf, st.tuples(st.just("spawn"),
+                                   st.lists(leaf, max_size=3), st.booleans()))
+    return st.lists(st.lists(op, max_size=6), min_size=1, max_size=4)
+
+
+PROGRAMS = _programs(_LEAF)
+#: resource-heavy programs: holds mixed with plain acquires, timeouts
+#: and cancels, spawned so that they contend
+HOLD_PROGRAMS = _programs(st.one_of(
+    _HOLD, _HOLD, _ACQUIRE, st.tuples(st.just("timeout"), _DELAY), _CANCEL))
 
 
 def _outcome(call, world):
@@ -347,10 +407,18 @@ def _outcome(call, world):
         return ("raised", type(error).__name__, str(error))
 
 
-def _lockstep(program, calls, started=True):
-    """Build both kernels, then apply each driver call to both and
+def _kernels():
+    return [World(ReferenceSimulator), World(Simulator)]
+
+
+def _hold_idioms():
+    return [World(Simulator), World(Simulator, holds=True)]
+
+
+def _lockstep(program, calls, started=True, worlds=_kernels):
+    """Build both worlds, then apply each of ``calls`` to both and
     compare; ``started`` spawns the program before the first call."""
-    worlds = [World(ReferenceSimulator), World(Simulator)]
+    worlds = worlds()
     if started:
         for world in worlds:
             world.spawn(_main(world, program), "main")
@@ -405,3 +473,143 @@ def test_run_process_matches_single_heap(program, start, until):
 
     _lockstep(program, [lambda world: world.sim.run(until=start), main,
                         _run], started=False)
+
+
+# -- Resource.hold against acquire + timeout ------------------------------------
+
+@_EXAMPLES
+@given(st.one_of(HOLD_PROGRAMS, PROGRAMS))
+def test_hold_run_matches_acquire_then_timeout(program):
+    _lockstep(program, [_run], worlds=_hold_idioms)
+
+
+@_EXAMPLES
+@given(HOLD_PROGRAMS, st.lists(st.integers(0, 3), max_size=12))
+def test_hold_stepped_run_matches_acquire_then_timeout(program, strides):
+    calls = [lambda world, stride=stride: world.sim.run(
+        until=world.sim.now + stride) for stride in strides]
+    _lockstep(program, calls + [_run], worlds=_hold_idioms)
+
+
+@_EXAMPLES
+@given(HOLD_PROGRAMS)
+def test_hold_step_matches_acquire_then_timeout(program):
+    def steps():
+        while True:
+            yield lambda world: world.sim.step()
+
+    _lockstep(program, steps(), worlds=_hold_idioms)
+
+
+class TestHoldLeavingEarly:
+    """An exception thrown into a holder before its timer started
+    withdraws the request: no unit is returned that the holder never
+    got, and the timer never fires."""
+
+    @staticmethod
+    def _holder(sim, resource, delay, log, tracker=None):
+        timer = resource.hold(delay, tracker)
+        try:
+            yield timer
+            log.append(("done", sim.now))
+        except Interrupt as interrupt:
+            log.append((interrupt.cause, sim.now))
+        finally:
+            resource.release(timer)
+
+    def test_interrupt_while_queued_withdraws_the_request(self):
+        sim = Simulator()
+        resource = Resource(sim, 1, "r")
+        tracker = UtilizationTracker(sim)
+        log = []
+        sim.process(self._holder(sim, resource, 10, log))
+        waiter = sim.process(self._holder(sim, resource, 5, log, tracker))
+
+        def interrupter():
+            yield sim.timeout(2)
+            waiter.interrupt("queued")
+
+        sim.process(interrupter())
+        sim.run()
+        sim.check_orphan_failures()
+        assert log == [("queued", 2), ("done", 10)]
+        assert (resource.in_use, resource.queued) == (0, 0)
+        assert resource.busy_time() == 10 == sim.now
+        assert tracker.busy_ns() == 0
+
+    def test_throw_between_grant_and_its_dispatch_returns_the_unit(self):
+        """The first holder's release grants the waiter at t=10; an
+        event due at t=10 and queued ahead of that grant throws into the
+        waiter, so its timer has not started yet."""
+        sim = Simulator()
+        resource = Resource(sim, 1, "r")
+        tracker = UtilizationTracker(sim)
+        log = []
+        sim.process(self._holder(sim, resource, 10, log))
+        waiter = sim.process(self._holder(sim, resource, 5, log, tracker))
+
+        def thrower():
+            yield sim.timeout(0)   # after the first hold's timer started
+            yield sim.timeout(10)  # due at t=10, queued behind that timer
+            assert resource.in_use == 1 and not resource.queued  # granted
+            waiter._throw(Interrupt("granted"))
+
+        sim.process(thrower())
+        sim.run()
+        sim.check_orphan_failures()
+        assert log == [("done", 10), ("granted", 10)]
+        assert (resource.in_use, resource.queued) == (0, 0)
+        assert resource.busy_time() == 10 == sim.now
+        assert tracker.busy_ns() == 0
+
+    def test_interrupt_while_holding_matches_the_idiom(self):
+        """After the grant ran, ``hold`` behaves as the idiom does: the
+        unit is returned at the interrupt, and the timer still fires."""
+        def run(use_hold):
+            sim = Simulator()
+            resource = Resource(sim, 1, "r")
+            tracker = UtilizationTracker(sim)
+            log = []
+
+            def idiom():
+                yield resource.acquire()
+                tracker.begin()
+                try:
+                    yield sim.timeout(10)
+                except Interrupt as interrupt:
+                    log.append((interrupt.cause, sim.now))
+                finally:
+                    tracker.end()
+                    resource.release()
+
+            holder = sim.process(
+                self._holder(sim, resource, 10, log, tracker) if use_hold
+                else idiom())
+
+            def interrupter():
+                yield sim.timeout(4)
+                holder.interrupt("holding")
+
+            sim.process(interrupter())
+            sim.run()
+            return (log, sim.now, sim.events_processed,
+                    resource.busy_time(), tracker.busy_ns(),
+                    resource.in_use)
+
+        held, idiom = run(True), run(False)
+        assert held == idiom
+        assert held[:2] == ([("holding", 4)], 10)
+        assert held[3:] == (4, 4, 0)
+
+    def test_tracker_is_busy_from_the_grant(self):
+        sim = Simulator()
+        resource = Resource(sim, 1, "r")
+        tracker = UtilizationTracker(sim)
+        log = []
+        sim.process(self._holder(sim, resource, 6, log))
+        sim.process(self._holder(sim, resource, 3, log, tracker))
+        sim.run(until=7)
+        assert tracker.busy_ns() == 1      # granted at t=6
+        sim.run()
+        assert tracker.busy_ns() == 3
+        assert log == [("done", 6), ("done", 9)]
