@@ -1,31 +1,16 @@
-"""Performance-benchmark scenarios and trajectory recording.
+"""The pinned performance-benchmark scenarios.
 
-The library half of the ``benchmarks/perf/`` harness: scenario
-definitions (:mod:`repro.bench.scenarios`) that drive the simulation
-kernel and the full system at calibrated sizes, and the ``BENCH_*.json``
-recorder (:mod:`repro.bench.record`) that gives every PR a perf
-trajectory to beat.
-
-Scenarios report *wall-clock* speed and *deterministic* simulation
-facts (``events_processed``, final simulated time) side by side.  The
-golden-determinism tests in ``tests/test_golden_determinism.py`` pin
-the deterministic half, so a faster number in a ``BENCH_*.json`` is
-only mergeable when it provably computed the same simulation.
+:mod:`repro.bench.scenarios` drives the simulation kernel and the full
+system at calibrated sizes.  Each scenario reports its *wall-clock*
+speed and its *deterministic* simulation facts (``events_processed``,
+final simulated time) side by side.  The golden-determinism tests in
+``tests/test_golden_determinism.py`` pin the deterministic half; the
+repo benchmark (``benchmarks/suite``) times the same paths.
 """
 
-from repro.bench.record import (
-    compare_runs,
-    load_bench,
-    run_all,
-    write_bench,
-)
 from repro.bench.scenarios import SCENARIOS, ScenarioResult
 
 __all__ = [
     "SCENARIOS",
     "ScenarioResult",
-    "compare_runs",
-    "load_bench",
-    "run_all",
-    "write_bench",
 ]

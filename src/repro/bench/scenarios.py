@@ -26,9 +26,6 @@ from typing import Callable, Dict
 from repro.common.units import KB
 from repro.sim import AllOf, AnyOf, Resource, Simulator, Store
 
-#: per-scenario size knobs for the two recording profiles
-PROFILES = ("smoke", "full")
-
 
 @dataclass
 class ScenarioResult:
@@ -50,27 +47,6 @@ class ScenarioResult:
         out = asdict(self)
         out["events_per_sec"] = round(self.events_per_sec, 1)
         return out
-
-    # Streaming latency summary attached by the macro scenarios.
-    # Deliberately a plain class attribute, NOT a dataclass field:
-    # ``to_dict()`` is pinned by tests/golden and must not change shape;
-    # ``record.run_all`` merges this into the BENCH document instead.
-    latency = None
-
-
-def _latency_summary(recorder) -> Dict[str, float]:
-    """End-to-end latency percentiles in µs for the BENCH record.
-
-    p50/p99 come from the recorder's streaming log-bucketed histogram
-    (±6.25% bucket error); mean and the sample count are exact.
-    """
-    if recorder.count == 0:
-        return {}
-    p50, p99 = recorder.histogram.percentiles([50, 99])
-    return {"mean_us": round(recorder.mean() / 1000.0, 3),
-            "p50_us": round(p50 / 1000.0, 3),
-            "p99_us": round(p99 / 1000.0, 3),
-            "samples": recorder.count}
 
 
 # -- micro: kernel-only churn --------------------------------------------------
@@ -126,14 +102,12 @@ def randread_nvme(profile: str = "full") -> ScenarioResult:
     res = system.run_fio(FioJob(rw="randread", bs=4096, iodepth=16,
                                 total_ios=n_ios))
     wall = time.perf_counter() - wall0  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
-    result = ScenarioResult(
+    return ScenarioResult(
         "randread_nvme", profile, wall,
         system.sim.events_processed, system.sim.now,
         {"iops": round(res.iops, 1),
          "bandwidth_mbps": round(res.bandwidth_mbps, 3),
          "n_ios": n_ios})
-    result.latency = _latency_summary(res.latency)
-    return result
 
 
 # -- macro: GC-heavy write storm ----------------------------------------------
@@ -180,7 +154,7 @@ def write_storm_gc(profile: str = "full") -> ScenarioResult:
     res = system.run_fio(FioJob(rw="randwrite", bs=4096, iodepth=16,
                                 total_ios=n_ios, warmup_fraction=0.5))
     wall = time.perf_counter() - wall0  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
-    result = ScenarioResult(
+    return ScenarioResult(
         "write_storm_gc", profile, wall,
         system.sim.events_processed, system.sim.now,
         {"iops": round(res.iops, 1),
@@ -188,11 +162,9 @@ def write_storm_gc(profile: str = "full") -> ScenarioResult:
          "write_amplification": round(
              res.ssd_stats["write_amplification"], 6),
          "n_ios": n_ios})
-    result.latency = _latency_summary(res.latency)
-    return result
 
 
-#: name -> callable(profile) registry, in recording order
+#: name -> callable(profile) registry
 SCENARIOS: Dict[str, Callable[[str], ScenarioResult]] = {
     "kernel_churn": kernel_churn,
     "randread_nvme": randread_nvme,

@@ -17,7 +17,6 @@ renders the same size report as a 10-job one.
 
 from __future__ import annotations
 
-import html as _html
 import json
 from typing import Dict, List, Optional
 
@@ -25,7 +24,7 @@ from repro.experiments.golden import canonicalize
 from repro.fleet.spec import SweepSpec
 from repro.fleet.store import ResultStore
 from repro.obs.causal import COMPONENTS
-from repro.obs.diff import merged_ops
+from repro.obs.diff import markdown_to_html, merged_ops
 from repro.obs.histogram import LogHistogram
 from repro.obs.timeseries import TimeSeries, sparkline
 
@@ -238,64 +237,10 @@ def render_markdown(doc: Dict) -> str:
 
 # -- html ---------------------------------------------------------------------
 
-_CSS = """
-body{font:14px/1.5 system-ui,sans-serif;margin:2rem auto;max-width:60rem;
-color:#1a1a1a}
-table{border-collapse:collapse;margin:0.5rem 0 1.5rem}
-th,td{border:1px solid #d0d0d0;padding:0.25rem 0.6rem;text-align:right}
-th:first-child,td:first-child{text-align:left}
-code{background:#f4f4f4;padding:0 0.2rem}
-.spark{font-family:monospace;color:#3564b0}
-"""
-
-
 def render_html(doc: Dict) -> str:
     """Render the merged document as one self-contained HTML page."""
-    markdown = render_markdown(doc)
-    body: List[str] = []
-    in_table = False
-    for line in markdown.splitlines():
-        if line.startswith("|"):
-            cells = [cell.strip() for cell in line.strip("|").split("|")]
-            if all(set(cell) <= {"-", ":", " "} and cell
-                   for cell in cells):
-                continue            # the markdown separator row
-            tag = "td" if in_table else "th"
-            if not in_table:
-                body.append("<table>")
-                in_table = True
-            rendered = "".join(
-                f"<{tag}>{_inline_html(cell)}</{tag}>" for cell in cells)
-            body.append(f"<tr>{rendered}</tr>")
-            continue
-        if in_table:
-            body.append("</table>")
-            in_table = False
-        if line.startswith("# "):
-            body.append(f"<h1>{_inline_html(line[2:])}</h1>")
-        elif line.startswith("## "):
-            body.append(f"<h2>{_inline_html(line[3:])}</h2>")
-        elif line.startswith("* "):
-            body.append(f"<p class='spark'>{_inline_html(line[2:])}</p>")
-        elif line:
-            body.append(f"<p>{_inline_html(line)}</p>")
-    if in_table:
-        body.append("</table>")
-    title = _html.escape(doc["spec"]["name"])
-    return ("<!DOCTYPE html><html><head><meta charset='utf-8'>"
-            f"<title>Fleet report — {title}</title>"
-            f"<style>{_CSS}</style></head><body>"
-            + "\n".join(body) + "</body></html>\n")
-
-
-def _inline_html(text: str) -> str:
-    """Escape a markdown fragment, keeping `code` spans as <code>."""
-    parts = text.split("`")
-    out: List[str] = []
-    for index, part in enumerate(parts):
-        escaped = _html.escape(part)
-        out.append(f"<code>{escaped}</code>" if index % 2 else escaped)
-    return "".join(out)
+    return markdown_to_html(render_markdown(doc),
+                            f"Fleet report — {doc['spec']['name']}")
 
 
 def write_fleet_report(path, doc: Dict) -> str:

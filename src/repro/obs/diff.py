@@ -277,7 +277,8 @@ def _inline_html(text: str) -> str:
 
 
 def markdown_to_html(markdown: str, title: str) -> str:
-    """Convert the simple markdown dialect of this module to one page.
+    """Convert the simple markdown dialect of this module and of the fleet
+    report (:mod:`repro.fleet.report`) to one page.
 
     Handles the constructs the renderers emit — ``#``/``##`` headings,
     tables, bullet lists, paragraphs — which keeps the HTML artifact

@@ -31,9 +31,7 @@ Exports: :func:`attribution` (merged per-layer totals),
 :func:`attribution_markdown` (the table the next perf PR reads) and
 :func:`write_profile_trace` (Chrome ``trace_event`` JSON of the slowest
 dispatch slices, wall-time axis).  CLI surface: ``--profile`` on
-``python -m repro.experiments``, ``--self-profile`` on
-``python -m benchmarks.perf`` (``--profile`` there already selects the
-scenario size) and ``--profile`` on ``python -m repro.fleet run``
+``python -m repro.experiments`` and on ``python -m repro.fleet run``
 (per-job layer totals land in the run journal).
 
 This module is one of simlint's designated wall-clock modules (SIM110):
@@ -408,8 +406,8 @@ def write_profile(base_path,
                   title: str = "Wall-clock attribution") -> List[str]:
     """Write ``<base>.md`` + ``<base>.trace.json``; returns the paths.
 
-    The CLI surface (``--profile``/``--self-profile``) funnels here so
-    every entry point emits the same artifact pair.
+    The CLI surface (``--profile``) funnels here so every entry point
+    emits the same artifact pair.
     """
     base = str(base_path)
     for suffix in (".md", ".trace.json", ".json"):

@@ -1,5 +1,7 @@
 """Optional NVMe features: SGL transfers, WRR queue priorities, CLI."""
 
+import json
+
 import pytest
 
 from repro.core.fio import FioJob
@@ -79,6 +81,20 @@ class TestExperimentCli:
         from repro.experiments.__main__ import main
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_fig16_report_and_profile_artifacts(self, tmp_path):
+        """The two commands CI uploads its bench-smoke artifacts from."""
+        from repro.experiments.__main__ import main
+        report = tmp_path / "report.html"
+        assert main(["fig16", "--report", str(report)]) == 0
+        page = report.read_text()
+        assert page.startswith("<!doctype html>")
+        assert '<svg class="spark"' in page
+        base = tmp_path / "attr"
+        assert main(["fig16", "--profile", str(base)]) == 0
+        assert "hottest layers" in (tmp_path / "attr.md").read_text()
+        trace = json.loads((tmp_path / "attr.trace.json").read_text())
+        assert trace["traceEvents"]
 
 
 class TestAdminCommands:

@@ -423,23 +423,13 @@ class TestExperimentNameResolution:
         assert resolve_experiment("nope") is None
 
 
-# -- bench latency block ------------------------------------------------------
+# -- bench scenario record ----------------------------------------------------
 
 class TestBenchLatencyBlock:
     def test_scenario_to_dict_shape_unchanged(self):
-        """``to_dict`` is pinned by the perf golden; latency rides outside."""
+        """``to_dict`` is pinned by the perf golden: its keys never change."""
         from repro.bench.scenarios import ScenarioResult
         result = ScenarioResult("x", "smoke", 0.5, 10, 100, {})
         assert set(result.to_dict()) == {
             "name", "profile", "wall_seconds", "events", "sim_ns",
             "extra", "events_per_sec"}
-        assert result.latency is None
-
-    def test_run_all_merges_latency(self):
-        from repro.bench.record import run_all
-        results = run_all(profile="smoke", repeats=1,
-                          names=["randread_nvme"])
-        block = results["randread_nvme"]["latency"]
-        assert block["samples"] > 0
-        assert 0 < block["p50_us"] <= block["p99_us"]
-        assert block["mean_us"] > 0
