@@ -8,30 +8,8 @@ Two halves live here:
   AST linter encoding the simulator's determinism/resource invariants
   (``python -m repro.analysis lint``), and **SimSanitizer**, the opt-in
   observe-only runtime checker (``REPRO_SANITIZE=1`` or
-  :func:`enable_sanitizer`).
+  :func:`repro.analysis.sanitizer.enable_sanitizer`).
+
+This package module imports nothing: import each name from the module
+that defines it.
 """
-
-from repro.analysis.featurematrix import FEATURES, SIMULATOR_FEATURES, feature_table
-from repro.analysis.findings import Finding, FindingSet
-from repro.analysis.registry import all_rules, lint_paths, lint_source
-from repro.analysis.sanitizer import (
-    SanitizerError,
-    SimSanitizer,
-    Violation,
-    all_violations,
-    disable_sanitizer,
-    enable_sanitizer,
-    sanitizer_enabled,
-    sanitizer_for,
-    sanitizers,
-)
-from repro.analysis.tables import format_series, format_table
-
-__all__ = [
-    "format_table", "format_series", "FEATURES",
-    "SIMULATOR_FEATURES", "feature_table",
-    "Finding", "FindingSet", "all_rules", "lint_paths", "lint_source",
-    "SimSanitizer", "SanitizerError", "Violation",
-    "enable_sanitizer", "disable_sanitizer", "sanitizer_enabled",
-    "sanitizer_for", "sanitizers", "all_violations",
-]

@@ -1,6 +1,6 @@
 """Interprocedural determinism taint — the SIM210 rule.
 
-SIM101/SIM102/SIM103 flag nondeterminism at the *call site*: a
+SIM102/SIM103/SIM110 flag nondeterminism at the *call site*: a
 ``time.time()`` read, a global-RNG draw, a set iteration.  They cannot
 see a wall-clock value that is returned through two helper layers and
 only then stored into model state — each individual function looks
@@ -26,7 +26,7 @@ SIM210 deliberately reports only **interprocedural** flows — the
 witness must contain at least one resolved call edge.  Same-function
 flows are already covered (and suppressed, where sanctioned) by the
 per-file rules; re-reporting them here would force every documented
-SIM101 site to carry a second suppression.
+SIM110 site to carry a second suppression.
 
 The sanctioned wall-clock modules (SIM110's list) may store wall-clock
 values *internally* — that is their job — so wallclock-kind sinks in

@@ -58,7 +58,7 @@ def _has_own_yield(func: ast.AST) -> bool:
                for n in _own_nodes(func))
 
 
-# -- SIM101: wall-clock reads -------------------------------------------------
+# -- SIM110: wall-clock reads outside the designated modules ------------------
 
 _WALLCLOCK = {
     "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
@@ -67,24 +67,6 @@ _WALLCLOCK = {
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
 }
-
-
-@rule("SIM101", "wall-clock",
-      "Host wall-clock reads are nondeterministic; simulated logic must "
-      "derive every timestamp from `sim.now`. Measuring simulator *speed* "
-      "is the one legitimate use — those sites are suppressed with the "
-      "reason, and their outputs live in golden VOLATILE_KEYS.")
-def check_wallclock(src: SourceFile) -> Iterator[Site]:
-    aliases = src.aliases
-    for node in src.nodes:
-        if isinstance(node, ast.Call):
-            target = _resolve_call(node.func, aliases)
-            if target in _WALLCLOCK:
-                yield node, node.col_offset, \
-                    f"wall-clock read `{target}()` in simulation code"
-
-
-# -- SIM110: wall-clock containment -------------------------------------------
 
 #: path fragments of the modules designated to read the wall clock:
 #: benchmarking, the self-profiler, the run journal, worker lifecycle
@@ -105,14 +87,17 @@ def _in_wallclock_module(path: str) -> bool:
 
 
 @rule("SIM110", "wall-clock-containment",
-      "Wall-clock reads are only legal in the designated profiling "
-      "modules (repro.bench, repro.obs.profiler, repro.obs.journal, "
-      "repro.fleet.runner, repro.baselines.replay), whose outputs are "
-      "declared wall-clock-tainted side artifacts. Anywhere else, even "
-      "a *suppressed* SIM101 read is a containment leak: route it "
-      "through repro.obs.journal.wall_now or move the code into a "
-      "designated module, so `grep` over five files audits every clock "
-      "in the tree.")
+      "Host wall-clock reads are nondeterministic; simulated logic must "
+      "derive every timestamp from `sim.now`. Wall-clock reads are only "
+      "legal in the designated profiling modules (repro.bench, "
+      "repro.obs.profiler, repro.obs.journal, repro.fleet.runner, "
+      "repro.baselines.replay), whose outputs are declared "
+      "wall-clock-tainted side artifacts, so `grep` over five files "
+      "audits every clock in the tree. Anywhere else, route the read "
+      "through repro.obs.journal.wall_now, move the code into a "
+      "designated module, or — for the rare site that measures "
+      "simulator speed itself — suppress it with the reason and keep "
+      "its outputs in golden VOLATILE_KEYS.")
 def check_wallclock_containment(src: SourceFile) -> Iterator[Site]:
     if _in_wallclock_module(src.path):
         return

@@ -2,11 +2,13 @@
 
 Armed the same way as telemetry (:mod:`repro.obs.telemetry`): a
 process-wide switch — :func:`enable_sanitizer`, or ``REPRO_SANITIZE=1``
-in the environment — after which every newly-built
-:class:`~repro.sim.Simulator` asks :func:`sanitizer_for` and receives a
-live :class:`SimSanitizer` for its observer slot: the event loop calls
-it once per processed event and once per stop.  Off (the default, and
-the tier-1 state) :func:`sanitizer_for` returns ``None``.
+in the environment, which ``import repro`` turns into that call — puts
+a factory in the kernel's ``sanitizer`` slot
+(:data:`repro.sim.engine.HOOKS`), after which every newly-built
+:class:`~repro.sim.Simulator` receives a live :class:`SimSanitizer` for
+its observer slot: the event loop calls it once per processed event and
+once per stop.  Off (the default, and the tier-1 state) the slot is
+empty.
 
 The sanitizer only *observes* — it never schedules events, acquires
 resources, advances the clock or raises mid-run — so an enabled run is
@@ -36,12 +38,11 @@ Violations accumulate on the sanitizer (and process-wide via
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from repro.obs.flightrec import FlightRecorder
+from repro.obs.flightrec import FlightRecorder, write_post_mortem
+from repro.sim.engine import HOOKS
 
 
 class SanitizerError(AssertionError):
@@ -60,43 +61,40 @@ class Violation:
         return f"[{self.kind}] t={self.t_ns}ns: {self.detail}"
 
 
-_active = os.environ.get("REPRO_SANITIZE", "") not in ("", "0", "false")
-_flight_events = 256
-_dump_dir: Optional[str] = None
 _sanitizers: List["SimSanitizer"] = []
 
 
 def sanitizer_enabled() -> bool:
     """True while the process-wide sanitizer switch is on."""
-    return _active
+    return HOOKS["sanitizer"] is not None
 
 
 def enable_sanitizer(flight_events: int = 256,
                      dump_dir: Optional[str] = None) -> None:
-    """Arm the sanitizer for every subsequently-built simulator."""
-    global _active, _flight_events, _dump_dir
-    _active = True
-    _flight_events = int(flight_events)
-    _dump_dir = dump_dir
+    """Arm the sanitizer for every subsequently-built simulator.
+
+    A ``flight_events`` below 1 raises here, not at the next
+    ``Simulator()``.
+    """
+    if flight_events < 1:
+        raise ValueError("flight_events must be >= 1")
+
+    def sanitizer_factory(sim: Any) -> SimSanitizer:
+        """A live sanitizer for a new simulator, collected here."""
+        sanitizer = SimSanitizer(sim, flight_events=int(flight_events),
+                                 dump_dir=dump_dir,
+                                 label=f"sanitized{len(_sanitizers)}")
+        _sanitizers.append(sanitizer)
+        return sanitizer
+
     _sanitizers.clear()
+    HOOKS["sanitizer"] = sanitizer_factory
 
 
 def disable_sanitizer() -> None:
     """Turn the sanitizer off and drop every collected instance."""
-    global _active
-    _active = False
+    HOOKS["sanitizer"] = None
     _sanitizers.clear()
-
-
-def sanitizer_for(sim: Any) -> Optional["SimSanitizer"]:
-    """A live sanitizer for a new simulator, or ``None`` when off."""
-    if not _active:
-        return None
-    sanitizer = SimSanitizer(sim, flight_events=_flight_events,
-                             dump_dir=_dump_dir,
-                             label=f"sanitized{len(_sanitizers)}")
-    _sanitizers.append(sanitizer)
-    return sanitizer
 
 
 def sanitizers() -> List["SimSanitizer"]:
@@ -220,19 +218,8 @@ class SimSanitizer:
             doc["violations"] = [
                 {"kind": v.kind, "t_ns": v.t_ns, "detail": v.detail}
                 for v in self.violations]
-            directory = self._dump_dir or "."
-            base = "".join(c if c.isalnum() or c in "-_" else "-"
-                           for c in self.label) or "sim"
-            path = os.path.join(directory, f"sanitizer-{base}.json")
-            suffix = 1
-            while os.path.exists(path):
-                suffix += 1
-                path = os.path.join(directory,
-                                    f"sanitizer-{base}-{suffix}.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            self.dumped_to = path
-            return path
+            self.dumped_to = write_post_mortem(doc, self._dump_dir,
+                                               "sanitizer", self.label)
+            return self.dumped_to
         except Exception:  # pragma: no cover - defensive: never mask the run
             return None

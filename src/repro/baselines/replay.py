@@ -64,7 +64,7 @@ class ClosedLoopReplayer:
                     latency.record(sim.now - start)
                     bandwidth.record(req.nbytes, sim.now)
 
-        wall0 = _time.perf_counter()  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
+        wall0 = _time.perf_counter()
         procs = [sim.process(one_slot()) for _ in range(iodepth)]
 
         def waiter():
@@ -72,7 +72,7 @@ class ClosedLoopReplayer:
                 yield proc
 
         sim.run_process(waiter())
-        wall = _time.perf_counter() - wall0  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
+        wall = _time.perf_counter() - wall0
         elapsed = sim.now
         return ReplayResult(
             bandwidth_mbps=bandwidth.mbps(),

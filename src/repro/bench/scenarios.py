@@ -80,9 +80,9 @@ def kernel_churn(profile: str = "full") -> ScenarioResult:
         sim.process(worker(i))
     sim.process(drain(n_workers * n_rounds))
 
-    wall0 = time.perf_counter()  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
+    wall0 = time.perf_counter()
     sim.run()
-    wall = time.perf_counter() - wall0  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
+    wall = time.perf_counter() - wall0
     return ScenarioResult("kernel_churn", profile, wall,
                           sim.events_processed, sim.now, {})
 
@@ -98,10 +98,10 @@ def randread_nvme(profile: str = "full") -> ScenarioResult:
     n_ios = {"smoke": 300, "full": 3000}[profile]
     system = FullSystem(device=presets.intel750(), interface="nvme")
     system.precondition()
-    wall0 = time.perf_counter()  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
+    wall0 = time.perf_counter()
     res = system.run_fio(FioJob(rw="randread", bs=4096, iodepth=16,
                                 total_ios=n_ios))
-    wall = time.perf_counter() - wall0  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
+    wall = time.perf_counter() - wall0
     return ScenarioResult(
         "randread_nvme", profile, wall,
         system.sim.events_processed, system.sim.now,
@@ -150,10 +150,10 @@ def write_storm_gc(profile: str = "full") -> ScenarioResult:
     system.precondition()
     capacity = system.device_sectors * 512
     n_ios = max(50, int(capacity * multiplier) // 4096)
-    wall0 = time.perf_counter()  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
+    wall0 = time.perf_counter()
     res = system.run_fio(FioJob(rw="randwrite", bs=4096, iodepth=16,
                                 total_ios=n_ios, warmup_fraction=0.5))
-    wall = time.perf_counter() - wall0  # simlint: disable=SIM101 -- measuring simulator speed; wall_seconds is a golden VOLATILE_KEY
+    wall = time.perf_counter() - wall0
     return ScenarioResult(
         "write_storm_gc", profile, wall,
         system.sim.events_processed, system.sim.now,

@@ -23,7 +23,7 @@ from repro.host.platform import HostPlatform, mobile_platform, pc_platform
 from repro.hostos.blocklayer import BlockLayer
 from repro.hostos.kernel import KernelProfile, kernel_by_version
 from repro.hostos.pagecache import PageCache
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD

@@ -31,27 +31,28 @@ import importlib
 import sys
 import time
 
-from repro.obs import (
-    causal_summary,
-    disable_causal,
-    disable_profiling,
-    enable_causal,
-    disable_telemetry,
-    disable_tracing,
-    enable_profiling,
-    enable_telemetry,
-    enable_tracing,
+from repro.obs.causal import causal_summary, disable_causal, enable_causal
+from repro.obs.diff import write_causal_report
+from repro.obs.export import (
     format_breakdown,
     latency_breakdown,
-    merge_spans,
-    metric_snapshots,
-    tracers,
     write_chrome_trace,
     write_metrics_csv,
-    write_profile,
-    write_report,
 )
-from repro.obs.diff import write_causal_report
+from repro.obs.profiler import (
+    disable_profiling,
+    enable_profiling,
+    write_profile,
+)
+from repro.obs.report import write_report
+from repro.obs.runtime import (
+    disable_tracing,
+    enable_tracing,
+    metric_snapshots,
+    tracers,
+)
+from repro.obs.telemetry import disable_telemetry, enable_telemetry
+from repro.sim.tracer import merge_spans
 
 EXPERIMENTS = {
     "tables": "repro.experiments.tables",
@@ -133,9 +134,9 @@ def main(argv=None) -> int:
     if args.explain:
         enable_causal()
     try:
-        started = time.perf_counter()  # simlint: disable=SIM101, SIM110 -- wall-clock progress display only; never enters results
+        started = time.perf_counter()  # simlint: disable=SIM110 -- wall-clock progress display only; never enters results
         result = module.run(quick=not args.full)
-        elapsed = time.perf_counter() - started  # simlint: disable=SIM101, SIM110 -- wall-clock progress display only; never enters results
+        elapsed = time.perf_counter() - started  # simlint: disable=SIM110 -- wall-clock progress display only; never enters results
         print(module.render(result))
         if args.trace:
             n_events = write_chrome_trace(args.trace, tracers())

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 from repro.core import presets
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem
-from repro.obs import collect_metrics
+from repro.obs.runtime import collect_metrics
 from repro.ssd.config import SSDConfig
 from repro.workloads.synthetic import PATTERN_RW
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.common.instructions import InstructionMix
-from repro.obs.tracer import NULL_SPAN_CONTEXT
 from repro.common.iorequest import IOKind
 from repro.host.dma import DmaEngine, PointerList
 from repro.interfaces.nvme.host import NvmeDriver
@@ -21,6 +20,7 @@ from repro.interfaces.nvme.structures import (
     NvmeOpcode,
     SubmissionEntry,
 )
+from repro.sim.tracer import NULL_SPAN_CONTEXT
 from repro.ssd.device import SSD
 from repro.ssd.firmware.requests import DeviceCommand
 

@@ -25,7 +25,7 @@ from repro.interfaces.nvme.structures import (
     SubmissionEntry,
     TransferMode,
 )
-from repro.obs.tracer import NULL_SPAN_CONTEXT
+from repro.sim.tracer import NULL_SPAN_CONTEXT
 
 _HOST_PAGE = 4096
 _PRP_ENTRY_BYTES = 8

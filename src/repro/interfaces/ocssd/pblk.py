@@ -21,7 +21,7 @@ from repro.host.memory import HostMemory
 from repro.host.pcie import PcieLink
 from repro.interfaces.base import HostAdapter
 from repro.interfaces.ocssd.controller import OcssdController
-from repro.obs.tracer import NULL_SPAN_CONTEXT
+from repro.sim.tracer import NULL_SPAN_CONTEXT
 
 UNMAPPED = -1
 

@@ -23,7 +23,7 @@ from repro.interfaces.sata.fis import (
     FisType,
     prdt_for,
 )
-from repro.obs.tracer import NULL_SPAN_CONTEXT
+from repro.sim.tracer import NULL_SPAN_CONTEXT
 
 NCQ_SLOTS = 32
 _COMMAND_TABLE_BYTES = 256      # command FIS + ATAPI + PRDT header

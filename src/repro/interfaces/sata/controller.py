@@ -13,7 +13,7 @@ from repro.common.iorequest import IOKind, IORequest
 from repro.host.dma import DmaEngine, PointerList
 from repro.interfaces.sata.ahci import AhciHba
 from repro.interfaces.sata.fis import FIS_SIZES, AhciCommand, FisType
-from repro.obs.tracer import NULL_SPAN_CONTEXT
+from repro.sim.tracer import NULL_SPAN_CONTEXT
 from repro.ssd.device import SSD
 from repro.ssd.firmware.requests import DeviceCommand
 

@@ -7,7 +7,7 @@ from repro.common.iorequest import IOKind, IORequest
 from repro.host.dma import DmaEngine, PointerList
 from repro.interfaces.ufs.upiu import UPIU_SIZES, UpiuType, Utrd
 from repro.interfaces.ufs.utp import UtpEngine
-from repro.obs.tracer import NULL_SPAN_CONTEXT
+from repro.sim.tracer import NULL_SPAN_CONTEXT
 from repro.ssd.device import SSD
 from repro.ssd.firmware.requests import DeviceCommand
 

@@ -22,7 +22,7 @@ from repro.interfaces.ufs.upiu import (
     Utrd,
     utrd_for,
 )
-from repro.obs.tracer import NULL_SPAN_CONTEXT
+from repro.sim.tracer import NULL_SPAN_CONTEXT
 
 _UTRD_BYTES = 32
 _PRDT_ENTRY_BYTES = 16

@@ -1,6 +1,6 @@
 """Per-request causal latency forensics: exact component decomposition.
 
-The span tracer (:mod:`repro.obs.tracer`) answers *where time was
+The span tracer (:mod:`repro.sim.tracer`) answers *where time was
 spent*; this module answers *why a particular request was slow*.  A
 :class:`CausalTracer` streams every span begin/end on a track into a
 **self-time partition**: at each event, the simulated time elapsed
@@ -66,7 +66,7 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.histogram import LogHistogram
-from repro.obs.tracer import Span, Tracer
+from repro.sim.tracer import Span, Tracer
 
 #: the fixed component order (stable across reports and goldens)
 COMPONENTS = ("host_queue", "nvme_sq", "hil_arb", "icl", "ftl", "gc_stall",
@@ -138,7 +138,7 @@ class _TrackState:
 class CausalTracer(Tracer):
     """A tracer that folds spans into exact causal latency records.
 
-    Drop-in for :class:`~repro.obs.tracer.Tracer` (every instrumented
+    Drop-in for :class:`~repro.sim.tracer.Tracer` (every instrumented
     call site keeps working, including Chrome-trace export when span
     retention is on), plus the streaming self-time partition described
     in the module docstring.  ``retain_spans=False`` (the default when
@@ -390,6 +390,7 @@ def enable_causal(top_k: int = 8) -> None:
     _active = True
     _top_k = top_k
     _collectors.clear()
+    _sync_tracer_slot()
 
 
 def disable_causal() -> None:
@@ -397,6 +398,13 @@ def disable_causal() -> None:
     global _active
     _active = False
     _collectors.clear()
+    _sync_tracer_slot()
+
+
+def _sync_tracer_slot() -> None:
+    """Refill the kernel's tracer slot, which capture shares with tracing."""
+    from repro.obs import runtime  # imports this module at its top
+    runtime.sync_tracer_slot()
 
 
 def causal_tracer_for(clock, retain_spans: bool = False) -> CausalTracer:

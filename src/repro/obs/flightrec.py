@@ -5,7 +5,8 @@ Every telemetry-enabled :class:`~repro.sim.Simulator` carries a
 event type), plus hooks to capture open spans and the latest metric
 sample at the moment something goes wrong.  When a ``run_process`` run
 raises — a failed golden, a hypothesis shrink, an orphaned process
-failure — the recorder writes a JSON post-mortem next to the run, so
+failure — its owner writes a JSON post-mortem next to the run with
+:func:`write_post_mortem`, the one writer the sanitizer uses too, so
 the failure comes with the device's last moments attached instead of
 just a traceback.
 
@@ -16,14 +17,15 @@ memory is bounded regardless of run length.
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 
 class FlightRecorder:
-    """Bounded ring of recent simulator activity plus a JSON dump."""
+    """Bounded ring of recent simulator activity and its post-mortem."""
 
-    __slots__ = ("capacity", "_events", "label", "dumped_to")
+    __slots__ = ("capacity", "_events", "label")
 
     def __init__(self, capacity: int = 256, label: str = "") -> None:
         if capacity < 1:
@@ -31,7 +33,6 @@ class FlightRecorder:
         self.capacity = capacity
         self._events: Deque[Tuple[int, str]] = deque(maxlen=capacity)
         self.label = label
-        self.dumped_to: Optional[str] = None
 
     def note_event(self, t_ns: int, kind: str) -> None:
         """Record one processed event; O(1), evicting the oldest."""
@@ -75,13 +76,25 @@ class FlightRecorder:
                                    for name, value in sorted(metrics.items())}
         return doc
 
-    def dump(self, path: str, sim=None,
-             error: Optional[BaseException] = None,
-             metrics: Optional[Dict[str, float]] = None) -> str:
-        """Write the post-mortem JSON to ``path``; returns the path."""
-        doc = self.snapshot(sim=sim, error=error, metrics=metrics)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        self.dumped_to = path
-        return path
+
+def write_post_mortem(doc: Dict, dump_dir: Optional[str], prefix: str,
+                      label: str) -> str:
+    """Write ``doc`` as JSON to a free ``<dump_dir>/<prefix>-<label>.json``
+    and return that path.
+
+    The label is made file-name safe (``sim`` if nothing is left), and
+    ``-2``, ``-3``, … is appended until no file of that name exists.
+    ``dump_dir`` defaults to the current directory.
+    """
+    directory = dump_dir or "."
+    base = "".join(c if c.isalnum() or c in "-_" else "-"
+                   for c in label) or "sim"
+    path = os.path.join(directory, f"{prefix}-{base}.json")
+    suffix = 1
+    while os.path.exists(path):
+        suffix += 1
+        path = os.path.join(directory, f"{prefix}-{base}-{suffix}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    return path

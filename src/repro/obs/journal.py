@@ -52,9 +52,9 @@ def wall_now() -> float:
 
     Journal stamps, heartbeat ages and ETA math all flow through this
     single accessor; simulated logic must keep deriving timestamps from
-    ``sim.now`` (simlint SIM101/SIM110 enforce the split).
+    ``sim.now`` (simlint SIM110 enforces the split).
     """
-    return time.time()  # simlint: disable=SIM101 -- the journal is the designated wall-clock artifact; stamps never enter stored results
+    return time.time()
 
 
 def journal_path_for(store_root: Union[str, Path]) -> Path:

@@ -3,11 +3,12 @@
 The paper's pitch — modeling all SSD resources is affordable — lives or
 dies on simulator speed, and speeding it up needs to know **which models
 burn the wall clock**, not just how long a whole run took.  Tracing
-(:mod:`repro.obs.tracer`) answers that in *simulated* time; this module
+(:mod:`repro.sim.tracer`) answers that in *simulated* time; this module
 answers it in *host* time.
 
-When :func:`enable_profiling` is armed, every new
-:class:`~repro.sim.Simulator` carries a :class:`WallProfiler` as the
+When :func:`enable_profiling` is armed, it installs a factory in the
+kernel's ``profiler`` slot (:data:`repro.sim.engine.HOOKS`), and every
+new :class:`~repro.sim.Simulator` carries a :class:`WallProfiler` as the
 last observer in its single observer slot.  Before each dispatch it
 swaps a non-empty callback list for one timing wrapper that calls the
 same callbacks in the same order between two ``perf_counter`` reads,
@@ -25,7 +26,7 @@ dispatches, booked under ``sim``.
 The profiler schedules nothing and the wrapper runs the very callbacks
 the loop would have run, so a profiled run is **bit-identical** to a
 plain one (``tests/test_obs_profiler.py`` pins this against the perf
-scenarios).  Off — the default — :func:`profiler_for` returns ``None``.
+scenarios).  Off — the default — the slot is empty.
 
 Exports: :func:`attribution` (merged per-layer totals),
 :func:`attribution_markdown` (the table the next perf PR reads) and
@@ -46,6 +47,8 @@ import json
 import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.sim.engine import HOOKS
 
 #: (path fragment, layer) — first match wins, checked on "/"-normalized
 #: code-object filenames; the order goes from most to least specific.
@@ -72,14 +75,12 @@ _CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
     ("/repro/sim/", "sim"),
 )
 
-_active = False
-_max_slices = 2048
 _profilers: List["WallProfiler"] = []
 
 
 def profiling_enabled() -> bool:
     """True while the process-wide profiling switch is on."""
-    return _active
+    return HOOKS["profiler"] is not None
 
 
 def enable_profiling(max_slices: int = 2048) -> None:
@@ -89,29 +90,24 @@ def enable_profiling(max_slices: int = 2048) -> None:
     slices each profiler retains for the Chrome trace; attribution
     totals always cover every event regardless.
     """
-    global _active, _max_slices
     if max_slices < 1:
         raise ValueError("max_slices must be >= 1")
-    _active = True
-    _max_slices = int(max_slices)
+
+    def profiler_factory(sim) -> WallProfiler:
+        """A live profiler for a new simulator, collected here."""
+        profiler = WallProfiler(label=f"system{len(_profilers)}",
+                                max_slices=int(max_slices))
+        _profilers.append(profiler)
+        return profiler
+
     _profilers.clear()
+    HOOKS["profiler"] = profiler_factory
 
 
 def disable_profiling() -> None:
     """Turn profiling off and drop every collected profiler."""
-    global _active
-    _active = False
+    HOOKS["profiler"] = None
     _profilers.clear()
-
-
-def profiler_for(sim) -> Optional["WallProfiler"]:
-    """A live profiler for a new simulator, or ``None`` when off."""
-    if not _active:
-        return None
-    profiler = WallProfiler(label=f"system{len(_profilers)}",
-                            max_slices=_max_slices)
-    _profilers.append(profiler)
-    return profiler
 
 
 def profilers() -> List["WallProfiler"]:
@@ -198,13 +194,13 @@ class WallProfiler:
         """
         t_start = self._t_start
         if t_start is None:
-            t_start = self._t_start = time.perf_counter()  # simlint: disable=SIM101 -- the profiler's own wall-clock measurement; never enters simulated state
+            t_start = self._t_start = time.perf_counter()
         callbacks = event.callbacks
         if callbacks:
             self._pending = (callbacks, _callback_code(callbacks[0]), t_start)
             event.callbacks = self._timed
         else:
-            self.record(None, time.perf_counter() - t_start, 0.0)  # simlint: disable=SIM101 -- the profiler's own wall-clock measurement; never enters simulated state
+            self.record(None, time.perf_counter() - t_start, 0.0)
 
     def _timed_dispatch(self, event) -> None:
         """Run the pending callbacks between two clock reads."""
@@ -220,7 +216,7 @@ class WallProfiler:
         t_start, self._t_start = self._t_start, None
         wall_s = 0.0
         if t_start is not None:
-            wall_s = time.perf_counter() - t_start  # simlint: disable=SIM101 -- the profiler's own wall-clock measurement; never enters simulated state
+            wall_s = time.perf_counter() - t_start
         self.note_run(wall_s)
 
     def on_failure(self, error: BaseException) -> None:

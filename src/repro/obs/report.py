@@ -19,7 +19,7 @@ from typing import Dict, List
 from repro.obs.export import format_breakdown, latency_breakdown, span_histograms
 from repro.obs.histogram import LogHistogram
 from repro.obs.timeseries import TimeSeries, sparkline
-from repro.obs.tracer import merge_spans
+from repro.sim.tracer import merge_spans
 
 
 def gather(title: str) -> Dict:

@@ -3,16 +3,19 @@
 Experiments build a fresh :class:`~repro.sim.Simulator` per data point,
 so there is no single object a CLI flag could hand a tracer to.  This
 module is the rendezvous: :func:`enable_tracing` flips a process-wide
-switch, after which every newly-constructed ``Simulator`` asks
-:func:`tracer_for` and receives a live :class:`~repro.obs.tracer.Tracer`
+switch and installs :func:`tracer_for` in the kernel's ``tracer`` slot
+(:data:`repro.sim.engine.HOOKS`), after which every newly-constructed
+``Simulator`` receives a live :class:`~repro.sim.tracer.Tracer`
 (registered here for later export) instead of the shared
-:data:`~repro.obs.tracer.NULL_TRACER`.  Metric snapshots taken at the
+:data:`~repro.sim.tracer.NULL_TRACER`.  Causal capture
+(:mod:`repro.obs.causal`) shares the slot: :func:`tracer_for` stays
+installed while either switch is on.  Metric snapshots taken at the
 end of each run land here too, labelled per system.
 
-With the switch off — the default, and the state every tier-1 test runs
-under — :func:`tracer_for` returns the null tracer and both collection
-functions are no-ops, so simulation behaviour and figure output are
-byte-identical to a build without this module.
+With both switches off — the default, and the state every tier-1 test
+runs under — the slot is empty, every simulator keeps the null tracer
+and both collection functions are no-ops, so simulation behaviour and
+figure output are byte-identical to a build without this module.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.obs import causal as _causal
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.sim.engine import HOOKS
+from repro.sim.tracer import Tracer
 
 _active = False
 _tracers: List[Tracer] = []
@@ -38,6 +42,7 @@ def enable_tracing() -> None:
     _active = True
     _tracers.clear()
     _metric_snapshots.clear()
+    sync_tracer_slot()
 
 
 def disable_tracing() -> None:
@@ -46,10 +51,19 @@ def disable_tracing() -> None:
     _active = False
     _tracers.clear()
     _metric_snapshots.clear()
+    sync_tracer_slot()
+
+
+def sync_tracer_slot() -> None:
+    """Install :func:`tracer_for` in the kernel while tracing or causal
+    capture is on, and empty the slot once both are off."""
+    on = _active or _causal.causal_enabled()
+    HOOKS["tracer"] = tracer_for if on else None
 
 
 def tracer_for(clock) -> Tracer:
-    """Tracer for a new simulator: live and collected, or the null one.
+    """The kernel's tracer factory: a live tracer for a new simulator,
+    collected here while tracing is on.
 
     When causal capture (:mod:`repro.obs.causal`) is armed the tracer is
     a :class:`~repro.obs.causal.CausalTracer` — still a full span tracer
@@ -58,13 +72,10 @@ def tracer_for(clock) -> Tracer:
     """
     if _causal.causal_enabled():
         tracer = _causal.causal_tracer_for(clock, retain_spans=_active)
-        if _active:
-            _tracers.append(tracer)
-        return tracer
-    if not _active:
-        return NULL_TRACER
-    tracer = Tracer(clock)
-    _tracers.append(tracer)
+    else:
+        tracer = Tracer(clock)
+    if _active:
+        _tracers.append(tracer)
     return tracer
 
 

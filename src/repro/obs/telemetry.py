@@ -2,14 +2,14 @@
 
 Like span tracing (:mod:`repro.obs.runtime`), telemetry is a
 process-wide switch because experiments build a fresh ``Simulator`` per
-data point.  :func:`enable_telemetry` arms it; afterwards every new
-``Simulator`` asks :func:`probe_for` and receives a live
-:class:`TelemetryProbe`, which it puts first in its single observer
-slot; the event loop calls the probe once per processed event.  With
-the switch off — the default and the tier-1 state — :func:`probe_for`
-returns ``None`` and costs the loop nothing beyond its one ``is None``
-test per event, scheduling nothing, so runs are bit-identical to a
-build without this module.
+data point.  :func:`enable_telemetry` installs a probe factory in the
+kernel's ``telemetry`` slot (:data:`repro.sim.engine.HOOKS`); afterwards
+every new ``Simulator`` receives a live :class:`TelemetryProbe`, which
+it puts first in its single observer slot; the event loop calls the
+probe once per processed event.  With the switch off — the default and
+the tier-1 state — the slot is empty and costs the loop nothing beyond
+its one ``is None`` test per event, scheduling nothing, so runs are
+bit-identical to a build without this module.
 
 The probe does three things, all in *observation only* — it never
 schedules events, acquires resources or advances the clock, so even
@@ -31,27 +31,19 @@ every figure byte-identical (a pinned test holds this to any
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.flightrec import FlightRecorder
+from repro.obs.flightrec import FlightRecorder, write_post_mortem
 from repro.obs.timeseries import TimeSeries
+from repro.sim.engine import HOOKS
 
-#: sentinel "never fires" deadline for disabled epoch sampling
-_NEVER = 1 << 62
-
-_active = False
-_epoch_ns = 100_000
-_flight_events = 256
-_max_points = 512
-_dump_dir: Optional[str] = None
 _probes: List["TelemetryProbe"] = []
 _epoch_listener: Optional[Callable[["TelemetryProbe", int], None]] = None
 
 
 def telemetry_enabled() -> bool:
     """True while the process-wide telemetry switch is on."""
-    return _active
+    return HOOKS["telemetry"] is not None
 
 
 def enable_telemetry(epoch_ns: int = 100_000, flight_events: int = 256,
@@ -62,23 +54,32 @@ def enable_telemetry(epoch_ns: int = 100_000, flight_events: int = 256,
     ``epoch_ns`` is the sampling period in simulated ns; ``flight_events``
     bounds the flight-recorder ring; ``max_points`` bounds each time
     series; ``dump_dir`` is where failure post-mortems are written
-    (default: the current directory).
+    (default: the current directory).  Bad values raise here, not when
+    the first simulator or epoch would use them.
     """
-    global _active, _epoch_ns, _flight_events, _max_points, _dump_dir
     if epoch_ns < 1:
         raise ValueError("epoch_ns must be >= 1")
-    _active = True
-    _epoch_ns = int(epoch_ns)
-    _flight_events = int(flight_events)
-    _max_points = int(max_points)
-    _dump_dir = dump_dir
+    if flight_events < 1:
+        raise ValueError("flight_events must be >= 1")
+    if max_points < 4:
+        raise ValueError("max_points must be >= 4")
+
+    def probe_factory(sim) -> TelemetryProbe:
+        """A live probe for a new simulator, collected here."""
+        probe = TelemetryProbe(sim, epoch_ns=int(epoch_ns),
+                               flight_events=int(flight_events),
+                               max_points=int(max_points), dump_dir=dump_dir,
+                               label=f"system{len(_probes)}")
+        _probes.append(probe)
+        return probe
+
     _probes.clear()
+    HOOKS["telemetry"] = probe_factory
 
 
 def disable_telemetry() -> None:
     """Turn telemetry off and drop every collected probe."""
-    global _active
-    _active = False
+    HOOKS["telemetry"] = None
     _probes.clear()
 
 
@@ -96,18 +97,6 @@ def set_epoch_listener(
     """
     global _epoch_listener
     _epoch_listener = listener
-
-
-def probe_for(sim) -> Optional["TelemetryProbe"]:
-    """A live probe for a new simulator, or ``None`` when off."""
-    if not _active:
-        return None
-    probe = TelemetryProbe(sim, epoch_ns=_epoch_ns,
-                           flight_events=_flight_events,
-                           max_points=_max_points, dump_dir=_dump_dir,
-                           label=f"system{len(_probes)}")
-    _probes.append(probe)
-    return probe
 
 
 def probes() -> List["TelemetryProbe"]:
@@ -132,7 +121,7 @@ class TelemetryProbe:
 
     __slots__ = ("sim", "epoch_ns", "next_due", "max_points", "series",
                  "flight", "label", "epochs_sampled", "_readers",
-                 "_dump_dir", "_registry")
+                 "_dump_dir", "_registry", "dumped_to")
 
     def __init__(self, sim, epoch_ns: int, flight_events: int,
                  max_points: int, dump_dir: Optional[str],
@@ -146,6 +135,7 @@ class TelemetryProbe:
         self.label = label
         self.epochs_sampled = 0
         self._dump_dir = dump_dir
+        self.dumped_to: Optional[str] = None
         self._registry = None
         # built-in engine gauges, available even for bare simulators
         self._readers: List[Tuple[str, Callable[[], float]]] = [
@@ -209,16 +199,10 @@ class TelemetryProbe:
         Never raises: a broken dump must not mask the original failure.
         """
         try:
-            directory = self._dump_dir or "."
-            base = "".join(c if c.isalnum() or c in "-_" else "-"
-                           for c in self.label) or "sim"
-            path = os.path.join(directory, f"flightrec-{base}.json")
-            suffix = 1
-            while os.path.exists(path):
-                suffix += 1
-                path = os.path.join(directory,
-                                    f"flightrec-{base}-{suffix}.json")
-            return self.flight.dump(path, sim=self.sim, error=error,
-                                    metrics=self.last_sample() or None)
+            doc = self.flight.snapshot(sim=self.sim, error=error,
+                                       metrics=self.last_sample() or None)
+            self.dumped_to = write_post_mortem(doc, self._dump_dir,
+                                               "flightrec", self.label)
+            return self.dumped_to
         except Exception:       # pragma: no cover - defensive
             return None

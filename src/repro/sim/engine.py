@@ -17,14 +17,24 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
-from repro.analysis.sanitizer import sanitizer_for
-from repro.obs.profiler import profiler_for
-from repro.obs.runtime import tracer_for
-from repro.obs.telemetry import probe_for
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
+from repro.sim.tracer import NULL_TRACER
+
+#: The instrument factories a new simulator calls with itself, one slot
+#: each.  The instruments fill the table from above: each ``enable_*``
+#: installs its factory and each ``disable_*`` puts back ``None``, so the
+#: kernel imports none of them.  ``tracer`` builds ``sim.tracer``
+#: (``NULL_TRACER`` while the slot is empty); the other three build the
+#: loop's observers, and the table's order is their fan-out order.
+HOOKS: Dict[str, Optional[Callable[[Any], Any]]] = {
+    "tracer": None,
+    "telemetry": None,
+    "sanitizer": None,
+    "profiler": None,
+}
 
 
 class EmptySchedule(Exception):
@@ -74,14 +84,16 @@ class Simulator:
     ``events_processed``, so a cancel storm does not perturb the
     simulation-speed metric.
 
-    Every simulator carries a ``tracer`` (see :mod:`repro.obs`): the
+    Construction calls every factory installed in :data:`HOOKS`.  Every
+    simulator carries a ``tracer`` (see :mod:`repro.sim.tracer`): the
     shared no-op ``NULL_TRACER`` by default, or a live span recorder when
-    process-wide tracing is enabled.  Spans record simulated time only
-    and never schedule events, so tracing cannot perturb results.
+    process-wide tracing or causal capture is on.  Spans record
+    simulated time only and never schedule events, so tracing cannot
+    perturb results.
 
     ``telemetry``, ``sanitizer`` and ``profiler`` are ``None`` unless
-    their process-wide switch was armed before construction, which folds
-    the armed ones into one observer slot: ``None``, the one hook, or a
+    their factory was installed before construction, which folds the
+    armed ones into one observer slot: ``None``, the one hook, or a
     fan-out in that order.  The loop calls ``on_event(when, event)``
     before each live event's callbacks and ``on_stop(drained)`` on every
     exit, a raise included (``drained``: ``run()`` without ``until``
@@ -99,12 +111,13 @@ class Simulator:
         self._sequence: Iterator[int] = count()
         self._event_count: int = 0
         self._orphan_failures: list = []
-        self.tracer = tracer_for(self)
-        self.telemetry = probe_for(self)
-        self.sanitizer = sanitizer_for(self)
-        self.profiler = profiler_for(self)
-        armed = [hook for hook in (self.telemetry, self.sanitizer,
-                                   self.profiler) if hook is not None]
+        hooks = {slot: factory(self) for slot, factory in HOOKS.items()
+                 if factory is not None}
+        self.tracer = hooks.pop("tracer", NULL_TRACER)
+        self.telemetry = hooks.get("telemetry")
+        self.sanitizer = hooks.get("sanitizer")
+        self.profiler = hooks.get("profiler")
+        armed = list(hooks.values())
         self._observer = (None if not armed else armed[0] if len(armed) == 1
                           else _FanOut(armed))
 

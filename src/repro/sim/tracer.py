@@ -6,10 +6,13 @@ time such as ``io.submit`` or ``flash.read`` — keyed by a *track*
 reserved for background work like GC and cache flushing).  Spans never
 consume simulated time, so enabling tracing cannot perturb results.
 
-When tracing is off (the default) every component sees
-:data:`NULL_TRACER`, whose operations are no-ops returning shared
-singletons, so the instrumented hot paths cost one attribute lookup and
-one trivially-inlined call.  Span-creation sites therefore read::
+The kernel owns this module, which imports no other ``repro`` module:
+every :class:`~repro.sim.Simulator` starts with :data:`NULL_TRACER`,
+and only a tracer factory installed from above (``repro.obs.runtime``,
+while tracing or causal capture is on) hands it a live one.  The null
+tracer's operations are no-ops returning shared singletons, so the
+instrumented hot paths cost one attribute lookup and one
+trivially-inlined call.  Span-creation sites therefore read::
 
     with self.sim.tracer.span("ftl.translate", track):
         yield from ...          # simulated work being measured

@@ -14,8 +14,8 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.instructions import InstructionMix
-from repro.obs.tracer import NULL_SPAN_CONTEXT
 from repro.sim import AllOf, Resource
+from repro.sim.tracer import NULL_SPAN_CONTEXT
 from repro.ssd.computation.cores import CpuComplex
 from repro.ssd.computation.dram import InternalDram
 from repro.ssd.config import SSDConfig

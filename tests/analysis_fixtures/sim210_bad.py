@@ -1,7 +1,7 @@
 """SIM210 fixture: nondeterminism crossing call edges into state.
 
-The individual helpers also trip the per-file source rules (SIM101,
-SIM102) at the read site — SIM210 is the *transitive* finding at the
+The individual helpers also trip the per-file source rules (SIM102,
+SIM110) at the read site — SIM210 is the *transitive* finding at the
 store site, where the per-file rules are blind.
 """
 

@@ -26,17 +26,17 @@ from repro.analysis.tables import format_series, format_table
 class TestParseSuppressions:
     def test_single_rule_with_reason(self):
         got = parse_suppressions(
-            "x = 1  # simlint: disable=SIM101 -- timing the linter\n")
-        assert got == {1: Suppression(1, ("SIM101",),
+            "x = 1  # simlint: disable=SIM110 -- timing the linter\n")
+        assert got == {1: Suppression(1, ("SIM110",),
                                       "timing the linter")}
 
     def test_multi_rule_disable_covers_each_listed_rule(self):
         got = parse_suppressions(
-            "x = 1  # simlint: disable=SIM101, sim110 -- one reason\n")
+            "x = 1  # simlint: disable=SIM102, sim110 -- one reason\n")
         sup = got[1]
-        assert sup.rules == ("SIM101", "SIM110")  # normalized upper
-        assert sup.covers("SIM101") and sup.covers("SIM110")
-        assert not sup.covers("SIM102")
+        assert sup.rules == ("SIM102", "SIM110")  # normalized upper
+        assert sup.covers("SIM102") and sup.covers("SIM110")
+        assert not sup.covers("SIM103")
 
     def test_all_sentinel_covers_everything(self):
         got = parse_suppressions(
@@ -45,13 +45,13 @@ class TestParseSuppressions:
 
     def test_missing_reason_yields_empty_reason(self):
         # the registry turns this into SIM100; the parser just records it
-        got = parse_suppressions("x = 1  # simlint: disable=SIM101\n")
+        got = parse_suppressions("x = 1  # simlint: disable=SIM110\n")
         assert got[1].reason == ""
 
     def test_docstring_directive_is_not_a_suppression(self):
         source = textwrap.dedent('''
             def f():
-                """Write # simlint: disable=SIM101 -- like this."""
+                """Write # simlint: disable=SIM110 -- like this."""
                 return 1
         ''')
         assert parse_suppressions(source) == {}
@@ -73,7 +73,7 @@ class TestParseSuppressions:
         assert got[2].rules == ("SIM105",)
 
     def test_lines_are_one_indexed_and_per_line(self):
-        source = ("a = 1  # simlint: disable=SIM101 -- first\n"
+        source = ("a = 1  # simlint: disable=SIM110 -- first\n"
                   "b = 2\n"
                   "c = 3  # simlint: disable=SIM102 -- third\n")
         got = parse_suppressions(source)
@@ -94,17 +94,17 @@ class TestFindingSet:
         assert "\n    witness: stored at a.py:4" in text
 
     def test_suppressed_format_shows_reason(self):
-        finding = Finding(rule="SIM101", path="a.py", line=1, col=0,
+        finding = Finding(rule="SIM110", path="a.py", line=1, col=0,
                           message="m", suppressed=True, reason="bench")
         assert "[suppressed: bench]" in finding.format()
 
     def test_summary_counts_and_exit_code(self):
         fs = FindingSet()
-        fs.add(Finding("SIM101", "a.py", 1, 0, "m"))
-        fs.extend([Finding("SIM101", "a.py", 2, 0, "m"),
+        fs.add(Finding("SIM110", "a.py", 1, 0, "m"))
+        fs.extend([Finding("SIM110", "a.py", 2, 0, "m"),
                    Finding("SIM106", "b.py", 3, 0, "m",
                            suppressed=True, reason="r")])
-        assert fs.by_rule() == {"SIM101": 2}
+        assert fs.by_rule() == {"SIM110": 2}
         assert len(fs.suppressed) == 1
         assert fs.exit_code() == 1
         assert FindingSet().exit_code() == 0

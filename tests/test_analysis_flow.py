@@ -13,12 +13,11 @@ import textwrap
 from pathlib import Path
 
 import repro
-from repro.analysis import lint_paths, lint_source
 from repro.analysis.baseline import Baseline
 from repro.analysis.findings import META_RULE, Finding
 from repro.analysis.flow import Project, module_name_for
 from repro.analysis.flow.unitcheck import Unit, unit_of_identifier
-from repro.analysis.registry import iter_python_files
+from repro.analysis.registry import iter_python_files, lint_paths, lint_source
 
 
 def _write(tmp_path, name, source):
@@ -177,7 +176,7 @@ class TestTaint:
         _write(tmp_path, "repro/obs/journal.py", """
             import time
             def wall_now():
-                return time.time()  # simlint: disable=SIM101 -- sanctioned module
+                return time.time()
         """)
         _write(tmp_path, "repro/model.py", """
             from repro.obs.journal import wall_now
@@ -195,7 +194,7 @@ class TestTaint:
         _write(tmp_path, "repro/obs/journal.py", """
             import time
             def wall_now():
-                return time.time()  # simlint: disable=SIM101 -- sanctioned module
+                return time.time()
             class Journal:
                 def stamp(self):
                     self.t0 = wall_now()
@@ -205,11 +204,11 @@ class TestTaint:
 
     def test_direct_same_function_store_is_not_reported_twice(self):
         # the per-file rules own the intraprocedural case
-        findings = lint_source("repro/bench/direct.py", textwrap.dedent("""
+        findings = lint_source("repro/model/direct.py", textwrap.dedent("""
             import time
             class T:
                 def mark(self):
-                    self.t = time.time()  # simlint: disable=SIM101 -- bench
+                    self.t = time.time()  # simlint: disable=SIM110 -- fixture
         """))
         assert all(f.rule != "SIM210" for f in _unsup(findings))
 
@@ -445,4 +444,4 @@ class TestChanged:
         proc = _run_cli("lint", ".", "--changed", cwd=tmp_path)
         assert proc.returncode == 1
         assert "--changed ignored" in proc.stderr
-        assert "SIM101" in proc.stdout
+        assert "SIM110" in proc.stdout

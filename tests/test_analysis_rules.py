@@ -16,22 +16,26 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import all_rules, lint_paths, lint_source
 from repro.analysis.findings import META_RULE, parse_suppressions
-from repro.analysis.registry import all_project_rules
+from repro.analysis.registry import (
+    all_project_rules,
+    all_rules,
+    lint_paths,
+    lint_source,
+)
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
 #: rules with a bad/good file pair (SIM100 is the meta-rule, tested below)
-FIXTURE_RULES = ("SIM101", "SIM102", "SIM103", "SIM104",
-                 "SIM105", "SIM106", "SIM107", "SIM109", "SIM110")
+FIXTURE_RULES = ("SIM102", "SIM103", "SIM104", "SIM105",
+                 "SIM106", "SIM107", "SIM109", "SIM110")
 
 #: whole-project (simflow) rules, also covered by bad/good pairs
 PROJECT_FIXTURE_RULES = ("SIM201", "SIM202", "SIM203", "SIM210", "SIM220")
 
-#: a path inside a designated wall-clock module (SIM110 allowlist), so
-#: suppression-semantics tests exercise SIM101/SIM100 in isolation
-_BENCH_PATH = "repro/bench/snippet.py"
+#: a path outside the designated wall-clock modules, so SIM110 fires on
+#: a clock read and the suppression-semantics tests exercise it and SIM100
+_PLAIN_PATH = "repro/model/snippet.py"
 
 
 def _rule_ids(findings):
@@ -127,47 +131,47 @@ class TestSuppressions:
     def test_reasoned_suppression_silences_and_is_marked(self):
         source = ("import time\n"
                   "wall = time.time()  "
-                  "# simlint: disable=SIM101 -- measuring lint speed\n")
-        findings = lint_source(_BENCH_PATH, source)
+                  "# simlint: disable=SIM110 -- measuring lint speed\n")
+        findings = lint_source(_PLAIN_PATH, source)
         assert _rule_ids(findings) == set()
         suppressed = [f for f in findings if f.suppressed]
         assert len(suppressed) == 1
-        assert suppressed[0].rule == "SIM101"
+        assert suppressed[0].rule == "SIM110"
         assert suppressed[0].reason == "measuring lint speed"
 
     def test_bare_suppression_is_flagged_sim100(self):
         source = ("import time\n"
-                  "wall = time.time()  # simlint: disable=SIM101\n")
-        findings = lint_source(_BENCH_PATH, source)
+                  "wall = time.time()  # simlint: disable=SIM110\n")
+        findings = lint_source(_PLAIN_PATH, source)
         assert _rule_ids(findings) == {META_RULE}
 
     def test_useless_suppression_is_flagged_sim100(self):
-        source = "x = 1  # simlint: disable=SIM101 -- nothing here\n"
-        findings = lint_source(_BENCH_PATH, source)
+        source = "x = 1  # simlint: disable=SIM110 -- nothing here\n"
+        findings = lint_source(_PLAIN_PATH, source)
         assert _rule_ids(findings) == {META_RULE}
         assert "useless suppression" in findings[0].message
 
     def test_sim100_itself_cannot_be_suppressed(self):
         source = ("import time\n"
-                  "wall = time.time()  # simlint: disable=SIM101, SIM100\n")
-        findings = lint_source(_BENCH_PATH, source)
+                  "wall = time.time()  # simlint: disable=SIM110, SIM100\n")
+        findings = lint_source(_PLAIN_PATH, source)
         assert META_RULE in _rule_ids(findings)
 
     def test_multi_rule_suppression_covers_both(self):
         source = ("import time, random\n"
                   "x = time.time() + random.random()  "
-                  "# simlint: disable=SIM101, SIM102 -- fixture\n")
-        findings = lint_source(_BENCH_PATH, source)
+                  "# simlint: disable=SIM102, SIM110 -- fixture\n")
+        findings = lint_source(_PLAIN_PATH, source)
         assert _rule_ids(findings) == set()
         assert {f.rule for f in findings if f.suppressed} == \
-            {"SIM101", "SIM102"}
+            {"SIM102", "SIM110"}
 
     def test_directive_in_docstring_is_not_a_suppression(self):
-        source = ('"""Example: # simlint: disable=SIM101 -- docs only."""\n'
+        source = ('"""Example: # simlint: disable=SIM110 -- docs only."""\n'
                   "import time\n"
                   "wall = time.time()\n")
         assert parse_suppressions(source) == {}
-        assert _rule_ids(lint_source(_BENCH_PATH, source)) == {"SIM101"}
+        assert _rule_ids(lint_source(_PLAIN_PATH, source)) == {"SIM110"}
 
     def test_unparsable_file_reports_meta_finding(self):
         findings = lint_source("broken.py", "def oops(:\n")
@@ -189,12 +193,12 @@ def _run_cli(*args):
 
 class TestCli:
     def test_lint_bad_fixture_exits_nonzero(self):
-        proc = _run_cli("lint", str(FIXTURES / "sim101_bad.py"))
+        proc = _run_cli("lint", str(FIXTURES / "sim110_bad.py"))
         assert proc.returncode == 1
-        assert "SIM101" in proc.stdout
+        assert "SIM110" in proc.stdout
 
     def test_lint_good_fixture_exits_zero(self):
-        proc = _run_cli("lint", str(FIXTURES / "sim101_good.py"))
+        proc = _run_cli("lint", str(FIXTURES / "sim110_good.py"))
         assert proc.returncode == 0
         assert "clean" in proc.stderr
 
@@ -211,6 +215,7 @@ class TestCli:
         assert proc.returncode == 0
         for rule_id in FIXTURE_RULES + PROJECT_FIXTURE_RULES:
             assert rule_id in proc.stdout
+        assert "SIM101" not in proc.stdout
         assert "SIM108" not in proc.stdout
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import (
+from repro.analysis.sanitizer import (
     SanitizerError,
     all_violations,
     disable_sanitizer,
@@ -38,6 +38,16 @@ def _kinds(violations):
     return [v.kind for v in violations]
 
 
+def _fresh_python(code, **env):
+    """Run ``code`` in a fresh interpreter on this tree, with
+    ``REPRO_SANITIZE`` set only if ``env`` sets it."""
+    environ = {key: value for key, value in os.environ.items()
+               if key != "REPRO_SANITIZE"}
+    environ.update(env, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=environ,
+                          capture_output=True, text=True, timeout=120)
+
+
 # -- arming -------------------------------------------------------------------
 
 class TestArming:
@@ -60,15 +70,32 @@ class TestArming:
         assert sanitizers() == []
 
     def test_env_var_arms_a_fresh_process(self):
-        src_dir = Path(repro.__file__).parents[1]
-        env = dict(os.environ, REPRO_SANITIZE="1", PYTHONPATH=str(src_dir))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.sim import Simulator; "
-             "raise SystemExit(0 if Simulator().sanitizer is not None "
-             "else 1)"],
-            env=env, timeout=120)
-        assert proc.returncode == 0
+        proc = _fresh_python(
+            "from repro.sim import Simulator; "
+            "raise SystemExit(0 if Simulator().sanitizer is not None "
+            "else 1)", REPRO_SANITIZE="1")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_kernel_import_loads_only_the_kernel(self):
+        """The instruments arm ``repro.sim.engine.HOOKS`` from above, so a
+        bare ``import repro.sim`` loads nothing outside ``repro.sim``."""
+        proc = _fresh_python("import sys, repro.sim; print(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        loaded = [name for name in proc.stdout.split()
+                  if name.partition(".")[0] == "repro"]
+        assert "repro.sim.engine" in loaded
+        assert [name for name in loaded if name not in ("repro", "repro.sim")
+                and not name.startswith("repro.sim.")] == []
+
+    def test_causal_capture_alone_arms_a_fresh_process(self):
+        """``enable_causal`` fills the tracer slot through
+        ``repro.obs.runtime``, which nothing else has imported yet."""
+        proc = _fresh_python(
+            "from repro.obs import causal; causal.enable_causal(); "
+            "from repro.sim import Simulator; "
+            "raise SystemExit(0 if isinstance(Simulator().tracer, "
+            "causal.CausalTracer) else 1)")
+        assert proc.returncode == 0, proc.stderr
 
 
 # -- violation classes --------------------------------------------------------

@@ -7,8 +7,8 @@ import time
 from pathlib import Path
 
 import repro
-from repro.analysis import lint_paths, lint_source
 from repro.analysis.baseline import Baseline
+from repro.analysis.registry import lint_paths, lint_source
 
 PACKAGE_DIR = Path(repro.__file__).parent
 ENGINE = PACKAGE_DIR / "sim" / "engine.py"
@@ -47,13 +47,13 @@ class TestSelfCheck:
         """The CI gate — src/repro + tests + benchmarks under the
         adoption baseline — is clean, and a full-repo lint stays under
         its 10 s runtime budget (docs/ANALYSIS.md)."""
-        t0 = time.perf_counter()  # simlint: disable=SIM101, SIM110 -- measuring the linter's own runtime budget; nothing simulated
+        t0 = time.perf_counter()  # simlint: disable=SIM110 -- measuring the linter's own runtime budget; nothing simulated
         result = lint_paths(
             [str(PACKAGE_DIR), str(REPO_ROOT / "tests"),
              str(REPO_ROOT / "benchmarks")],
             baseline=Baseline.load(str(BASELINE)),
             exclude=("analysis_fixtures",))
-        elapsed = time.perf_counter() - t0  # simlint: disable=SIM101, SIM110 -- measuring the linter's own runtime budget; nothing simulated
+        elapsed = time.perf_counter() - t0  # simlint: disable=SIM110 -- measuring the linter's own runtime budget; nothing simulated
         assert result.unsuppressed == [], "\n".join(
             f.format() for f in result.unsuppressed)
         assert elapsed < 10.0, \
@@ -64,14 +64,14 @@ class TestSelfCheck:
 
 class TestSeededMutations:
     def test_inserted_wallclock_read_is_caught(self):
-        """Splice a `time.time()` into the engine: SIM101 fires."""
+        """Splice a `time.time()` into the engine: SIM110 fires."""
         source = ENGINE.read_text().replace(
             "        self._now: int = 0\n",
             "        self._now: int = 0\n"
             "        import time\n"
             "        self._born = time.time()\n")
         findings = lint_source("engine_scratch.py", source)
-        assert "SIM101" in {f.rule for f in findings if not f.suppressed}
+        assert "SIM110" in {f.rule for f in findings if not f.suppressed}
 
     def test_unreleased_acquire_is_caught(self):
         """Undo the kernel_churn try/finally fix: SIM106 fires again."""

@@ -14,7 +14,8 @@ from repro.fleet import ResultStore, SweepSpec, merge_results, run_sweep
 from repro.fleet.report import render_markdown
 from repro.fleet.runner import run_one_job
 from repro.fleet.spec import Job, config_hash
-from repro.obs import (
+from repro.obs.causal import (
+    BLAME_KINDS,
     CHAIN_CAP,
     COMPONENTS,
     CausalTracer,
@@ -24,7 +25,6 @@ from repro.obs import (
     disable_causal,
     enable_causal,
 )
-from repro.obs.causal import BLAME_KINDS
 from repro.obs.diff import (
     explain,
     merged_ops,
@@ -32,7 +32,7 @@ from repro.obs.diff import (
     render_explain_markdown,
     write_explain_report,
 )
-from repro.obs.tracer import Tracer
+from repro.sim.tracer import Tracer
 
 
 class _Clock:

@@ -8,21 +8,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.sanitizer import disable_sanitizer, enable_sanitizer
 from repro.common.stats import percentile_exact, percentile_sorted
-from repro.obs import (
-    FlightRecorder,
-    LogHistogram,
-    TimeSeries,
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.histogram import LogHistogram
+from repro.obs.report import write_report
+from repro.obs.runtime import disable_tracing, enable_tracing
+from repro.obs.telemetry import (
     disable_telemetry,
-    disable_tracing,
     enable_telemetry,
-    enable_tracing,
-    probe_for,
     probes,
-    sparkline,
     telemetry_enabled,
-    write_report,
 )
+from repro.obs.timeseries import TimeSeries, sparkline
 from repro.sim import Simulator
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -34,6 +32,7 @@ def _reset_observability():
     yield
     disable_telemetry()
     disable_tracing()
+    disable_sanitizer()
 
 
 # -- shared percentile helper -------------------------------------------------
@@ -187,11 +186,24 @@ def _busy_process(sim, rounds=200):
         yield sim.timeout(7 + (i % 5))
 
 
+@pytest.mark.parametrize("arm, name, value", [
+    (enable_telemetry, "max_points", 2),
+    (enable_telemetry, "flight_events", 0),
+    (enable_sanitizer, "flight_events", 0),
+])
+def test_bad_parameters_raise_when_arming(arm, name, value):
+    """A bad value fails ``enable_*`` and arms nothing, rather than the
+    first simulator or epoch that would use it."""
+    with pytest.raises(ValueError, match=name):
+        arm(**{name: value})
+    sim = Simulator()
+    assert sim.telemetry is None and sim.sanitizer is None
+
+
 class TestEpochSampler:
     def test_probe_absent_when_disabled(self):
         assert not telemetry_enabled()
         assert Simulator().telemetry is None
-        assert probe_for(Simulator()) is None
 
     def test_samples_builtin_series(self):
         enable_telemetry(epoch_ns=50)
@@ -313,7 +325,7 @@ class TestFlightRecorder:
         assert "on fire" in doc["error"]["message"]
         assert doc["sim"]["now_ns"] == 120
         assert doc["recent_events"]          # the ring made it out
-        assert sim.telemetry.flight.dumped_to == str(dumps[0])
+        assert sim.telemetry.dumped_to == str(dumps[0])
 
     def test_dump_on_deadline_miss(self, tmp_path):
         enable_telemetry(dump_dir=str(tmp_path))
@@ -326,12 +338,14 @@ class TestFlightRecorder:
             sim.run_process(slow(), until=100)
         assert list(tmp_path.glob("flightrec-*.json"))
 
-    def test_colliding_dumps_get_suffixes(self, tmp_path):
-        enable_telemetry(dump_dir=str(tmp_path))
-        for _ in range(2):
+    @pytest.mark.parametrize("writer", ["flightrec", "sanitizer"])
+    def test_colliding_dumps_get_suffixes(self, tmp_path, writer):
+        arm = enable_telemetry if writer == "flightrec" else enable_sanitizer
+        arm(dump_dir=str(tmp_path))
+        for _ in range(3):
             sim = Simulator()
-            sim.telemetry.label = "same"
-            sim.telemetry.flight.label = "same"
+            hook = sim.telemetry if writer == "flightrec" else sim.sanitizer
+            hook.label = hook.flight.label = "same/label"
 
             def boom():
                 raise ValueError("x")
@@ -339,7 +353,9 @@ class TestFlightRecorder:
 
             with pytest.raises(ValueError):
                 sim.run_process(boom())
-        assert len(list(tmp_path.glob("flightrec-same*.json"))) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            f"{writer}-same-label-2.json", f"{writer}-same-label-3.json",
+            f"{writer}-same-label.json"]
 
     def test_no_dump_when_disabled(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

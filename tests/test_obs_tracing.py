@@ -7,24 +7,25 @@ import pytest
 
 from repro.common.iorequest import IOKind, IORequest
 from repro.core.system import FullSystem
-from repro.obs import (
-    NULL_TRACER,
-    MetricsRegistry,
-    Tracer,
+from repro.obs.causal import CausalTracer, disable_causal, enable_causal
+from repro.obs.export import (
     chrome_trace,
-    disable_tracing,
-    enable_tracing,
     format_breakdown,
     latency_breakdown,
-    merge_spans,
-    metric_snapshots,
-    tracers,
-    tracing_enabled,
     write_chrome_trace,
     write_metrics_csv,
 )
-from repro.obs.runtime import collect_metrics
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import (
+    collect_metrics,
+    disable_tracing,
+    enable_tracing,
+    metric_snapshots,
+    tracers,
+    tracing_enabled,
+)
 from repro.sim import Simulator, TimeAverage, UtilizationTracker
+from repro.sim.tracer import NULL_TRACER, Tracer, merge_spans
 
 from tests.conftest import tiny_ssd_config
 
@@ -232,6 +233,20 @@ class TestRuntimeSwitch:
         assert sim.tracer.enabled
         assert sim.tracer in tracers()
         disable_tracing()
+        assert Simulator().tracer is NULL_TRACER
+
+    def test_causal_capture_shares_the_tracer_slot(self, traced):
+        """Disarming either switch leaves the other's tracers in place."""
+        enable_causal()
+        try:
+            assert isinstance(Simulator().tracer, CausalTracer)
+            disable_causal()
+            assert type(Simulator().tracer) is Tracer
+            enable_causal()
+            disable_tracing()
+            assert isinstance(Simulator().tracer, CausalTracer)
+        finally:
+            disable_causal()
         assert Simulator().tracer is NULL_TRACER
 
     def test_collect_metrics_noop_when_off(self):
