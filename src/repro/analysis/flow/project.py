@@ -1,7 +1,8 @@
 """Project model for simflow: modules, symbols and the call graph.
 
 A :class:`Project` is built from already-parsed :class:`SourceFile`
-objects (the lint driver parses each file exactly once).  It provides:
+objects (the lint driver parses each file exactly once, and the project
+reuses each file's import aliases).  It provides:
 
 * a **module resolver** — every file gets a dotted module name derived
   from its path (``src/repro/sim/engine.py`` -> ``repro.sim.engine``),
@@ -27,7 +28,9 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
+
+from repro.analysis.registry import SourceFile, dotted_name, expand_alias
 
 #: an attribute-call name defined in more places than this is ambiguous
 #: enough that resolving it would do more harm (false edges) than good
@@ -54,47 +57,6 @@ def module_name_for(path: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts) if parts else "module"
-
-
-def import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Local name -> dotted imported thing, for one module.
-
-    ``import time as _t`` -> ``{"_t": "time"}``;
-    ``from repro.common.units import US`` ->
-    ``{"US": "repro.common.units.US"}``.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                aliases[name.asname or name.name.split(".")[0]] = name.name
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for name in node.names:
-                if name.name != "*":
-                    aliases[name.asname or name.name] = \
-                        f"{node.module}.{name.name}"
-    return aliases
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def expand_alias(dotted: str, aliases: Dict[str, str]) -> str:
-    """Expand the leading import alias of a dotted name, if any."""
-    head, _, rest = dotted.partition(".")
-    expansion = aliases.get(head)
-    if expansion is None:
-        return dotted
-    return f"{expansion}.{rest}" if rest else expansion
 
 
 def ordered_body(node: ast.AST) -> Iterator[ast.stmt]:
@@ -142,19 +104,6 @@ class FunctionInfo:
         names.extend(a.arg for a in args.kwonlyargs)
         return names
 
-    @property
-    def is_generator(self) -> bool:
-        """Whether the function's own body contains a yield."""
-        todo: List[ast.AST] = list(ast.iter_child_nodes(self.node))
-        while todo:
-            node = todo.pop()
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                return True
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                todo.extend(ast.iter_child_nodes(node))
-        return False
-
 
 @dataclass
 class ModuleInfo:
@@ -175,30 +124,30 @@ class ModuleInfo:
 class Project:
     """A set of modules analyzed together, with call resolution."""
 
-    def __init__(self, sources: Sequence[Tuple[str, ast.Module]]) -> None:
-        """Build from ``(path, parsed tree)`` pairs."""
+    def __init__(self, sources: Sequence[SourceFile]) -> None:
+        """Build from parsed source files."""
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self._method_index: Dict[str, List[FunctionInfo]] = {}
-        for path, tree in sources:
-            self._add_module(path, tree)
+        for src in sources:
+            self._add_module(src)
 
     # -- construction ------------------------------------------------------
 
-    def _add_module(self, path: str, tree: ast.Module) -> None:
-        name = module_name_for(path)
+    def _add_module(self, src: SourceFile) -> None:
+        name = module_name_for(src.path)
         if name in self.modules:          # e.g. two scratch files: suffix
             name = f"{name}@{len(self.modules)}"
-        mod = ModuleInfo(name=name, path=path, tree=tree,
-                         aliases=import_aliases(tree))
-        for stmt in tree.body:
+        mod = ModuleInfo(name=name, path=src.path, tree=src.tree,
+                         aliases=src.aliases)
+        for stmt in src.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(mod, stmt, class_name=None)
             elif isinstance(stmt, ast.ClassDef):
                 mod.bases[stmt.name] = [
-                    expand_alias(base_name, mod.aliases)
-                    for base in stmt.bases
-                    if (base_name := dotted_name(base)) is not None]
+                    base_name for base in stmt.bases
+                    if (base_name := expand_alias(dotted_name(base),
+                                                  mod.aliases)) is not None]
                 for sub in stmt.body:
                     if isinstance(sub, (ast.FunctionDef,
                                         ast.AsyncFunctionDef)):

@@ -40,14 +40,13 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.flow.project import (
-    FunctionInfo,
-    Project,
+from repro.analysis.flow.project import FunctionInfo, Project, ordered_body
+from repro.analysis.registry import (
+    ProjectSite,
     dotted_name,
     expand_alias,
-    ordered_body,
+    project_rule,
 )
-from repro.analysis.registry import ProjectSite, project_rule
 from repro.analysis.rules import (
     _GLOBAL_RNG_FNS,
     _WALLCLOCK,
@@ -264,9 +263,8 @@ class _FunctionTaint:
         return {}
 
     def _infer_call(self, node: ast.Call) -> Taint:
-        dotted = dotted_name(node.func)
-        expanded = expand_alias(dotted, self.func.module.aliases) \
-            if dotted else None
+        expanded = expand_alias(dotted_name(node.func),
+                                self.func.module.aliases)
         leaf = expanded.split(".")[-1] if expanded else None
 
         source = self._source_taint(node, expanded)

@@ -31,14 +31,13 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.flow.project import (
-    FunctionInfo,
-    Project,
+from repro.analysis.flow.project import FunctionInfo, Project, ordered_body
+from repro.analysis.registry import (
+    ProjectSite,
     dotted_name,
     expand_alias,
-    ordered_body,
+    project_rule,
 )
-from repro.analysis.registry import ProjectSite, project_rule
 
 # -- the unit lattice ---------------------------------------------------------
 

@@ -106,6 +106,8 @@ class SourceFile:
 
         ``import time as _time`` -> ``{"_time": "time"}``;
         ``from random import randint`` -> ``{"randint": "random.randint"}``.
+        The whole-project model (:class:`repro.analysis.flow.Project`)
+        reads this same map.
         """
         aliases: Dict[str, str] = {}
         for node in self.nodes:
@@ -120,6 +122,34 @@ class SourceFile:
                         aliases[name.asname or name.name] = \
                             f"{node.module}.{name.name}"
         return aliases
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def expand_alias(dotted: Optional[str],
+                 aliases: Dict[str, str]) -> Optional[str]:
+    """Expand the leading import alias of a dotted name, if any.
+
+    None passes through, so ``expand_alias(dotted_name(node), aliases)``
+    is the fully-qualified name of any expression, or None.
+    """
+    if dotted is None:
+        return None
+    head, _, rest = dotted.partition(".")
+    expansion = aliases.get(head)
+    if expansion is None:
+        return dotted
+    return f"{expansion}.{rest}" if rest else expansion
 
 
 @dataclass(frozen=True)
@@ -239,7 +269,7 @@ def _project_findings(sources: Sequence[SourceFile],
     if not project_rules:
         return []
     from repro.analysis.flow import Project
-    project = Project([(src.path, src.tree) for src in sources])
+    project = Project(sources)
     supp_by_path = {src.path: src.suppressions for src in sources}
     findings: List[Finding] = []
     for prule in project_rules:

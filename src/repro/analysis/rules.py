@@ -13,33 +13,15 @@ import ast
 import os
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.registry import Site, SourceFile, rule
+from repro.analysis.registry import (
+    Site,
+    SourceFile,
+    dotted_name,
+    expand_alias,
+    rule,
+)
 
 # -- shared AST helpers -------------------------------------------------------
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _resolve_call(func: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """Fully-qualified dotted name of a call target, alias-expanded."""
-    dotted = _dotted(func)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    expansion = aliases.get(head)
-    if expansion is not None:
-        return f"{expansion}.{rest}" if rest else expansion
-    return dotted
 
 
 def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
@@ -104,7 +86,7 @@ def check_wallclock_containment(src: SourceFile) -> Iterator[Site]:
     aliases = src.aliases
     for node in src.nodes:
         if isinstance(node, ast.Call):
-            target = _resolve_call(node.func, aliases)
+            target = expand_alias(dotted_name(node.func), aliases)
             if target in _WALLCLOCK:
                 yield node, node.col_offset, \
                     f"wall-clock read `{target}()` outside the designated " \
@@ -130,7 +112,7 @@ def check_unseeded_random(src: SourceFile) -> Iterator[Site]:
     for node in src.nodes:
         if not isinstance(node, ast.Call):
             continue
-        target = _resolve_call(node.func, aliases)
+        target = expand_alias(dotted_name(node.func), aliases)
         if target is None:
             continue
         if target.startswith("random.") and \
@@ -155,7 +137,7 @@ def _is_setish(node: ast.AST, set_names: Set[str]) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        return _dotted(node.func) in {"set", "frozenset"}
+        return dotted_name(node.func) in {"set", "frozenset"}
     if isinstance(node, ast.BinOp) and \
             isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
         return _is_setish(node.left, set_names) or \
@@ -249,7 +231,7 @@ def check_discarded_event(src: SourceFile) -> Iterator[Site]:
                     "result of `.get()` is discarded; the item (or the " \
                     "wait for it) is lost"
         else:
-            dotted = _dotted(func)
+            dotted = dotted_name(func)
             if dotted is not None and dotted.split(".")[-1] == "Timeout":
                 yield node, node.col_offset, \
                     "Timeout(...) is discarded; it still schedules an event"
@@ -299,7 +281,7 @@ def check_timeout_leak(src: SourceFile) -> Iterator[Site]:
             is_timeout = (isinstance(call_func, ast.Attribute)
                           and call_func.attr == "timeout")
             if not is_timeout:
-                dotted = _dotted(call_func)
+                dotted = dotted_name(call_func)
                 is_timeout = dotted is not None and \
                     dotted.split(".")[-1] == "Timeout"
             if is_timeout and not loads.get(node.targets[0].id):
@@ -389,7 +371,7 @@ def check_mutable_default(src: SourceFile) -> Iterator[Site]:
                                        ast.ListComp, ast.DictComp,
                                        ast.SetComp))
             if not bad and isinstance(default, ast.Call):
-                dotted = _dotted(default.func)
+                dotted = dotted_name(default.func)
                 bad = dotted is not None and \
                     dotted.split(".")[-1] in _MUTABLE_CALLS
             if bad:
@@ -417,7 +399,7 @@ def _seed_expr_verdict(expr: ast.AST,
     """Why a worker seed expression is unacceptable, or None if fine."""
     for node in ast.walk(expr):
         if isinstance(node, ast.Call):
-            target = _resolve_call(node.func, aliases)
+            target = expand_alias(dotted_name(node.func), aliases)
             if target in _FORBIDDEN_SEED_CALLS:
                 return f"seeded from `{target}()`, which varies with " \
                        "scheduling, not with the job's configuration"
@@ -456,7 +438,7 @@ def check_fleet_seed(src: SourceFile) -> Iterator[Site]:
         for node in _own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
-            target = _resolve_call(node.func, aliases)
+            target = expand_alias(dotted_name(node.func), aliases)
             seed_args: List[ast.AST] = []
             if target == "random.Random" and node.args:
                 seed_args.append(node.args[0])

@@ -11,7 +11,7 @@ statistics.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Sequence
 
 
 def percentile_sorted(ordered: Sequence[float], p: float) -> float:
@@ -42,12 +42,6 @@ def percentile_exact(samples: Sequence[float], p: float) -> float:
     percentiles of the same data.
     """
     return percentile_sorted(sorted(samples), p)
-
-
-def percentiles_sorted(ordered: Sequence[float],
-                       ps: Sequence[float]) -> List[float]:
-    """Several percentiles of one pre-sorted sequence, in one pass."""
-    return [percentile_sorted(ordered, p) for p in ps]
 
 
 def jain_fairness(values: Sequence[float]) -> float:

@@ -10,8 +10,8 @@ layer/driver path, completions arrive by interrupt.  The jobs keep
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.common.instructions import InstructionMix
 from repro.common.iorequest import IOKind, IORequest
@@ -63,18 +63,6 @@ class FioJob:
 
 
 from repro.core.metrics import FioResult  # noqa: E402  (dataclass import order)
-
-
-def run_multi_tenant(system, job) -> "object":
-    """Run a multi-tenant job (the fio-style entry point).
-
-    Thin forwarder to :class:`repro.core.tenants.MultiTenantEngine`;
-    kept here so workload call sites import one module for both the
-    single-job (`FioEngine`) and multi-tenant engines.  Imported lazily
-    to avoid a circular module dependency.
-    """
-    from repro.core.tenants import MultiTenantEngine
-    return MultiTenantEngine(system).run(job)
 
 
 class FioEngine:

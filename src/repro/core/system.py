@@ -97,22 +97,17 @@ class FullSystem:
             self.controller = NvmeController(
                 sim, self.ssd, self.dma, self.adapter,
                 queue_priorities=self._nvme_queue_priorities)
-        elif self.interface == "sata":
-            from repro.interfaces.sata.ahci import AhciHba
-            from repro.interfaces.sata.controller import SataDeviceController
-            self.link = SataLink(sim)
+        elif self.interface in ("sata", "ufs"):
+            from repro.interfaces.htype import HTypeController, HTypeHost
+            from repro.interfaces.sata.fis import SATA
+            from repro.interfaces.ufs.upiu import UFS
+            sata = self.interface == "sata"
+            self.link = SataLink(sim) if sata else UfsLink(sim)
             self.dma = DmaEngine(sim, self.cpu, self.memory, self.bus, self.link)
-            self.adapter = AhciHba(sim, self.memory, self.link)
-            self.controller = SataDeviceController(sim, self.ssd, self.dma,
-                                                   self.adapter)
-        elif self.interface == "ufs":
-            from repro.interfaces.ufs.utp import UtpEngine
-            from repro.interfaces.ufs.controller import UfsDeviceController
-            self.link = UfsLink(sim)
-            self.dma = DmaEngine(sim, self.cpu, self.memory, self.bus, self.link)
-            self.adapter = UtpEngine(sim, self.memory, self.link)
-            self.controller = UfsDeviceController(sim, self.ssd, self.dma,
-                                                  self.adapter)
+            self.adapter = HTypeHost(sim, self.memory, self.link,
+                                     SATA if sata else UFS)
+            self.controller = HTypeController(sim, self.ssd, self.dma,
+                                              self.adapter)
         else:  # ocssd
             from repro.interfaces.ocssd.controller import OcssdController
             from repro.interfaces.ocssd.pblk import PblkDriver

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.core import presets
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem
 from repro.obs.runtime import collect_metrics
-from repro.ssd.config import SSDConfig
 from repro.workloads.synthetic import PATTERN_RW
 
 FULL_DEPTHS = [1, 2, 4, 8, 16, 24, 32]
@@ -48,19 +47,3 @@ def run_pattern(system: FullSystem, pattern: str, depth: int, bs: int = 4096,
         tracer.label = label
         collect_metrics(label, system.metrics.snapshot())
     return result
-
-
-def sweep_depths(device_name: str, pattern: str, depths: List[int],
-                 bs: int = 4096, total_ios: int = 1000) -> Dict[int, Dict]:
-    """Fresh system per point (no cross-contamination between depths)."""
-    out: Dict[int, Dict] = {}
-    for depth in depths:
-        system = build_system(device_name)
-        result = run_pattern(system, pattern, depth, bs=bs,
-                             total_ios=total_ios)
-        out[depth] = {
-            "bandwidth_mbps": result.bandwidth_mbps,
-            "latency_us": result.latency.mean_us(),
-            "iops": result.iops,
-        }
-    return out

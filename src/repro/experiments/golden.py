@@ -92,6 +92,13 @@ def _fig12():
                                concurrency=4, workloads=["24HR", "MSNFS"])
 
 
+def _fig12_sata():
+    """Fig 12's SATA leg: the only golden that drives the AHCI path."""
+    from repro.experiments import fig12_os_impact
+    return fig12_os_impact.run(quick=True, interfaces=["sata"], n_ios=80,
+                               concurrency=4, workloads=["24HR", "MSNFS"])
+
+
 def _fig13():
     from repro.experiments import fig13_mobile
     return fig13_mobile.run(quick=True, n_ios=80, concurrency=4,
@@ -139,6 +146,7 @@ GOLDEN_CASES: Dict[str, Callable[[], Dict]] = {
     "fig10_blocksize": _fig10,
     "fig11_overprovision": _fig11,
     "fig12_os_impact": _fig12,
+    "fig12_sata": _fig12_sata,
     "fig13_mobile": _fig13,
     "fig14_frequency": _fig14,
     "fig15_passive_active": _fig15,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict
 
 from repro.common.iorequest import IORequest
 
@@ -33,7 +32,3 @@ class HostAdapter(abc.ABC):
     @abc.abstractmethod
     def submit(self, req: IORequest):
         """Issue a request; returns a sim Event."""
-
-    def describe(self) -> Dict[str, str]:
-        return {"type": type(self).__name__,
-                "max_outstanding": str(self.max_outstanding)}

@@ -1,7 +1,5 @@
 """Serial ATA over AHCI: h-type storage behind the I/O controller hub."""
 
-from repro.interfaces.sata.fis import FisType, FIS_SIZES
-from repro.interfaces.sata.ahci import AhciHba
-from repro.interfaces.sata.controller import SataDeviceController
+from repro.interfaces.sata.fis import FIS_SIZES, SATA, FisType
 
-__all__ = ["FisType", "FIS_SIZES", "AhciHba", "SataDeviceController"]
+__all__ = ["FisType", "FIS_SIZES", "SATA"]

@@ -4,14 +4,19 @@ Every exchange on the SATA PHY is a FIS; the sizes matter because the
 half-duplex link serializes them.  NCQ read/write commands use
 Register H2D for the command, DMA Setup + Data FISes for payload, and
 Set Device Bits for out-of-order completion notification.
+
+:data:`SATA` runs the shared h-type controllers
+(:mod:`repro.interfaces.htype`) as SATA over AHCI.  The host controller
+is the AHCI HBA, a PCI endpoint behind the I/O controller hub: the
+driver fills its 32-slot command list and command tables in system
+memory, and the HBA fetches each command and walks its PRDT.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import count
-from typing import List, Tuple
+
+from repro.interfaces.htype import HTypeProtocol
 
 
 class FisType(enum.Enum):
@@ -36,47 +41,18 @@ FIS_SIZES = {
     FisType.SET_DEVICE_BITS: 8,
 }
 
-#: maximum payload carried by one Data FIS
-DATA_FIS_PAYLOAD = 8192
-
-_CMD_SEQ = count(1)
-
-
-@dataclass
-class PrdtEntry:
-    """Physical Region Descriptor Table entry: one host-memory segment."""
-
-    address: int
-    nbytes: int
-
-
-@dataclass
-class AhciCommand:
-    """One entry of the AHCI command list (32 NCQ slots)."""
-
-    slot: int
-    is_write: bool
-    slba: int
-    nsectors: int
-    prdt: List[PrdtEntry] = field(default_factory=list)
-    ncq_tag: int = 0
-    seq: int = field(default_factory=lambda: next(_CMD_SEQ))
-
-    @property
-    def nbytes(self) -> int:
-        return self.nsectors * 512
-
-    def data_fis_count(self) -> int:
-        return max(1, -(-self.nbytes // DATA_FIS_PAYLOAD))
-
-
-def prdt_for(address: int, nbytes: int,
-             segment: int = 4096) -> List[PrdtEntry]:
-    """Build a PRDT covering a buffer in page-sized segments."""
-    entries = []
-    offset = 0
-    while offset < nbytes:
-        take = min(segment, nbytes - offset)
-        entries.append(PrdtEntry(address + offset, take))
-        offset += take
-    return entries
+#: SATA over AHCI for the shared h-type controllers
+SATA = HTypeProtocol(
+    host_span="ahci", device_span="sata.cmd", slot_arg="ncq_tag",
+    slots=32,                           # NCQ tags
+    ledger_tag="ahci-hba", ledger_bytes=32 * 1024 + 4096,
+    descriptor_bytes=256,               # command FIS + ATAPI + PRDT header
+    pipeline_ns=1200,                   # HBA command processing
+    command_frame=FIS_SIZES[FisType.REGISTER_H2D],
+    completion_frame=FIS_SIZES[FisType.SET_DEVICE_BITS],
+    parse_instructions=400,
+    # a DMA Setup FIS opens the data phase in both directions
+    write_handshake=FIS_SIZES[FisType.DMA_SETUP],
+    write_handshake_to_host=False,
+    read_handshake=FIS_SIZES[FisType.DMA_SETUP],
+)

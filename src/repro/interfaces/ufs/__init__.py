@@ -1,8 +1,5 @@
 """Universal Flash Storage: h-type storage for handheld platforms."""
 
-from repro.interfaces.ufs.upiu import UPIU_SIZES, Utrd, UpiuType
-from repro.interfaces.ufs.utp import UtpEngine
-from repro.interfaces.ufs.controller import UfsDeviceController
+from repro.interfaces.ufs.upiu import UFS, UPIU_SIZES, UpiuType
 
-__all__ = ["UpiuType", "UPIU_SIZES", "Utrd", "UtpEngine",
-           "UfsDeviceController"]
+__all__ = ["UpiuType", "UPIU_SIZES", "UFS"]

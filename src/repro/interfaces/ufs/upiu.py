@@ -1,19 +1,22 @@
-"""UFS protocol information units (UPIU) and transfer request descriptors.
+"""UFS protocol information units (UPIU).
 
-UFS layers SCSI-flavoured command/response UPIUs over the UTP transport;
-each UTP Transfer Request Descriptor (UTRD) in the 32-entry command list
-references a command UPIU, a response UPIU and a PRDT — structurally a
-close cousin of SATA/AHCI's NCQ machinery (Section IV-A).
+UFS layers SCSI-flavoured command/response UPIUs over the UTP transport.
+
+:data:`UFS` runs the shared h-type controllers
+(:mod:`repro.interfaces.htype`) as UFS.  The host controller is the UTP
+engine: functionally the SATA HBA's equivalent (Section IV-A), but
+attached to the SoC's AXI bus instead of a PCI endpoint.  The CPU
+reaches it through UFSHCI memory-mapped registers; each UTP Transfer
+Request Descriptor (UTRD) in its 32-entry command list references a
+command UPIU, a response UPIU and a PRDT, and a small FIFO bridges the
+frequency domains between the engine and the device's M-PHY.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import count
-from typing import List
 
-from repro.interfaces.sata.fis import PrdtEntry, prdt_for
+from repro.interfaces.htype import HTypeProtocol
 
 
 class UpiuType(enum.Enum):
@@ -42,31 +45,19 @@ UPIU_SIZES = {
     UpiuType.REJECT: 32,
 }
 
-#: data segment carried per DATA_IN/DATA_OUT UPIU
-UPIU_DATA_PAYLOAD = 8192
-
-UTRD_SLOTS = 32
-
-_SEQ = count(1)
-
-
-@dataclass
-class Utrd:
-    """UTP Transfer Request Descriptor: one command-list entry."""
-
-    slot: int
-    is_write: bool
-    slba: int
-    nsectors: int
-    prdt: List[PrdtEntry] = field(default_factory=list)
-    seq: int = field(default_factory=lambda: next(_SEQ))
-
-    @property
-    def nbytes(self) -> int:
-        return self.nsectors * 512
-
-
-def utrd_for(slot: int, is_write: bool, slba: int, nsectors: int,
-             buffer_addr: int) -> Utrd:
-    return Utrd(slot=slot, is_write=is_write, slba=slba, nsectors=nsectors,
-                prdt=prdt_for(buffer_addr, nsectors * 512))
+#: UFS over UFSHCI for the shared h-type controllers
+UFS = HTypeProtocol(
+    host_span="ufs.utp", device_span="ufs.cmd", slot_arg="slot",
+    slots=32,                           # UTRDs
+    ledger_tag="ufshci", ledger_bytes=32 * 1024,
+    # the 32 B UTRD plus the command UPIU it points at
+    descriptor_bytes=32 + UPIU_SIZES[UpiuType.COMMAND],
+    pipeline_ns=900 + 400,              # engine pipeline + domain-crossing FIFO
+    command_frame=UPIU_SIZES[UpiuType.COMMAND],
+    completion_frame=UPIU_SIZES[UpiuType.RESPONSE],
+    parse_instructions=420,
+    # the device asks for write data; read data needs no handshake
+    write_handshake=UPIU_SIZES[UpiuType.READY_TO_TRANSFER],
+    write_handshake_to_host=True,
+    read_handshake=0,
+)

@@ -10,68 +10,19 @@ behind one namespace of dot-separated names with hierarchical prefixes
 system measures without touching component internals.
 
 The registry does not replace the instruments: components keep their
-existing objects and *register* them (or a zero-argument callable) under
-a name.  Reading a metric is lazy — values are pulled at
+existing objects and *register* a zero-argument callable that reads one
+(a bound method such as ``tracker.utilization``, or a lambda) under a
+name.  Reading a metric is lazy — values are pulled at
 :meth:`MetricsRegistry.snapshot` time, so registration costs one dict
 insert and steady-state simulation pays nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List
 
-
-class Counter:
-    """A named monotonic counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def add(self, delta: float = 1.0) -> None:
-        """Increment by ``delta`` (must be non-negative)."""
-        if delta < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        self.value += delta
-
-
-class Gauge:
-    """A named point-in-time value that can move both ways."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the gauge's value."""
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        """Adjust the gauge's value by ``delta``."""
-        self.value += delta
-
-
-#: Anything the registry can read a float from at snapshot time.
-MetricSource = Union[Counter, Gauge, Callable[[], float], object]
-
-
-def _read(source: MetricSource) -> float:
-    """Resolve a registered source to a float, by duck type."""
-    if isinstance(source, (Counter, Gauge)):
-        return float(source.value)
-    if callable(source):
-        return float(source())
-    if hasattr(source, "utilization"):
-        return float(source.utilization())
-    if hasattr(source, "mean"):
-        return float(source.mean())
-    if hasattr(source, "value"):
-        return float(source.value)
-    raise TypeError(f"cannot read a metric from {type(source).__name__}")
+#: What the registry reads a metric from: a zero-argument callable.
+MetricSource = Callable[[], float]
 
 
 class MetricsRegistry:
@@ -83,39 +34,13 @@ class MetricsRegistry:
     # -- registration -----------------------------------------------------
 
     def register(self, name: str, source: MetricSource) -> None:
-        """Adopt an existing instrument (or callable) under ``name``.
-
-        Valid sources: :class:`Counter`, :class:`Gauge`, a zero-argument
-        callable returning a number, or any object exposing one of
-        ``utilization()`` / ``mean()`` / ``.value`` (which covers
-        ``UtilizationTracker``, ``TimeAverage`` and ``Resource``).
-        """
+        """Adopt a zero-argument callable returning a number as ``name``."""
         if name in self._sources:
             raise ValueError(f"metric {name!r} already registered")
-        _ = _read(source) if not callable(source) else None  # validate early
+        if not callable(source):
+            raise TypeError(f"metric {name!r} needs a callable, "
+                            f"not {type(source).__name__}")
         self._sources[name] = source
-
-    def counter(self, name: str) -> Counter:
-        """Create (or return the existing) counter named ``name``."""
-        existing = self._sources.get(name)
-        if existing is not None:
-            if not isinstance(existing, Counter):
-                raise ValueError(f"metric {name!r} is not a counter")
-            return existing
-        counter = Counter(name)
-        self._sources[name] = counter
-        return counter
-
-    def gauge(self, name: str) -> Gauge:
-        """Create (or return the existing) gauge named ``name``."""
-        existing = self._sources.get(name)
-        if existing is not None:
-            if not isinstance(existing, Gauge):
-                raise ValueError(f"metric {name!r} is not a gauge")
-            return existing
-        gauge = Gauge(name)
-        self._sources[name] = gauge
-        return gauge
 
     def scoped(self, prefix: str) -> "ScopedRegistry":
         """A view that prepends ``prefix + '.'`` to every name."""
@@ -134,21 +59,20 @@ class MetricsRegistry:
 
     def read(self, name: str) -> float:
         """Current value of one metric."""
-        return _read(self._sources[name])
+        return float(self._sources[name]())
 
     def snapshot(self, prefix: str = "") -> Dict[str, float]:
         """Read every metric (under ``prefix``) into a plain dict."""
-        return {name: _read(self._sources[name])
+        return {name: float(self._sources[name]())
                 for name in self.names(prefix)}
 
     def readers(self) -> List[tuple]:
         """Stable ``(name, read_callable)`` pairs, sorted by name.
 
         Periodic samplers (the telemetry epoch probe) bind this list
-        once instead of re-sorting names and re-dispatching by duck
-        type on every epoch.
+        once instead of re-sorting names on every epoch.
         """
-        return [(name, (lambda source=source: _read(source)))
+        return [(name, (lambda source=source: float(source())))
                 for name, source in sorted(self._sources.items())]
 
     def to_csv(self, prefix: str = "") -> str:
@@ -185,14 +109,6 @@ class ScopedRegistry:
     def register(self, name: str, source: MetricSource) -> None:
         """Register under the scope's prefix."""
         self._base.register(self._qualify(name), source)
-
-    def counter(self, name: str) -> Counter:
-        """Counter under the scope's prefix."""
-        return self._base.counter(self._qualify(name))
-
-    def gauge(self, name: str) -> Gauge:
-        """Gauge under the scope's prefix."""
-        return self._base.gauge(self._qualify(name))
 
     def scoped(self, prefix: str) -> "ScopedRegistry":
         """Nest a further prefix under this scope."""

@@ -63,8 +63,7 @@ _CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
     ("/repro/ssd/computation/dram", "dram"),
     ("/repro/ssd/", "ssd"),
     ("/repro/interfaces/nvme/", "nvme"),
-    ("/repro/interfaces/sata/", "sata"),
-    ("/repro/interfaces/ufs/", "ufs"),
+    ("/repro/interfaces/htype", "htype"),
     ("/repro/interfaces/ocssd/", "ocssd"),
     ("/repro/interfaces/", "interface"),
     ("/repro/hostos/", "hostos"),

@@ -104,13 +104,6 @@ def probes() -> List["TelemetryProbe"]:
     return list(_probes)
 
 
-def label_latest_probe(label: str) -> None:
-    """Name the most recent probe (no-op when telemetry is off)."""
-    if _probes:
-        _probes[-1].label = label
-        _probes[-1].flight.label = label
-
-
 class TelemetryProbe:
     """Per-simulator epoch sampler + flight recorder, a loop observer.
 

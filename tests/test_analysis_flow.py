@@ -17,7 +17,12 @@ from repro.analysis.baseline import Baseline
 from repro.analysis.findings import META_RULE, Finding
 from repro.analysis.flow import Project, module_name_for
 from repro.analysis.flow.unitcheck import Unit, unit_of_identifier
-from repro.analysis.registry import iter_python_files, lint_paths, lint_source
+from repro.analysis.registry import (
+    SourceFile,
+    iter_python_files,
+    lint_paths,
+    lint_source,
+)
 
 
 def _write(tmp_path, name, source):
@@ -29,7 +34,7 @@ def _write(tmp_path, name, source):
 
 def _project(*sources):
     """Build a Project from (path, source) pairs."""
-    return Project([(path, ast.parse(textwrap.dedent(text), filename=path))
+    return Project([SourceFile.parse(path, textwrap.dedent(text))
                     for path, text in sources])
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.iorequest import IOKind, IORequest
 from repro.core.system import FullSystem
+from repro.host.dma import PointerList
 from repro.host.platform import mobile_platform
 from repro.interfaces.nvme.queues import CompletionQueue, QueuePair, SubmissionQueue
 from repro.interfaces.nvme.structures import (
@@ -13,16 +14,8 @@ from repro.interfaces.nvme.structures import (
     NvmeOpcode,
     SubmissionEntry,
 )
-from repro.interfaces.sata.fis import (
-    DATA_FIS_PAYLOAD,
-    FIS_SIZES,
-    AhciCommand,
-    FisType,
-    prdt_for,
-)
+from repro.interfaces.sata.fis import FIS_SIZES, FisType
 from repro.interfaces.ocssd.geometry import ChunkState, OcssdGeometry
-
-from tests.conftest import tiny_ssd_config
 
 
 class TestNvmeQueues:
@@ -129,14 +122,9 @@ class TestSataAhci:
         assert FIS_SIZES[FisType.SET_DEVICE_BITS] == 8
 
     def test_prdt_segments_are_page_grained(self):
-        prdt = prdt_for(0x1000, 10_000)
-        assert sum(e.nbytes for e in prdt) == 10_000
-        assert all(e.nbytes <= 4096 for e in prdt)
-
-    def test_data_fis_count(self):
-        cmd = AhciCommand(slot=0, is_write=False, slba=0,
-                          nsectors=64)   # 32 KB
-        assert cmd.data_fis_count() == -(-32768 // DATA_FIS_PAYLOAD)
+        prdt = PointerList.for_buffer(0x1000, 10_000)
+        assert prdt.total_bytes == 10_000
+        assert all(nbytes <= 4096 for _address, nbytes in prdt.entries)
 
     def test_ncq_limits_outstanding_to_32(self, tiny_config):
         system = FullSystem(device=tiny_config, interface="sata")

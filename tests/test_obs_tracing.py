@@ -5,11 +5,9 @@ import json
 
 import pytest
 
-from repro.common.iorequest import IOKind, IORequest
 from repro.core.system import FullSystem
 from repro.obs.causal import CausalTracer, disable_causal, enable_causal
 from repro.obs.export import (
-    chrome_trace,
     format_breakdown,
     latency_breakdown,
     write_chrome_trace,
@@ -115,10 +113,8 @@ class TestMetricsRegistry:
     def test_register_read_and_snapshot(self):
         reg = MetricsRegistry()
         reg.register("a.b", lambda: 2.5)
-        counter = reg.counter("a.count")
-        counter.add(3)
-        gauge = reg.gauge("c.depth")
-        gauge.set(7)
+        reg.register("a.count", lambda: 3)
+        reg.register("c.depth", lambda: 7)
         assert reg.read("a.b") == 2.5
         snap = reg.snapshot()
         assert snap == {"a.b": 2.5, "a.count": 3.0, "c.depth": 7.0}
@@ -141,7 +137,7 @@ class TestMetricsRegistry:
         avg = TimeAverage(sim, initial=2.0)
         busy = UtilizationTracker(sim)
         reg.register("avg", avg.mean)
-        reg.register("busy", busy)
+        reg.register("busy", busy.utilization)
 
         def proc():
             busy.begin()

@@ -80,6 +80,27 @@ class TestTrim:
 
         assert system.run_process(scenario()) == bytes(8 * 512)
 
+    @pytest.mark.parametrize("interface", ["nvme", "sata", "ufs"])
+    def test_trim_deallocates_without_a_data_phase(self, tiny_config,
+                                                    interface):
+        """A TRIM is no READ: the range reads zeros afterwards and no
+        payload crosses the link to the host."""
+        from repro.core.system import FullSystem
+        system = FullSystem(device=tiny_config, interface=interface,
+                            data_emulation=True)
+        moved = {}
+
+        def scenario():
+            yield from system.write(0, 64, FullSystem.pattern_data(0, 64))
+            before = system.dma.bytes_to_host
+            yield from system.trim(0, 64)
+            moved["to_host"] = system.dma.bytes_to_host - before
+            got = yield from system.read(0, 64)
+            return got
+
+        assert system.run_process(scenario()) == bytes(64 * 512)
+        assert moved["to_host"] == 0
+
     def test_trimmed_blocks_become_cheap_gc_victims(self, sim, ssd):
         spp = ssd.config.geometry.page_size // 512
         pages = ssd.config.logical_pages
