@@ -85,9 +85,11 @@ class FioEngine:
         bandwidth = BandwidthRecorder()
         read_bw = BandwidthRecorder()
         write_bw = BandwidthRecorder()
-        state = {"completed": 0, "bytes": 0}
-        stages = {"kernel_submit": [], "interface": [], "device": [],
-                  "completion": []}
+        state = {"completed": 0, "bytes": 0, "staged": 0}
+        # running ns sums per stage over the "staged" timed I/Os, so
+        # memory stays constant however many I/Os complete
+        stages = {"kernel_submit": 0, "interface": 0, "device": 0,
+                  "completion": 0}
         warmup_ios = int(job.total_ios * job.numjobs * job.warmup_fraction)
 
         def one_job(job_index: int):
@@ -114,14 +116,15 @@ class FioEngine:
                             device_latency.record(req.device_latency())
                         if (req.t_driver >= 0 and req.t_device >= 0
                                 and req.t_backend_done >= 0):
-                            stages["kernel_submit"].append(
-                                req.t_driver - t_submit)
-                            stages["interface"].append(
-                                req.t_device - req.t_driver)
-                            stages["device"].append(
-                                req.t_backend_done - req.t_device)
-                            stages["completion"].append(
-                                sim.now - req.t_backend_done)
+                            stages["kernel_submit"] += \
+                                req.t_driver - t_submit
+                            stages["interface"] += \
+                                req.t_device - req.t_driver
+                            stages["device"] += \
+                                req.t_backend_done - req.t_device
+                            stages["completion"] += \
+                                sim.now - req.t_backend_done
+                            state["staged"] += 1
                         bandwidth.record(nbytes, sim.now)
                         (read_bw if req.kind.is_read else write_bw).record(
                             nbytes, sim.now)
@@ -191,8 +194,9 @@ class FioEngine:
             from repro.common.units import MB as _MB
             steady_mbps = (state["bytes"] / _MB) / (elapsed / SEC)
 
-        breakdown = {name: (sum(values) / len(values) if values else 0.0)
-                     for name, values in stages.items()}
+        staged = state["staged"]
+        breakdown = {name: (total / staged if staged else 0.0)
+                     for name, total in stages.items()}
 
         result = FioResult(
             bandwidth_mbps=steady_mbps,

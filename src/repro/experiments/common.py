@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
+from repro.common.iorequest import IOKind
 from repro.core import presets
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem
 from repro.obs.runtime import collect_metrics
+from repro.ssd.device import SSD
+from repro.ssd.firmware.requests import DeviceCommand
 from repro.workloads.synthetic import PATTERN_RW
 
 FULL_DEPTHS = [1, 2, 4, 8, 16, 24, 32]
@@ -47,3 +51,37 @@ def run_pattern(system: FullSystem, pattern: str, depth: int, bs: int = 4096,
         tracer.label = label
         collect_metrics(label, system.metrics.snapshot())
     return result
+
+
+def standalone_random_reads(ssd: SSD, n_ios: int, depth: int, seed: int,
+                            bs: int = 4096) -> int:
+    """Closed-loop random reads straight at a bare ``SSD`` (no host).
+
+    ``depth`` slots share one ``random.Random(seed)``; each reads ``bs``
+    bytes at a random aligned LBA, then issues its next read.  A slot
+    checks the *completed* count before issuing, so the reads still in
+    flight when ``n_ios`` complete also run: up to ``depth - 1`` extra
+    reads (515 for ``n_ios=500`` at depth 16 on intel750), as
+    :class:`~repro.baselines.replay.ClosedLoopReplayer` does.  Returns
+    the number of reads completed.
+    """
+    sim = ssd.sim
+    rng = random.Random(seed)
+    sectors = bs // 512
+    region = ssd.config.logical_sectors - sectors
+    state = {"done": 0}
+
+    def slot():
+        while state["done"] < n_ios:
+            slba = rng.randrange(region // sectors) * sectors
+            yield ssd.submit(DeviceCommand(IOKind.READ, slba, sectors))
+            state["done"] += 1
+
+    procs = [sim.process(slot()) for _ in range(depth)]
+
+    def waiter():
+        for proc in procs:
+            yield proc
+
+    sim.run_process(waiter())
+    return state["done"]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_series
 from repro.baselines.models import (
     FlashSimModel,
     MQSimModel,
@@ -20,6 +19,7 @@ from repro.baselines.models import (
 )
 from repro.baselines.reference import reference_at
 from repro.baselines.replay import ClosedLoopReplayer
+from repro.common.render import format_series
 from repro.core import presets
 from repro.experiments.common import FULL_DEPTHS, QUICK_DEPTHS
 from repro.workloads.synthetic import PATTERN_RW

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_series, format_table
 from repro.baselines.reference import REAL_DEVICES, accuracy, reference_at
+from repro.common.render import format_series, format_table
 from repro.experiments.common import (
     FULL_DEPTHS,
     QUICK_DEPTHS,

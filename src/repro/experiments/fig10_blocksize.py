@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analysis.tables import format_series, format_table
 from repro.baselines.reference import REAL_DEVICES, error_rate, reference_at
+from repro.common.render import format_series, format_table
 from repro.common.units import KB
 from repro.core import presets
 from repro.core.system import FullSystem

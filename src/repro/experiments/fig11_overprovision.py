@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_series
+from repro.common.render import format_series
 from repro.common.units import KB
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem

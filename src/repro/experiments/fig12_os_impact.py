@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_table
+from repro.common.render import format_table
 from repro.core import presets
 from repro.core.system import FullSystem
 from repro.workloads.enterprise import ENTERPRISE_WORKLOADS

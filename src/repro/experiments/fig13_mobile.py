@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_table
+from repro.common.render import format_table
 from repro.core import presets
 from repro.core.system import FullSystem
 from repro.host.platform import mobile_platform, pc_platform

@@ -18,17 +18,16 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.tables import format_series
+from repro.common.render import format_series
 from repro.common.units import GHZ, SEC
 from repro.core import presets
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem
+from repro.experiments.common import standalone_random_reads
 from repro.host.cpu import CpuModel
 from repro.host.platform import pc_platform
 from repro.sim import Simulator
 from repro.ssd.device import SSD
-from repro.ssd.firmware.requests import DeviceCommand
-from repro.common.iorequest import IOKind
 
 FREQUENCIES = [2, 4, 6, 8]   # GHz
 
@@ -38,28 +37,8 @@ def _device_level(n_ios: int, depth: int = 32, bs: int = 4096) -> float:
     sim = Simulator()
     ssd = SSD(sim, presets.zssd())
     ssd.precondition_sequential()
-    import random
-    rng = random.Random(17)
-    sectors = bs // 512
-    region = ssd.config.logical_sectors - sectors
-    state = {"done": 0, "bytes": 0}
-
-    def slot():
-        while state["done"] < n_ios:
-            slba = rng.randrange(region // sectors) * sectors
-            cmd = DeviceCommand(IOKind.READ, slba, sectors)
-            yield ssd.submit(cmd)
-            state["done"] += 1
-            state["bytes"] += sectors * 512
-
-    procs = [sim.process(slot()) for _ in range(depth)]
-
-    def waiter():
-        for proc in procs:
-            yield proc
-
-    sim.run_process(waiter())
-    return (state["bytes"] / (1 << 20)) / (sim.now / SEC)
+    done = standalone_random_reads(ssd, n_ios, depth=depth, seed=17, bs=bs)
+    return (done * bs / (1 << 20)) / (sim.now / SEC)
 
 
 def _system_level(freq_ghz: int, n_ios: int, functional_cpu: bool,

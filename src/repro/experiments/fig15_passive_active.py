@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.analysis.tables import format_table
+from repro.common.render import format_table
 from repro.common.units import KB, MB
 from repro.core import presets
 from repro.core.fio import FioJob

@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from typing import Dict
 
-from repro.analysis.tables import format_table
 from repro.baselines.models import (
     FlashSimModel,
     MQSimModel,
@@ -21,38 +20,21 @@ from repro.baselines.models import (
     SSDSimModel,
 )
 from repro.baselines.replay import ClosedLoopReplayer
-from repro.common.iorequest import IOKind
+from repro.common.render import format_table
 from repro.core import presets
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem
+from repro.experiments.common import standalone_random_reads
 from repro.sim import Simulator
 from repro.ssd.device import SSD
-from repro.ssd.firmware.requests import DeviceCommand
 
 
 def _amber_standalone(n_ios: int) -> Dict:
     sim = Simulator()
     ssd = SSD(sim, presets.intel750())
     ssd.precondition_sequential()
-    import random
-    rng = random.Random(3)
-    region = ssd.config.logical_sectors - 8
-    state = {"done": 0}
-
-    def slot():
-        while state["done"] < n_ios:
-            slba = rng.randrange(region // 8) * 8
-            yield ssd.submit(DeviceCommand(IOKind.READ, slba, 8))
-            state["done"] += 1
-
     wall0 = time.perf_counter()  # simlint: disable=SIM110 -- Fig 16 measures simulation speed itself; wall_seconds is a golden VOLATILE_KEY
-    procs = [sim.process(slot()) for _ in range(16)]
-
-    def waiter():
-        for proc in procs:
-            yield proc
-
-    sim.run_process(waiter())
+    standalone_random_reads(ssd, n_ios, depth=16, seed=3)
     return {"wall_seconds": time.perf_counter() - wall0,  # simlint: disable=SIM110 -- Fig 16 measures simulation speed itself; wall_seconds is a golden VOLATILE_KEY
             "events": sim.events_processed}
 

@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict
 
+from repro.common.render import json_text
 from repro.common.units import KB
 
 #: result keys that legitimately differ run-to-run (never hashed)
@@ -169,7 +170,7 @@ def record_case(case: str, directory: Path = DEFAULT_DIR) -> Dict:
            "payload": canonicalize(result)}
     path = golden_path(case, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    path.write_text(json_text(doc))
     return doc
 
 

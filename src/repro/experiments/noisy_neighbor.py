@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.analysis.tables import format_series
+from repro.common.render import format_series
 from repro.common.units import KB
 from repro.core.system import FullSystem
 from repro.core.tenants import MultiTenantJob, TenantSpec

@@ -29,8 +29,6 @@ the determinism guarantees the golden tests pin.
 
 from repro.fleet.report import (
     merge_results,
-    merged_json,
-    render_html,
     render_markdown,
     write_fleet_report,
 )
@@ -62,8 +60,6 @@ __all__ = [
     "derive_seed",
     "journal_status",
     "merge_results",
-    "merged_json",
-    "render_html",
     "render_markdown",
     "render_status",
     "run_one_job",

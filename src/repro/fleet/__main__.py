@@ -19,13 +19,14 @@ per-layer wall-time attribution to the journal); ``status`` folds the
 journal in to tell running and failed jobs apart from never-started
 ones, and ``watch`` / ``status --follow`` tail the journal live,
 optionally rewriting a streaming partial report that converges
-byte-identically to the final ``report``.  Reports render Markdown or
-HTML by file suffix; ``--json`` on ``report`` writes the canonical
-merged document instead.  ``run --causal`` embeds each job's
-per-request causal latency decomposition (:mod:`repro.obs.causal`) in
-its stored result, and ``explain HASH_A HASH_B`` then renders a
-deterministic report ranking the resource components that moved the
-p50/p99 between the two configurations.  See ``docs/FLEET.md``.
+byte-identically to the final ``report``.  Reports pick their format
+from the ``--out`` suffix: ``.html`` is HTML, ``.json`` the canonical
+merged document, anything else Markdown.  ``run --causal`` embeds
+each job's per-request causal latency decomposition
+(:mod:`repro.obs.causal`) in its stored result, and ``explain HASH_A
+HASH_B`` then renders a deterministic report ranking the resource
+components that moved the p50/p99 between the two configurations.
+See ``docs/FLEET.md``.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.fleet.report import merge_results, merged_json, write_fleet_report
-from repro.obs.diff import explain, write_explain_report
+from repro.fleet.report import merge_results, write_fleet_report
 from repro.fleet.runner import run_sweep, sweep_status
 from repro.fleet.scenarios import SCENARIOS, builtin_specs, spec_names
 from repro.fleet.spec import SweepSpec
 from repro.fleet.store import ResultStore
 from repro.fleet.watch import journal_status, render_status, watch
+from repro.obs.diff import explain, write_explain_report
 
 
 def _load_spec(args) -> SweepSpec:
@@ -140,10 +141,9 @@ def main(argv=None) -> int:
     report = sub.add_parser("report", help="merge a sweep into one artifact")
     _add_spec_args(report)
     report.add_argument("--store", metavar="DIR", required=True)
-    report.add_argument("--out", metavar="OUT.md|OUT.html", required=True,
-                        help="output path; suffix selects Markdown or HTML")
-    report.add_argument("--json", action="store_true",
-                        help="write the canonical merged JSON instead")
+    report.add_argument("--out", metavar="OUT.md|OUT.html|OUT.json",
+                        required=True,
+                        help="output path; suffix selects the format")
 
     explain_cmd = sub.add_parser(
         "explain",
@@ -244,11 +244,7 @@ def main(argv=None) -> int:
 
     # report
     doc = merge_results(spec, store)
-    if args.json:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(merged_json(doc))
-    else:
-        write_fleet_report(args.out, doc)
+    write_fleet_report(args.out, doc)
     print(f"[fleet report: {doc['merged']}/{doc['planned']} configs "
           f"-> {args.out}]")
     return 0 if not doc["missing"] else 1

@@ -17,15 +17,15 @@ renders the same size report as a 10-job one.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
+from repro.common.histogram import LogHistogram
+from repro.common.render import markdown_table, write_document
 from repro.experiments.golden import canonicalize
 from repro.fleet.spec import SweepSpec
 from repro.fleet.store import ResultStore
 from repro.obs.causal import COMPONENTS
-from repro.obs.diff import markdown_to_html, merged_ops
-from repro.obs.histogram import LogHistogram
+from repro.obs.diff import merged_ops
 from repro.obs.timeseries import TimeSeries, sparkline
 
 #: scalar metrics surfaced in the per-job and per-group tables
@@ -139,11 +139,6 @@ def merge_results(spec: SweepSpec, store: ResultStore) -> Dict:
     return canonicalize(doc)
 
 
-def merged_json(doc: Dict) -> str:
-    """The merged document as canonical JSON text (byte-stable)."""
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
-
 # -- markdown -----------------------------------------------------------------
 
 
@@ -173,16 +168,16 @@ def render_markdown(doc: Dict) -> str:
     if "fleet_latency" in doc:
         lat = doc["fleet_latency"]
         out += ["## Fleet-wide latency (all jobs merged)", "",
-                "| samples | mean µs | p50 µs | p95 µs | p99 µs | max µs |",
-                "|---:|---:|---:|---:|---:|---:|",
-                f"| {lat['count']:.0f} | {lat['mean']:.1f} "
-                f"| {lat['p50']:.1f} | {lat['p95']:.1f} "
-                f"| {lat['p99']:.1f} | {lat['max']:.1f} |", ""]
+                markdown_table(
+                    ["samples", "mean µs", "p50 µs", "p95 µs", "p99 µs",
+                     "max µs"], "rrrrrr",
+                    [[f"{lat['count']:.0f}", f"{lat['mean']:.1f}",
+                      f"{lat['p50']:.1f}", f"{lat['p95']:.1f}",
+                      f"{lat['p99']:.1f}", f"{lat['max']:.1f}"]]),
+                ""]
 
     if "causal_components" in doc:
-        out += ["## Causal components (all jobs merged)", "",
-                "| op | component | total µs | mean µs | share |",
-                "|---|---|---:|---:|---:|"]
+        rows = []
         for op in sorted(doc["causal_components"]):
             entry = doc["causal_components"][op]
             comps = entry["components_ns"]
@@ -191,24 +186,25 @@ def render_markdown(doc: Dict) -> str:
             for comp in ordered:
                 ns = comps[comp]
                 share = ns / entry["total_ns"] if entry["total_ns"] else 0.0
-                out.append(
-                    f"| `{op}` | `{comp}` | {ns / 1000.0:.1f} "
-                    f"| {ns / 1000.0 / entry['count']:.2f} "
-                    f"| {share * 100:.1f}% |")
-        out.append("")
+                rows.append([f"`{op}`", f"`{comp}`", f"{ns / 1000.0:.1f}",
+                             f"{ns / 1000.0 / entry['count']:.2f}",
+                             f"{share * 100:.1f}%"])
+        out += ["## Causal components (all jobs merged)", "",
+                markdown_table(["op", "component", "total µs", "mean µs",
+                                "share"], "llrrr", rows), ""]
 
     if doc["groups"]:
-        out += ["## Per-axis aggregates", "",
-                "| axis | value | jobs | mean MB/s | p50 µs | p99 µs |",
-                "|---|---:|---:|---:|---:|---:|"]
+        rows = []
         for group in doc["groups"]:
             lat = group.get("latency", {})
-            out.append(
-                f"| `{group['axis']}` | {_fmt(group['value'])} "
-                f"| {group['jobs']} "
-                f"| {_fmt(group.get('mean_bandwidth_mbps', ''))} "
-                f"| {lat.get('p50', 0.0):.1f} | {lat.get('p99', 0.0):.1f} |")
-        out.append("")
+            rows.append([f"`{group['axis']}`", _fmt(group["value"]),
+                         group["jobs"],
+                         _fmt(group.get("mean_bandwidth_mbps", "")),
+                         f"{lat.get('p50', 0.0):.1f}",
+                         f"{lat.get('p99', 0.0):.1f}"])
+        out += ["## Per-axis aggregates", "",
+                markdown_table(["axis", "value", "jobs", "mean MB/s",
+                                "p50 µs", "p99 µs"], "lrrrrr", rows), ""]
         for axis in sorted({g["axis"] for g in doc["groups"]}):
             curve = [g.get("mean_bandwidth_mbps", 0.0)
                      for g in doc["groups"] if g["axis"] == axis]
@@ -218,16 +214,12 @@ def render_markdown(doc: Dict) -> str:
         out.append("")
 
     out += ["## Per-job results", "",
-            "| config | axes | MB/s | IOPS | p50 µs | p99 µs |",
-            "|---|---|---:|---:|---:|---:|"]
-    for row in doc["jobs"]:
-        metrics = row["metrics"]
-        out.append(
-            f"| `{row['config_hash'][:12]}` | {_axis_label(row['axes'])} "
-            f"| {_fmt(metrics.get('bandwidth_mbps', ''))} "
-            f"| {_fmt(metrics.get('iops', ''))} "
-            f"| {_fmt(metrics.get('p50_latency_us', ''))} "
-            f"| {_fmt(metrics.get('p99_latency_us', ''))} |")
+            markdown_table(
+                ["config", "axes", "MB/s", "IOPS", "p50 µs", "p99 µs"],
+                "llrrrr",
+                [[f"`{row['config_hash'][:12]}`", _axis_label(row["axes"])]
+                 + [_fmt(row["metrics"].get(key, "")) for key in _METRIC_KEYS]
+                 for row in doc["jobs"]])]
     if doc["missing"]:
         out += ["", "## Missing configurations", ""]
         out += [f"* `{job_hash}`" for job_hash in doc["missing"]]
@@ -235,18 +227,8 @@ def render_markdown(doc: Dict) -> str:
     return "\n".join(out)
 
 
-# -- html ---------------------------------------------------------------------
-
-def render_html(doc: Dict) -> str:
-    """Render the merged document as one self-contained HTML page."""
-    return markdown_to_html(render_markdown(doc),
-                            f"Fleet report — {doc['spec']['name']}")
-
-
 def write_fleet_report(path, doc: Dict) -> str:
-    """Write the report; format follows the suffix (.html/.htm = HTML)."""
-    text = render_html(doc) if str(path).lower().endswith((".html", ".htm")) \
-        else render_markdown(doc)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return text
+    """Write the report; the suffix picks the format (``.html``/``.htm``
+    HTML, ``.json`` the canonical merged document, else Markdown)."""
+    return write_document(path, render_markdown(doc),
+                          f"Fleet report — {doc['spec']['name']}", doc)

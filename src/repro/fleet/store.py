@@ -20,6 +20,7 @@ import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
+from repro.common.render import json_text
 from repro.experiments.golden import canonicalize
 
 
@@ -44,8 +45,7 @@ class ResultStore:
         path = self.path_for(job_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
+        tmp.write_text(json_text(doc), encoding="utf-8")
         os.replace(tmp, path)
         return path
 

@@ -25,8 +25,12 @@ samples every registered metric into bounded
 :class:`~repro.obs.timeseries.TimeSeries` at a fixed simulated-time
 period, keeps a :class:`~repro.obs.flightrec.FlightRecorder` ring of
 recent events (dumped to JSON on failure), and feeds the self-contained
-HTML/Markdown reports of :mod:`repro.obs.report`
-(``python -m repro.experiments <fig> --report out.html``).
+Markdown reports of :mod:`repro.obs.report`
+(``python -m repro.experiments <fig> --report out.md``; an ``.html``
+path gets the same Markdown converted to one page).  Every table and
+report file here is drawn by :mod:`repro.common.render`, and the
+streaming latency histograms are
+:class:`repro.common.histogram.LogHistogram`.
 
 Tracing and telemetry are off by default and zero-cost when off:
 simulators carry the kernel's shared ``NULL_TRACER`` and a ``None``

@@ -51,7 +51,7 @@ Memory is bounded: per-request state is dropped when the root span
 closes unless the request lands in the per-op **top-K min-heap** of
 worst offenders (fixed ``top_k``, default 8), whose full causal chains
 are capped at :data:`CHAIN_CAP` entries.  Aggregates are per-op
-:class:`~repro.obs.histogram.LogHistogram` objects (bounded buckets).
+:class:`~repro.common.histogram.LogHistogram` objects (bounded buckets).
 
 Capture follows the house observability contract: **zero-cost when
 off** (the process-wide switch is down and every simulator carries the
@@ -65,7 +65,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.histogram import LogHistogram
+from repro.common.histogram import LogHistogram
 from repro.sim.tracer import Span, Tracer
 
 #: the fixed component order (stable across reports and goldens)

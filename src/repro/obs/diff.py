@@ -16,20 +16,20 @@ blocked behind a specific offender (``gc:<run>``, ``ns:<nsid>``,
 ``req:<id>``, ``bg``), diffed the same way, so "banded placement cut
 the victim's p99" comes with "because gc:* stall time fell by N µs".
 
-Rendering is plain data -> Markdown (or the same content as one
-self-contained HTML page); byte-stable for fixed inputs, which is what
+Rendering is plain data -> Markdown, which
+:func:`repro.common.render.write_document` also converts to one
+self-contained HTML page; byte-stable for fixed inputs, which is what
 lets CI ``cmp`` explain reports produced from stores built with
 different ``--jobs`` counts.
 """
 
 from __future__ import annotations
 
-import html as _html
-import json
 from typing import Dict, List, Optional
 
+from repro.common.histogram import LogHistogram
+from repro.common.render import markdown_table, write_document
 from repro.obs.causal import COMPONENTS
-from repro.obs.histogram import LogHistogram
 
 #: scalar result keys echoed in the explain header when both runs have them
 _SCALAR_KEYS = ("iops", "bandwidth_mbps", "mean_latency_us",
@@ -210,11 +210,12 @@ def render_explain_markdown(doc: Dict) -> str:
         f"* **B** `{b['config_hash'][:12]}` — {_axes_label(b)}", ""]
     metrics = sorted(set(a["metrics"]) & set(b["metrics"]))
     if metrics:
-        out += ["| metric | A | B | Δ (B−A) |", "|---|---:|---:|---:|"]
+        rows = []
         for key in metrics:
             va, vb = a["metrics"][key], b["metrics"][key]
-            out.append(f"| {key} | {va:.4g} | {vb:.4g} | {vb - va:+.4g} |")
-        out.append("")
+            rows.append([key, f"{va:.4g}", f"{vb:.4g}", f"{vb - va:+.4g}"])
+        out += [markdown_table(["metric", "A", "B", "Δ (B−A)"], "lrrr",
+                               rows), ""]
     violations = doc.get("violations", {})
     out += [f"Conservation violations: A={violations.get('a', 0)}, "
             f"B={violations.get('b', 0)} (must be 0 — every request's "
@@ -227,116 +228,37 @@ def render_explain_markdown(doc: Dict) -> str:
             f"Δmean {_signed_us(entry['d_mean_ns'])} µs, "
             f"Δp50 {_signed_us(entry['d_p50_ns'])} µs, "
             f"Δp99 {_signed_us(entry['d_p99_ns'])} µs.", "",
-            "| component | A mean µs | B mean µs | Δmean µs "
-            "| A p99 µs | B p99 µs | Δp99 µs |",
-            "|---|---:|---:|---:|---:|---:|---:|"]
-        for row in entry["components"]:
-            out.append(
-                f"| `{row['component']}` "
-                f"| {_us(row['a']['mean_ns'])} | {_us(row['b']['mean_ns'])} "
-                f"| {_signed_us(row['d_mean_ns'])} "
-                f"| {_us(row['a']['p99_ns'])} | {_us(row['b']['p99_ns'])} "
-                f"| {_signed_us(row['d_p99_ns'])} |")
-        out.append("")
+            markdown_table(
+                ["component", "A mean µs", "B mean µs", "Δmean µs",
+                 "A p99 µs", "B p99 µs", "Δp99 µs"], "lrrrrrr",
+                [[f"`{row['component']}`",
+                  _us(row["a"]["mean_ns"]), _us(row["b"]["mean_ns"]),
+                  _signed_us(row["d_mean_ns"]),
+                  _us(row["a"]["p99_ns"]), _us(row["b"]["p99_ns"]),
+                  _signed_us(row["d_p99_ns"])]
+                 for row in entry["components"]]), ""]
         if entry["blame"]:
+            ranked = sorted(entry["blame"].items(),
+                            key=lambda item: (-abs(item[1]["b_ns"]
+                                                   - item[1]["a_ns"]),
+                                              item[0]))
             out += ["Blame ledger (aggregate wait blocked behind each "
                     "offender):", "",
-                    "| offender | A µs | B µs | Δ µs |",
-                    "|---|---:|---:|---:|"]
-            for holder, sides in sorted(
-                    entry["blame"].items(),
-                    key=lambda item: (-abs(item[1]["b_ns"]
-                                           - item[1]["a_ns"]), item[0])):
-                out.append(
-                    f"| `{holder}` | {_us(sides['a_ns'])} "
-                    f"| {_us(sides['b_ns'])} "
-                    f"| {_signed_us(sides['b_ns'] - sides['a_ns'])} |")
-            out.append("")
+                    markdown_table(
+                        ["offender", "A µs", "B µs", "Δ µs"], "lrrr",
+                        [[f"`{holder}`", _us(sides["a_ns"]),
+                          _us(sides["b_ns"]),
+                          _signed_us(sides["b_ns"] - sides["a_ns"])]
+                         for holder, sides in ranked]), ""]
     out.append("")
     return "\n".join(out)
-
-
-_CSS = """
-body{font:14px/1.5 system-ui,sans-serif;margin:2rem auto;max-width:62rem;
-color:#1a1a1a}
-table{border-collapse:collapse;margin:0.5rem 0 1.5rem}
-th,td{border:1px solid #d0d0d0;padding:0.25rem 0.6rem;text-align:right}
-th:first-child,td:first-child{text-align:left}
-code{background:#f4f4f4;padding:0 0.2rem}
-"""
-
-
-def _inline_html(text: str) -> str:
-    """Escape a markdown fragment, keeping `code` spans as ``<code>``."""
-    parts = text.split("`")
-    out: List[str] = []
-    for index, part in enumerate(parts):
-        escaped = _html.escape(part)
-        out.append(f"<code>{escaped}</code>" if index % 2 else escaped)
-    return "".join(out)
-
-
-def markdown_to_html(markdown: str, title: str) -> str:
-    """Convert the simple markdown dialect of this module and of the fleet
-    report (:mod:`repro.fleet.report`) to one page.
-
-    Handles the constructs the renderers emit — ``#``/``##`` headings,
-    tables, bullet lists, paragraphs — which keeps the HTML artifact
-    dependency-free and byte-stable.
-    """
-    body: List[str] = []
-    in_table = False
-    for line in markdown.splitlines():
-        if line.startswith("|"):
-            cells = [cell.strip() for cell in line.strip("|").split("|")]
-            if all(set(cell) <= {"-", ":", " "} and cell for cell in cells):
-                continue
-            tag = "td" if in_table else "th"
-            if not in_table:
-                body.append("<table>")
-                in_table = True
-            body.append("<tr>" + "".join(
-                f"<{tag}>{_inline_html(cell)}</{tag}>"
-                for cell in cells) + "</tr>")
-            continue
-        if in_table:
-            body.append("</table>")
-            in_table = False
-        if line.startswith("# "):
-            body.append(f"<h1>{_inline_html(line[2:])}</h1>")
-        elif line.startswith("## "):
-            body.append(f"<h2>{_inline_html(line[3:])}</h2>")
-        elif line.startswith("* "):
-            body.append(f"<p>{_inline_html(line[2:])}</p>")
-        elif line:
-            body.append(f"<p>{_inline_html(line)}</p>")
-    if in_table:
-        body.append("</table>")
-    return ("<!DOCTYPE html><html><head><meta charset='utf-8'>"
-            f"<title>{_html.escape(title)}</title>"
-            f"<style>{_CSS}</style></head><body>"
-            + "\n".join(body) + "</body></html>\n")
-
-
-def render_explain_html(doc: Dict) -> str:
-    """Render an explain document as one self-contained HTML page."""
-    return markdown_to_html(render_explain_markdown(doc),
-                            "Run explain — B vs A")
 
 
 def write_explain_report(path, doc: Dict) -> str:
     """Write the explain report; ``.html``/``.htm`` suffix selects HTML,
     ``.json`` the canonical document, anything else Markdown."""
-    name = str(path).lower()
-    if name.endswith((".html", ".htm")):
-        text = render_explain_html(doc)
-    elif name.endswith(".json"):
-        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    else:
-        text = render_explain_markdown(doc)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return text
+    return write_document(path, render_explain_markdown(doc),
+                          "Run explain — B vs A", doc)
 
 
 # -- single-run causal reports (repro.experiments --explain) ------------------
@@ -382,18 +304,17 @@ def render_causal_markdown(summary: Dict, title: str = "Causal forensics",
         out += [f"## System `{system['label']}`", ""]
         for op, entry in sorted(system.get("ops", {}).items()):
             mean = entry["total_ns"] / entry["count"] if entry["count"] else 0
-            out += [f"### Op `{op}` — {entry['count']} requests, "
-                    f"mean {_us(mean)} µs", "",
-                    "| component | total µs | mean µs | share |",
-                    "|---|---:|---:|---:|"]
             comps = entry.get("components_ns", {})
+            rows = []
             for comp in _component_order(comps):
                 ns = comps[comp]
                 share = ns / entry["total_ns"] if entry["total_ns"] else 0.0
-                out.append(f"| `{comp}` | {_us(ns)} "
-                           f"| {_us(ns / entry['count'])} "
-                           f"| {share * 100:.1f}% |")
-            out.append("")
+                rows.append([f"`{comp}`", _us(ns), _us(ns / entry["count"]),
+                             f"{share * 100:.1f}%"])
+            out += [f"### Op `{op}` — {entry['count']} requests, "
+                    f"mean {_us(mean)} µs", "",
+                    markdown_table(["component", "total µs", "mean µs",
+                                    "share"], "lrrr", rows), ""]
             records = entry.get("worst", [])[:worst]
             if records:
                 out.append(f"Worst {len(records)} of top-K tail capture:")
@@ -413,12 +334,12 @@ def render_causal_markdown(summary: Dict, title: str = "Causal forensics",
                 out += [
                     f"### Op `{op}`: Δmean {_signed_us(entry['d_mean_ns'])} "
                     f"µs, Δp99 {_signed_us(entry['d_p99_ns'])} µs", "",
-                    "| component | Δmean µs | Δp99 µs |", "|---|---:|---:|"]
-                for row in entry["components"]:
-                    out.append(f"| `{row['component']}` "
-                               f"| {_signed_us(row['d_mean_ns'])} "
-                               f"| {_signed_us(row['d_p99_ns'])} |")
-                out.append("")
+                    markdown_table(
+                        ["component", "Δmean µs", "Δp99 µs"], "lrr",
+                        [[f"`{row['component']}`",
+                          _signed_us(row["d_mean_ns"]),
+                          _signed_us(row["d_p99_ns"])]
+                         for row in entry["components"]]), ""]
     out.append("")
     return "\n".join(out)
 
@@ -426,14 +347,5 @@ def render_causal_markdown(summary: Dict, title: str = "Causal forensics",
 def write_causal_report(path, summary: Dict,
                         title: str = "Causal forensics") -> str:
     """Write a single-run causal report (suffix selects the format)."""
-    name = str(path).lower()
-    markdown = render_causal_markdown(summary, title=title)
-    if name.endswith((".html", ".htm")):
-        text = markdown_to_html(markdown, title)
-    elif name.endswith(".json"):
-        text = json.dumps(summary, indent=1, sort_keys=True) + "\n"
-    else:
-        text = markdown
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return text
+    return write_document(path, render_causal_markdown(summary, title=title),
+                          title, summary)

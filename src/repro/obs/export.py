@@ -8,7 +8,8 @@ Three output shapes:
   so one horizontal lane shows a request's full hostos -> interface ->
   firmware -> flash lifetime.
 * :func:`latency_breakdown` / :func:`format_breakdown` — per-span-kind
-  count and p50/p95/p99 table, the "where did the time go" summary.
+  count and p50/p95/p99 table, the "where did the time go" summary
+  (:func:`breakdown_rows` gives the same rows to the run report).
 * metrics CSV via :meth:`repro.obs.metrics.MetricsRegistry.to_csv` and
   :func:`write_metrics_csv` for merged multi-system snapshots.
 
@@ -21,8 +22,9 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.common.histogram import LogHistogram
+from repro.common.render import format_table
 from repro.common.stats import percentile_sorted
-from repro.obs.histogram import LogHistogram
 from repro.sim.tracer import Span, Tracer
 
 
@@ -116,22 +118,22 @@ def span_histograms(spans: Iterable[Span],
     return by_kind
 
 
-def format_breakdown(breakdown: Dict[str, Dict[str, float]]) -> str:
-    """Render :func:`latency_breakdown` as an aligned text table."""
-    headers = ["span", "count", "mean_us", "p50_us", "p95_us", "p99_us",
-               "max_us"]
-    rows = [[kind, f"{s['count']:.0f}", f"{s['mean_us']:.1f}",
+#: column headers of :func:`breakdown_rows`
+BREAKDOWN_HEADERS = ("span", "count", "mean_us", "p50_us", "p95_us",
+                     "p99_us", "max_us")
+
+
+def breakdown_rows(breakdown: Dict[str, Dict[str, float]]) -> List[List[str]]:
+    """:func:`latency_breakdown` as table rows of formatted cells."""
+    return [[kind, f"{s['count']:.0f}", f"{s['mean_us']:.1f}",
              f"{s['p50_us']:.1f}", f"{s['p95_us']:.1f}",
              f"{s['p99_us']:.1f}", f"{s['max_us']:.1f}"]
             for kind, s in breakdown.items()]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) if rows
-              else len(headers[i]) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i])
-                               for i, cell in enumerate(row)))
-    return "\n".join(lines)
+
+
+def format_breakdown(breakdown: Dict[str, Dict[str, float]]) -> str:
+    """Render :func:`latency_breakdown` as an aligned text table."""
+    return format_table(BREAKDOWN_HEADERS, breakdown_rows(breakdown))
 
 
 def write_metrics_csv(path: str,

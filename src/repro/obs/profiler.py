@@ -48,6 +48,7 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.common.render import markdown_table
 from repro.sim.engine import HOOKS
 
 #: (path fragment, layer) — first match wins, checked on "/"-normalized
@@ -335,14 +336,12 @@ def attribution_markdown(profs: Optional[List[WallProfiler]] = None,
                f"{doc['attributed_fraction'] * 100.0:.1f}% attributed "
                f"({doc['kernel_wall_s']:.4f}s kernel loop, booked under "
                "`sim`).")
-    out += ["", "| layer | calls | wall ms | share |",
-            "|---|---:|---:|---:|"]
     ranked = sorted(doc["layers"].items(),
                     key=lambda item: (-item[1]["seconds"], item[0]))
-    for name, entry in ranked:
-        out.append(f"| `{name}` | {int(entry['calls'])} "
-                   f"| {entry['seconds'] * 1e3:.2f} "
-                   f"| {entry['share'] * 100.0:.1f}% |")
+    out += ["", markdown_table(
+        ["layer", "calls", "wall ms", "share"], "lrrr",
+        [[f"`{name}`", int(entry["calls"]), f"{entry['seconds'] * 1e3:.2f}",
+          f"{entry['share'] * 100.0:.1f}%"] for name, entry in ranked])]
     top = hottest_layers(doc)
     if top:
         out += ["", "Top-{n} hottest layers: {names}.".format(
@@ -350,11 +349,11 @@ def attribution_markdown(profs: Optional[List[WallProfiler]] = None,
     hot_modules = sorted(doc["modules"].items(),
                          key=lambda item: (-item[1]["seconds"], item[0]))[:10]
     if hot_modules:
-        out += ["", "| hottest call sites | calls | wall ms |",
-                "|---|---:|---:|"]
-        for name, entry in hot_modules:
-            out.append(f"| `{name}` | {int(entry['calls'])} "
-                       f"| {entry['seconds'] * 1e3:.2f} |")
+        out += ["", markdown_table(
+            ["hottest call sites", "calls", "wall ms"], "lrr",
+            [[f"`{name}`", int(entry["calls"]),
+              f"{entry['seconds'] * 1e3:.2f}"]
+             for name, entry in hot_modules])]
     out.append("")
     return "\n".join(out)
 

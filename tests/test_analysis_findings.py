@@ -1,24 +1,23 @@
-"""Direct units for the analysis support modules: findings /
-suppression parsing, ASCII table rendering, and the Table IV feature
-matrix (docs/ANALYSIS.md).
+"""Direct units for simlint's findings / suppression parsing
+(docs/ANALYSIS.md) and the Table IV feature matrix
+(:mod:`repro.experiments.featurematrix`).
 """
 
 import textwrap
 
-from repro.analysis.featurematrix import (
-    FEATURES,
-    SIMULATOR_FEATURES,
-    amber_feature_count,
-    feature_headers,
-    feature_table,
-)
 from repro.analysis.findings import (
     Finding,
     FindingSet,
     Suppression,
     parse_suppressions,
 )
-from repro.analysis.tables import format_series, format_table
+from repro.experiments.featurematrix import (
+    FEATURES,
+    SIMULATOR_FEATURES,
+    amber_feature_count,
+    feature_headers,
+    feature_table,
+)
 
 
 # -- parse_suppressions -------------------------------------------------------
@@ -108,41 +107,6 @@ class TestFindingSet:
         assert len(fs.suppressed) == 1
         assert fs.exit_code() == 1
         assert FindingSet().exit_code() == 0
-
-
-# -- tables -------------------------------------------------------------------
-
-class TestTables:
-    def test_format_table_aligns_columns(self):
-        text = format_table(["name", "ns"],
-                            [["read", 1234.0], ["gc", 7.5]],
-                            title="latency")
-        lines = text.splitlines()
-        assert lines[0] == "latency"
-        assert lines[1].split(" | ")[0].strip() == "name"
-        assert set(lines[2]) <= {"-", "+"}
-        # every row renders to the same width
-        assert len({len(line) for line in lines[1:]}) == 1
-        assert "1234" in text and "7.5" in text
-
-    def test_float_formatting_scales_precision(self):
-        text = format_table(["v"], [[0.0], [0.1234], [1.26], [512.7]])
-        assert "0.123" in text     # small: 3 decimals
-        assert "1.3" in text       # mid: 1 decimal
-        assert "513" in text       # large: integral
-        assert "\n0 " in text or text.splitlines()[2].strip() == "0"
-
-    def test_format_series_merges_x_axis(self):
-        text = format_series(
-            {"amber": {1: 10.0, 4: 40.0}, "mqsim": {1: 11.0, 2: 22.0}},
-            x_label="qd")
-        lines = text.splitlines()
-        assert lines[0].split(" | ")[0].strip() == "qd"
-        xs = [line.split(" | ")[0].strip() for line in lines[2:]]
-        assert xs == ["1", "2", "4"]
-        # missing points render empty, not crash
-        assert [c.strip() for c in lines[3].split(" | ")] == \
-            ["2", "", "22.0"]
 
 
 # -- feature matrix -----------------------------------------------------------

@@ -87,6 +87,18 @@ class TestArming:
         assert [name for name in loaded if name not in ("repro", "repro.sim")
                 and not name.startswith("repro.sim.")] == []
 
+    def test_common_import_loads_only_common(self):
+        """``repro.common`` sits just above the kernel: a bare ``import
+        repro.common`` loads nothing outside ``repro.common``."""
+        proc = _fresh_python("import sys, repro.common; print(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        loaded = [name for name in proc.stdout.split()
+                  if name.partition(".")[0] == "repro"]
+        assert "repro.common.histogram" in loaded
+        assert [name for name in loaded
+                if name not in ("repro", "repro.common")
+                and not name.startswith("repro.common.")] == []
+
     def test_causal_capture_alone_arms_a_fresh_process(self):
         """``enable_causal`` fills the tracer slot through
         ``repro.obs.runtime``, which nothing else has imported yet."""

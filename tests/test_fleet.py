@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.common.histogram import LogHistogram
+from repro.common.render import json_text, markdown_to_html
 from repro.fleet import (
     ResultStore,
     SCENARIOS,
@@ -21,14 +23,11 @@ from repro.fleet import (
     config_hash,
     derive_seed,
     merge_results,
-    merged_json,
-    render_html,
     render_markdown,
     run_scenario,
     run_sweep,
     sweep_status,
 )
-from repro.obs.histogram import LogHistogram
 
 #: the smoke4 job CI also runs — any drift in the hash scheme (key
 #: canonicalization, separators, digest choice) invalidates every
@@ -237,9 +236,10 @@ class TestRunner:
             assert store_j1.path_for(job_hash).read_bytes() == \
                 store_j2.path_for(job_hash).read_bytes(), job_hash
         doc_j2 = merge_results(TINY, store_j2)
-        assert merged_json(doc_j1) == merged_json(doc_j2)
+        assert json_text(doc_j1) == json_text(doc_j2)
         assert render_markdown(doc_j1) == render_markdown(doc_j2)
-        assert render_html(doc_j1) == render_html(doc_j2)
+        assert markdown_to_html(render_markdown(doc_j1), "fleet") == \
+            markdown_to_html(render_markdown(doc_j2), "fleet")
 
     def test_resume_runs_only_missing_jobs(self, baseline, tmp_path):
         """Half-empty store + --resume => only the hole is re-simulated,
@@ -253,8 +253,8 @@ class TestRunner:
         summary = run_sweep(TINY, partial, jobs=1, resume=True)
         assert summary.skipped == [kept]
         assert summary.executed == [dropped]
-        assert merged_json(merge_results(TINY, partial)) == \
-            merged_json(doc_before)
+        assert json_text(merge_results(TINY, partial)) == \
+            json_text(doc_before)
 
     def test_resume_false_reexecutes_everything(self, baseline, tmp_path):
         store_j1, _summary, doc_before = baseline
@@ -265,8 +265,8 @@ class TestRunner:
         summary = run_sweep(TINY, copy, jobs=1, resume=False)
         assert sorted(summary.executed) == store_j1.hashes()
         assert summary.skipped == []
-        assert merged_json(merge_results(TINY, copy)) == \
-            merged_json(doc_before)
+        assert json_text(merge_results(TINY, copy)) == \
+            json_text(doc_before)
 
     def test_status_reports_missing(self, baseline, tmp_path):
         store_j1, _summary, _doc = baseline
@@ -301,7 +301,7 @@ class TestReportRendering:
 
     def test_html_is_selfcontained_and_escaped(self, baseline):
         _store, _summary, doc = baseline
-        page = render_html(doc)
+        page = markdown_to_html(render_markdown(doc), "fleet")
         assert page.startswith("<!DOCTYPE html>")
         assert "<table>" in page and "</html>" in page
         assert "<script" not in page and "http" not in page
@@ -356,6 +356,20 @@ class TestCli:
                         "--store", str(store), "--out", str(out))
         assert proc.returncode == 0
         assert "Fleet report" in out.read_text()
+
+    def test_report_json_suffix_writes_the_merged_document(self, baseline,
+                                                          tmp_path):
+        """``--out X.json`` writes the canonical merged JSON, byte for
+        byte the document ``merge_results`` builds."""
+        store, _summary, doc = baseline
+        spec_path = tmp_path / "tiny.json"
+        spec_path.write_text(json.dumps(TINY.to_dict()))
+        out = tmp_path / "fleet.json"
+        proc = _run_cli("report", "--spec", str(spec_path),
+                        "--store", str(store.root), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text(encoding="utf-8") == json_text(doc)
+        assert json.loads(out.read_text())["merged"] == 2
 
     def test_status_of_empty_store_fails(self, tmp_path):
         proc = _run_cli("status", "--builtin", "smoke4",

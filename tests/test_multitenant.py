@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.common.histogram import LogHistogram
 from repro.common.recorders import LatencyRecorder
 from repro.common.stats import jain_fairness
 from repro.core.system import FullSystem
@@ -28,7 +29,6 @@ from repro.core.tenants import (
 )
 from repro.experiments.golden import digest
 from repro.interfaces.nvme.structures import Namespace
-from repro.obs.histogram import LogHistogram
 from repro.workloads.synthetic import (
     ARRIVAL_KINDS,
     BurstyArrivals,

@@ -88,8 +88,9 @@ class TestExperimentCli:
         report = tmp_path / "report.html"
         assert main(["fig16", "--report", str(report)]) == 0
         page = report.read_text()
-        assert page.startswith("<!doctype html>")
-        assert '<svg class="spark"' in page
+        assert page.lower().startswith("<!doctype html>")
+        assert "<table>" in page
+        assert any(block in page for block in "▁▂▃▄▅▆▇█")
         base = tmp_path / "attr"
         assert main(["fig16", "--profile", str(base)]) == 0
         assert "hottest layers" in (tmp_path / "attr.md").read_text()

@@ -30,6 +30,7 @@ from repro.obs.diff import (
     merged_ops,
     render_causal_markdown,
     render_explain_markdown,
+    write_causal_report,
     write_explain_report,
 )
 from repro.sim.tracer import Tracer
@@ -454,6 +455,16 @@ class TestFleetCausal:
         text = render_causal_markdown(payload, "forensics")
         assert text.startswith("# forensics")
         assert "Worst" in text
+
+    def test_causal_html_report_renders_headings_and_chains(
+            self, causal_stores, tmp_path):
+        """The page converts the report's ``###`` op headings and its
+        indented chain bullets instead of printing them as text."""
+        payload = causal_stores[0].get(
+            causal_stores[0].hashes()[0])["result"]["causal"]
+        page = write_causal_report(tmp_path / "c.html", payload, "forensics")
+        assert "<h3>" in page and "<li>" in page
+        assert "<p>###" not in page and "<p>  *" not in page
 
 
 class TestCliCausal:

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.sanitizer import disable_sanitizer, enable_sanitizer
+from repro.common.histogram import LogHistogram
 from repro.common.stats import percentile_exact, percentile_sorted
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.histogram import LogHistogram
 from repro.obs.report import write_report
 from repro.obs.runtime import disable_tracing, enable_tracing
 from repro.obs.telemetry import (
@@ -391,7 +391,7 @@ class TestReports:
         out = tmp_path / "run.html"
         write_report(str(out), title="telemetry test run")
         text = out.read_text()
-        assert text.startswith("<!doctype html>")
+        assert text.lower().startswith("<!doctype html>")
         # at least three distinct epoch time-series by name
         for series in ("nvme.sq.depth", "ssd.channel0.util",
                        "ssd.ftl.gc_pages_migrated", "os.block.inflight",
@@ -402,8 +402,10 @@ class TestReports:
         for kind in ("io.submit", "flash.read", "hil.serve"):
             assert kind in text, kind
         assert "bucket error" in text
-        # self-contained: inline style and svg sparklines, no external refs
-        assert "<style>" in text and "<svg" in text
+        # self-contained: inline style, tables and unicode sparklines,
+        # no external refs
+        assert "<style>" in text and "<table>" in text
+        assert any(block in text for block in "▁▂▃▄▅▆▇█")
         for external in ("href=", "src=", "http://", "https://"):
             assert external not in text, external
 

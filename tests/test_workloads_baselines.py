@@ -2,13 +2,6 @@
 
 import pytest
 
-from repro.analysis.featurematrix import (
-    SIMULATOR_FEATURES,
-    amber_feature_count,
-    feature_headers,
-    feature_table,
-)
-from repro.analysis.tables import format_series, format_table
 from repro.baselines.models import (
     FlashSimModel,
     MQSimModel,
@@ -24,6 +17,12 @@ from repro.baselines.reference import (
 )
 from repro.baselines.replay import ClosedLoopReplayer
 from repro.core import presets
+from repro.experiments.featurematrix import (
+    SIMULATOR_FEATURES,
+    amber_feature_count,
+    feature_headers,
+    feature_table,
+)
 from repro.workloads.enterprise import ENTERPRISE_WORKLOADS, EnterpriseGenerator
 from repro.workloads.synthetic import blocksize_sweep, depth_sweep, standard_patterns
 
@@ -149,15 +148,6 @@ class TestReferenceCurves:
 
 
 class TestAnalysis:
-    def test_format_table_aligns(self):
-        text = format_table(["a", "bb"], [[1, 2.5], [30, 0.123]])
-        lines = text.splitlines()
-        assert len({len(line) for line in lines}) == 1
-
-    def test_format_series_merges_x(self):
-        text = format_series({"s1": {1: 10}, "s2": {2: 20}}, "x")
-        assert "s1" in text and "s2" in text
-
     def test_feature_matrix_shape(self):
         rows = feature_table()
         headers = feature_headers()
