@@ -6,7 +6,7 @@ directives — every historical finding.  It is a plain text file, one
 entry per line::
 
     SIM210 tests/test_fleet.py -- replay harness stores real wall time by design
-    SIM202 benchmarks/sweep.py:41 -- legacy us field, tracked in #123
+    SIM201 benchmarks/sweep.py:41 -- legacy us field, converted by its one reader
 
 Grammar: ``RULE path[:line] -- reason``.  Blank lines and ``#``
 comments are ignored.  Exactly like inline suppressions, the reason is

@@ -4,9 +4,9 @@ Where :mod:`repro.analysis.rules` checks one function at a time, this
 package sees the *project*: a module resolver and symbol table
 (:mod:`~repro.analysis.flow.project`), a call graph with best-effort
 method resolution, and small abstract interpreters over typed lattices.
-Three rule families build on it (docs/ANALYSIS.md, "The dataflow pass"):
+Three rules build on it (docs/ANALYSIS.md, "The dataflow pass"):
 
-* **SIM201-SIM203** — unit-of-measure checking over
+* **SIM201** — unit-of-measure checking over
   ``ns | us | ms | s | bytes | sectors | pages | hz`` facts inferred
   from name suffixes, ``repro.common.units`` constants and call
   summaries (:mod:`~repro.analysis.flow.unitcheck`);

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.flow.project import (
     FunctionInfo,
     Project,
+    SummaryMemo,
     ordered_body,
 )
 from repro.analysis.registry import ProjectSite, project_rule
@@ -80,11 +81,6 @@ class _FunctionLocks:
         self.env: Dict[str, str] = {}            # var -> lock identity
         self.held: List[_Acquire] = []
         self.acquired: Dict[str, _Acquire] = {}  # summary (first site wins)
-        params = func.params
-        if func.class_name is not None and params and \
-                params[0] in ("self", "cls"):
-            params = params[1:]
-        self.params = params
 
     def _where(self, node: ast.AST) -> str:
         return f"{self.func.module.path}:{getattr(node, 'lineno', 1)}"
@@ -111,8 +107,9 @@ class _FunctionLocks:
         if isinstance(node, ast.Name):
             if node.id in self.env:
                 return self.env[node.id]
-            if node.id in self.params:
-                return f"param:{self.params.index(node.id)}"
+            params = self.func.call_params
+            if node.id in params:
+                return f"param:{params.index(node.id)}"
             return node.id
         return None
 
@@ -162,9 +159,9 @@ class _FunctionLocks:
                         del self.held[index]
                         break
             return
-        targets = self.analyzer.project.resolve_call(self.func, node)
-        if len(targets) == 1 and targets[0].qualname != self.func.qualname:
-            self.apply_summary(node, targets[0])
+        callee = self.analyzer.project.callee(self.func, node)
+        if callee is not None and callee.qualname != self.func.qualname:
+            self.apply_summary(node, callee)
 
     def record_acquire(self, acq: _Acquire) -> None:
         for holder in self.held:
@@ -180,10 +177,10 @@ class _FunctionLocks:
     def apply_summary(self, node: ast.Call,
                       callee: FunctionInfo) -> None:
         """Edges + summary contributions from a resolved call."""
-        summary = self.analyzer.summary(callee)
+        summary, escapes = self.analyzer.summary(callee)
         if not summary:
             return
-        escaping = set(self.analyzer.escapes(callee))
+        escaping = set(escapes)
         for acq in summary.values():
             identity = acq.lock
             if identity.startswith("param:"):
@@ -213,35 +210,18 @@ class LockAnalyzer:
 
     def __init__(self, project: Project) -> None:
         self.project = project
-        self._summaries: Dict[str, Dict[str, _Acquire]] = {}
-        #: locks still held when the function returns (acquire-only
-        #: helpers like the backend's ``_traced_acquire``)
-        self._escapes: Dict[str, Tuple[str, ...]] = {}
-        self._in_flight: Set[str] = set()
+        #: per function: the locks it transitively acquires (``param:N``
+        #: unresolved), and the ones it still holds when it returns
+        #: (acquire-only helpers like the backend's ``_traced_acquire``)
+        self.summary = SummaryMemo(self._summarize, default=({}, ()))
         #: src -> dst -> first edge seen
         self.graph: Dict[str, Dict[str, _Edge]] = {}
 
-    def summary(self, func: FunctionInfo) -> Dict[str, _Acquire]:
-        """Locks ``func`` transitively acquires (``param:N`` unresolved)."""
-        if func.qualname in self._summaries:
-            return self._summaries[func.qualname]
-        if func.qualname in self._in_flight:
-            return {}
-        self._in_flight.add(func.qualname)
-        try:
-            walker = _FunctionLocks(self, func)
-            walker.run()
-            self._summaries[func.qualname] = walker.acquired
-            self._escapes[func.qualname] = tuple(
-                acq.lock for acq in walker.held)
-            return walker.acquired
-        finally:
-            self._in_flight.discard(func.qualname)
-
-    def escapes(self, func: FunctionInfo) -> Tuple[str, ...]:
-        """Lock identities ``func`` still holds when it returns."""
-        self.summary(func)
-        return self._escapes.get(func.qualname, ())
+    def _summarize(self, func: FunctionInfo
+                   ) -> Tuple[Dict[str, _Acquire], Tuple[str, ...]]:
+        walker = _FunctionLocks(self, func)
+        walker.run()
+        return walker.acquired, tuple(acq.lock for acq in walker.held)
 
     def add_edge(self, holder: _Acquire, acq: _Acquire) -> None:
         src, dst = holder.lock, acq.lock

@@ -18,6 +18,11 @@ reuses each file's import aliases).  It provides:
   attribute calls — a bounded method-name index (a name defined by at
   most :data:`MAX_METHOD_CANDIDATES` project classes resolves to all of
   them; a more common name stays unresolved rather than guessing).
+  :meth:`Project.callee` resolves each call node once and keeps the
+  answer, so the passes share one resolution of every call;
+* a **summary memo** (:class:`SummaryMemo`) — the one memoized,
+  cycle-safe per-function summary the unit, taint and lock passes
+  each build theirs on.
 
 Everything here is deterministic: iteration orders are sorted, and no
 state survives between :class:`Project` constructions.
@@ -28,7 +33,18 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from functools import cached_property
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    TypeVar,
+)
 
 from repro.analysis.registry import SourceFile, dotted_name, expand_alias
 
@@ -96,12 +112,16 @@ class FunctionInfo:
         """The bare function name."""
         return self.node.name  # type: ignore[attr-defined]
 
-    @property
-    def params(self) -> List[str]:
-        """Positional+keyword parameter names, ``self``/``cls`` included."""
+    @cached_property
+    def call_params(self) -> List[str]:
+        """The parameters a call site binds: positional, then
+        keyword-only, without a method's leading ``self``/``cls``."""
         args = self.node.args  # type: ignore[attr-defined]
         names = [a.arg for a in args.posonlyargs + args.args]
         names.extend(a.arg for a in args.kwonlyargs)
+        if self.class_name is not None and names and \
+                names[0] in ("self", "cls"):
+            return names[1:]
         return names
 
 
@@ -129,6 +149,7 @@ class Project:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self._method_index: Dict[str, List[FunctionInfo]] = {}
+        self._callees: Dict[ast.Call, Optional[FunctionInfo]] = {}
         for src in sources:
             self._add_module(src)
 
@@ -208,6 +229,19 @@ class Project:
 
     # -- call resolution ---------------------------------------------------
 
+    def callee(self, caller: FunctionInfo,
+               call: ast.Call) -> Optional[FunctionInfo]:
+        """The one project function ``call`` targets, or None when the
+        call is external or ambiguous.
+
+        Each call node sits in one function body, so the answer is
+        resolved once per node and kept for every later pass.
+        """
+        if call not in self._callees:
+            targets = self.resolve_call(caller, call)
+            self._callees[call] = targets[0] if len(targets) == 1 else None
+        return self._callees[call]
+
     def resolve_call(self, caller: FunctionInfo,
                      call: ast.Call) -> List[FunctionInfo]:
         """Project functions a call may target (empty when external).
@@ -262,3 +296,39 @@ class Project:
         if target_mod is not None:
             return self.class_method(target_mod, cls, leaf)
         return None
+
+
+_Summary = TypeVar("_Summary")
+
+
+class SummaryMemo(Generic[_Summary]):
+    """Memoized, cycle-safe per-function summaries for one pass.
+
+    ``compute(func)`` may query the memo again for the functions
+    ``func`` calls.  A query for a function whose summary is still
+    being computed (recursion) gets ``default`` — an approximation the
+    memo does not keep, while the outer summaries built on it are
+    kept.  ``default`` is shared between answers, so callers must not
+    mutate what they get.
+    """
+
+    def __init__(self, compute: Callable[[FunctionInfo], _Summary],
+                 default: _Summary) -> None:
+        self._compute = compute
+        self._default = default
+        self._done: Dict[str, _Summary] = {}
+        self._in_flight: Set[str] = set()
+
+    def __call__(self, func: FunctionInfo) -> _Summary:
+        """The summary of ``func``, computing it on first use."""
+        key = func.qualname
+        if key in self._done:
+            return self._done[key]
+        if key in self._in_flight:
+            return self._default
+        self._in_flight.add(key)
+        try:
+            summary = self._done[key] = self._compute(func)
+        finally:
+            self._in_flight.discard(key)
+        return summary

@@ -38,9 +38,14 @@ module, not the call chain.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.flow.project import FunctionInfo, Project, ordered_body
+from repro.analysis.flow.project import (
+    FunctionInfo,
+    Project,
+    SummaryMemo,
+    ordered_body,
+)
 from repro.analysis.registry import (
     ProjectSite,
     dotted_name,
@@ -114,19 +119,10 @@ class _FunctionTaint:
         self.returns: Taint = {}
         self.violations: List[_Violation] = []
         if symbolic:
-            params = self._callee_params(func)
-            for index, param in enumerate(params):
+            for index, param in enumerate(func.call_params):
                 self.env[param] = {
                     f"param:{index}":
                         (f"parameter `{param}` of `{func.name}()`",)}
-
-    @staticmethod
-    def _callee_params(func: FunctionInfo) -> List[str]:
-        params = func.params
-        if func.class_name is not None and params and \
-                params[0] in ("self", "cls"):
-            return params[1:]
-        return params
 
     def _where(self, node: ast.AST) -> str:
         return f"{self.func.module.path}:{getattr(node, 'lineno', 1)}"
@@ -297,9 +293,9 @@ class _FunctionTaint:
             self.check_sink(node, self.infer(node.args[0]),
                             f"passed to `{leaf}()`")
 
-        targets = self.analyzer.project.resolve_call(self.func, node)
-        if len(targets) == 1:
-            return self._apply_summary(node, targets[0])
+        callee = self.analyzer.project.callee(self.func, node)
+        if callee is not None:
+            return self._apply_summary(node, callee)
 
         # unresolved: conservatively pass argument taint through
         if arg_taint and leaf is not None:
@@ -333,7 +329,7 @@ class _FunctionTaint:
             return {}
         hop = f"returned by `{callee.name}()` ({self._where(node)})"
         result: Taint = {}
-        params = self._callee_params(callee)
+        params = callee.call_params
         for kind, witness in summary.items():
             if kind.startswith("param:"):
                 index = int(kind.split(":", 1)[1])
@@ -362,23 +358,14 @@ class TaintAnalyzer:
 
     def __init__(self, project: Project) -> None:
         self.project = project
-        self._summaries: Dict[str, Taint] = {}
-        self._in_flight: Set[str] = set()
+        #: return-taint summaries: concrete kinds + ``param:N`` flows;
+        #: recursion approximates with no taint
+        self.summary = SummaryMemo(self._summarize, default={})
 
-    def summary(self, func: FunctionInfo) -> Taint:
-        """Return-taint summary: concrete kinds + ``param:N`` flows."""
-        if func.qualname in self._summaries:
-            return self._summaries[func.qualname]
-        if func.qualname in self._in_flight:
-            return {}       # recursion: approximate with no taint
-        self._in_flight.add(func.qualname)
-        try:
-            walker = _FunctionTaint(self, func, symbolic=True)
-            walker.run()
-            self._summaries[func.qualname] = walker.returns
-            return walker.returns
-        finally:
-            self._in_flight.discard(func.qualname)
+    def _summarize(self, func: FunctionInfo) -> Taint:
+        walker = _FunctionTaint(self, func, symbolic=True)
+        walker.run()
+        return walker.returns
 
     def check(self) -> Iterator[Tuple[FunctionInfo, _Violation]]:
         for func in self.project.all_functions():

@@ -1,4 +1,4 @@
-"""Unit-of-measure inference and the SIM201-SIM203 rule family.
+"""Unit-of-measure inference and the SIM201 rule.
 
 The simulator's contract is "integer nanoseconds and integer bytes
 everywhere" (``repro/common/units.py``).  This pass infers a unit fact
@@ -13,7 +13,13 @@ for every expression from three sources and checks their composition:
   ns), ``KB``/``MB``/``GB`` are byte quantities, ``MHZ``/``GHZ`` hz;
 * **call summaries** — a function named ``*_ns`` returns ns; otherwise
   the callee's return expressions are inferred through the call graph
-  (bounded depth, cycle-safe).
+  (cycle-safe).
+
+Three checks read the facts, and each reports as SIM201: arithmetic
+that mixes two units, a value flowing into a target that declares
+another unit, and a bytes quantity scaled by a bare literal on its way
+into a time context.  Where two checks fire on the same node, one
+finding carries both hints.
 
 The algebra is deliberately small.  Quantities carry a base unit
 (``ns us ms s bytes sectors pages hz``); conversion factors carry a
@@ -31,7 +37,12 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.flow.project import FunctionInfo, Project, ordered_body
+from repro.analysis.flow.project import (
+    FunctionInfo,
+    Project,
+    SummaryMemo,
+    ordered_body,
+)
 from repro.analysis.registry import (
     ProjectSite,
     dotted_name,
@@ -86,7 +97,7 @@ _HELPER_RETURNS: Dict[str, Unit] = {
     "ns_per_byte": Unit("ns", "bytes"),
 }
 
-#: the sanctioned byte->time conversion helpers (SIM203)
+#: the sanctioned byte->time conversion helpers (the raw-literal check)
 _SANCTIONED_CONVERTERS = ("transfer_ns", "ns_per_byte", "cycles_to_ns")
 
 #: name-suffix table; checked longest-suffix-first on the lowercased name
@@ -144,9 +155,8 @@ def unit_of_identifier(name: str) -> Optional[Unit]:
 
 # -- inference ----------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class _UnitViolation:
-    rule: str
     node: ast.AST
     message: str
     witness: Tuple[str, ...]
@@ -159,16 +169,25 @@ class _FunctionUnits:
         self.checker = checker
         self.func = func
         self.env: Dict[str, Tuple[Unit, str]] = {}   # name -> (unit, origin)
-        self.violations: List[_UnitViolation] = []
+        #: one violation per node, in report order
+        self.violations: Dict[ast.AST, _UnitViolation] = {}
         self._quiet = 0      # >0: re-examining an expression; no reports
-        for param in func.params:
+        for param in func.call_params:
             declared = unit_of_identifier(param)
             if declared is not None:
                 self.env[param] = (declared, f"parameter `{param}`")
 
-    def report(self, violation: _UnitViolation) -> None:
-        if not self._quiet:
-            self.violations.append(violation)
+    def report(self, node: ast.AST, message: str,
+               witness: Tuple[str, ...]) -> None:
+        """Record a violation; a second one on the same node joins the
+        first, so one finding carries both hints."""
+        if self._quiet:
+            return
+        prior = self.violations.get(node)
+        if prior is not None:
+            message = f"{prior.message}; also {message}"
+            witness = prior.witness + witness
+        self.violations[node] = _UnitViolation(node, message, witness)
 
     def infer_quiet(self, node: ast.expr) -> Optional[Tuple[Unit, str]]:
         """Infer without reporting (for re-examined subexpressions)."""
@@ -184,7 +203,7 @@ class _FunctionUnits:
         declared_return = unit_of_identifier(self.func.name)
         for stmt in ordered_body(self.func.node):
             self.visit_stmt(stmt, declared_return)
-        return self.violations
+        return list(self.violations.values())
 
     # -- statements --------------------------------------------------------
 
@@ -265,22 +284,20 @@ class _FunctionUnits:
         actual = fact[0]
         if actual == expected or actual.num not in BASE_UNITS:
             return
+        witness = (f"value: {actual} via {fact[1]}",
+                   f"target: {expected} via {context}")
         if expected.num in TIME_UNITS and actual.num in TIME_UNITS:
-            self.report(_UnitViolation(
-                "SIM202", node,
+            self.report(
+                node,
                 f"{context} mixes time scales: value is {actual} "
                 f"({fact[1]}) but the target declares {expected}; "
                 f"convert with the units constants "
-                f"(`x_{actual.num} * {actual.num.upper()}`)",
-                witness=(f"value: {actual} via {fact[1]}",
-                         f"target: {expected} via {context}")))
+                f"(`x_{actual.num} * {actual.num.upper()}`)", witness)
         else:
-            self.report(_UnitViolation(
-                "SIM202", node,
+            self.report(
+                node,
                 f"{context} changes units: value is {actual} ({fact[1]}) "
-                f"but the target declares {expected}",
-                witness=(f"value: {actual} via {fact[1]}",
-                         f"target: {expected} via {context}")))
+                f"but the target declares {expected}", witness)
 
     def check_additive(self, node: ast.AST,
                        left: Optional[Tuple[Unit, str]],
@@ -291,15 +308,14 @@ class _FunctionUnits:
         if lu.is_ratio or ru.is_ratio or lu == ru:
             return
         if lu.num in BASE_UNITS and ru.num in BASE_UNITS:
-            self.report(_UnitViolation(
-                "SIM201", node,
+            self.report(
+                node,
                 f"mixed-unit arithmetic: {lu} ({left[1]}) and {ru} "
                 f"({right[1]}) cannot be added/compared",
-                witness=(f"left: {lu} via {left[1]}",
-                         f"right: {ru} via {right[1]}")))
+                (f"left: {lu} via {left[1]}", f"right: {ru} via {right[1]}"))
 
     def check_raw_byte_math(self, expr: ast.expr, context: str) -> None:
-        """SIM203: bytes scaled by a raw literal reaching a time target."""
+        """Bytes scaled by a raw literal reaching a time target."""
         if any(isinstance(n, ast.Call)
                and self._call_leaf(n) in _SANCTIONED_CONVERTERS
                for n in ast.walk(expr)):
@@ -315,14 +331,14 @@ class _FunctionUnits:
                     continue
                 if isinstance(literal_side, ast.Constant) and \
                         isinstance(literal_side.value, (int, float)):
-                    self.report(_UnitViolation(
-                        "SIM203", node,
+                    self.report(
+                        node,
                         f"raw-literal time math in {context}: bytes "
                         f"({fact[1]}) scaled by the bare literal "
                         f"{literal_side.value!r}; route byte->time "
                         "conversions through transfer_ns()/ns_per_byte()",
-                        witness=(f"bytes operand via {fact[1]}",
-                                 f"bare literal {literal_side.value!r}")))
+                        (f"bytes operand via {fact[1]}",
+                         f"bare literal {literal_side.value!r}"))
 
     def _call_leaf(self, call: ast.Call) -> Optional[str]:
         dotted = dotted_name(call.func)
@@ -410,14 +426,14 @@ class _FunctionUnits:
                             f"{qty[1]} converted by {factor[1]}")
                 if qty[0].num in TIME_UNITS and \
                         factor[0].den in TIME_UNITS:
-                    self.report(_UnitViolation(
-                        "SIM202", node,
+                    self.report(
+                        node,
                         f"wrong conversion constant: {qty[0]} value "
                         f"({qty[1]}) scaled by {factor[0]} ({factor[1]}); "
                         f"a {qty[0]} value converts to ns with "
                         f"`{qty[0].num.upper()}`",
-                        witness=(f"value: {qty[0]} via {qty[1]}",
-                                 f"factor: {factor[0]} via {factor[1]}")))
+                        (f"value: {qty[0]} via {qty[1]}",
+                         f"factor: {factor[0]} via {factor[1]}"))
                     return None
                 if qty[0].num == "bytes" and factor[0].den == "byte":
                     return Unit(factor[0].num), \
@@ -425,13 +441,12 @@ class _FunctionUnits:
                 return None
         if not lu.is_ratio and not ru.is_ratio and \
                 lu.num in TIME_UNITS and ru.num in TIME_UNITS:
-            self.report(_UnitViolation(
-                "SIM201", node,
+            self.report(
+                node,
                 f"time*time multiplication: {lu} ({left[1]}) * {ru} "
                 f"({right[1]}) is never a duration; one operand needs "
                 "a units conversion constant",
-                witness=(f"left: {lu} via {left[1]}",
-                         f"right: {ru} via {right[1]}")))
+                (f"left: {lu} via {left[1]}", f"right: {ru} via {right[1]}"))
         return None
 
     def _infer_div(self, node: ast.BinOp, left, right):
@@ -465,26 +480,22 @@ class _FunctionUnits:
             self.check_flow(node.args[0], arg_facts[0], Unit("ns"),
                             "`timeout()` argument (simulated-time ns)")
             self.check_raw_byte_math(node.args[0], "`timeout()` argument")
-        self._check_call_args(node, arg_facts)
-        summary = self.checker.return_unit_of_call(self.func, node)
-        if summary is not None:
-            return summary
+        callee = self.checker.project.callee(self.func, node)
+        if callee is not None:
+            self._check_call_args(node, callee, arg_facts)
+            summary = self.checker.return_unit(callee)
+            if summary is not None:
+                return summary
         if leaf is not None:
             declared = unit_of_identifier(leaf)
             if declared is not None:
                 return declared, f"call `{leaf}()` (name suffix)"
         return None
 
-    def _check_call_args(self, node: ast.Call,
+    def _check_call_args(self, node: ast.Call, callee: FunctionInfo,
                          arg_facts: List[Optional[Tuple[Unit, str]]]) -> None:
         """Argument units must match suffix-declared parameter units."""
-        targets = self.checker.project.resolve_call(self.func, node)
-        if len(targets) != 1:
-            return
-        callee = targets[0]
-        params = callee.params
-        if params and params[0] in ("self", "cls"):
-            params = params[1:]
+        params = callee.call_params
         for index, arg in enumerate(node.args):
             if index >= len(params):
                 break
@@ -502,114 +513,63 @@ class _FunctionUnits:
 class UnitChecker:
     """Project-wide unit inference with memoized call summaries."""
 
-    #: recursion depth cap for return-unit inference through calls
-    MAX_DEPTH = 3
-
     def __init__(self, project: Project) -> None:
         self.project = project
-        self._return_units: Dict[str, Optional[Tuple[Unit, str]]] = {}
-        self._in_flight: set = set()
+        self._inferred_returns = SummaryMemo(self._infer_return, default=None)
 
-    def return_unit_of_call(self, caller: FunctionInfo,
-                            call: ast.Call) -> Optional[Tuple[Unit, str]]:
-        """The (unit, origin) a resolvable call returns, if known."""
-        targets = self.project.resolve_call(caller, call)
-        if len(targets) != 1:
-            return None
-        return self.return_unit(targets[0])
-
-    def return_unit(self, func: FunctionInfo,
-                    depth: int = 0) -> Optional[Tuple[Unit, str]]:
+    def return_unit(self, func: FunctionInfo) -> Optional[Tuple[Unit, str]]:
         """The unit ``func`` returns: name suffix first, else inferred."""
         declared = unit_of_identifier(func.name)
         if declared is not None:
             return declared, f"call `{func.name}()` (name suffix)"
-        if func.qualname in self._return_units:
-            return self._return_units[func.qualname]
-        if depth >= self.MAX_DEPTH or func.qualname in self._in_flight:
-            return None
-        self._in_flight.add(func.qualname)
-        try:
-            walker = _FunctionUnits(self, func)
-            units: List[Unit] = []
-            origin = ""
-            for stmt in ordered_body(func.node):
-                if isinstance(stmt, ast.Assign) and \
-                        len(stmt.targets) == 1 and \
-                        isinstance(stmt.targets[0], ast.Name):
-                    fact = walker.infer(stmt.value)
-                    walker.bind(stmt.targets[0].id, stmt.value, fact)
-                elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                    fact = walker.infer(stmt.value)
-                    if fact is None:
-                        self._return_units[func.qualname] = None
-                        return None
-                    units.append(fact[0])
-                    origin = fact[1]
-            result = None
-            if units and all(u == units[0] for u in units):
-                result = (units[0],
-                          f"return of `{func.name}()` ({origin})")
-            self._return_units[func.qualname] = result
-            return result
-        finally:
-            self._in_flight.discard(func.qualname)
+        return self._inferred_returns(func)
+
+    def _infer_return(self,
+                      func: FunctionInfo) -> Optional[Tuple[Unit, str]]:
+        """The one unit every ``return`` of ``func`` carries, if any."""
+        walker = _FunctionUnits(self, func)
+        units: List[Unit] = []
+        origin = ""
+        for stmt in ordered_body(func.node):
+            if isinstance(stmt, ast.Assign) and \
+                    len(stmt.targets) == 1 and \
+                    isinstance(stmt.targets[0], ast.Name):
+                fact = walker.infer(stmt.value)
+                walker.bind(stmt.targets[0].id, stmt.value, fact)
+            elif isinstance(stmt, ast.Return) and stmt.value is not None:
+                fact = walker.infer(stmt.value)
+                if fact is None:
+                    return None
+                units.append(fact[0])
+                origin = fact[1]
+        if units and all(u == units[0] for u in units):
+            return units[0], f"return of `{func.name}()` ({origin})"
+        return None
 
 
-# -- the registered rules -----------------------------------------------------
-
-def _run_units(project: Project,
-               rule_id: str) -> Iterator[ProjectSite]:
-    # the three SIM20x wrappers share one analysis, cached per project
-    cache = getattr(project, "_unit_violations", None)
-    if cache is None:
-        checker = UnitChecker(project)
-        cache = [(func, violation)
-                 for func in project.all_functions()
-                 for violation in _FunctionUnits(checker, func).run()]
-        project._unit_violations = cache  # type: ignore[attr-defined]
-    for func, violation in cache:
-        if violation.rule != rule_id:
-            continue
-        node = violation.node
-        yield ProjectSite(
-            path=func.module.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            message=violation.message,
-            witness=violation.witness)
-
-
-@project_rule("SIM201", "mixed-unit-arithmetic",
-              "Adding, subtracting or comparing two different measured "
-              "units (ns + bytes, pages < sectors, a time*time product) "
-              "is meaningless and almost always a lost conversion. Units "
-              "are inferred from name suffixes (`lat_ns`, `nbytes`, "
-              "`_lba`, `_ppn`, `_hz`), the repro.common.units constants, "
-              "and callee return summaries through the call graph; only "
-              "two *proven* facts ever collide, so a finding is evidence, "
-              "not a guess.")
-def check_mixed_units(project: Project) -> Iterator[ProjectSite]:
-    yield from _run_units(project, "SIM201")
-
-
-@project_rule("SIM202", "unit-changing-assignment",
-              "A value with a proven unit flowing into a target that "
-              "declares a different one — `lat_ns = nbytes`, a us value "
-              "passed for a `_ns` parameter, a `*_us` quantity entering "
-              "ns arithmetic unconverted, or a value scaled by the wrong "
-              "units constant. The integer-ns contract only holds if "
-              "every scale change goes through the units constants.")
-def check_unit_assignment(project: Project) -> Iterator[ProjectSite]:
-    yield from _run_units(project, "SIM202")
-
-
-@project_rule("SIM203", "raw-literal-time-math",
-              "A bytes quantity scaled by a bare numeric literal on its "
-              "way into a time context (a `_ns` target or a `timeout()` "
-              "argument) is a hand-rolled bandwidth conversion; it skips "
-              "the rounding and minimum-latency rules of transfer_ns()/"
-              "ns_per_byte() and silently drifts from every other "
-              "transfer in the model.")
-def check_raw_literal_time(project: Project) -> Iterator[ProjectSite]:
-    yield from _run_units(project, "SIM203")
+@project_rule("SIM201", "unit-mismatch",
+              "Two proven units that disagree. Adding, subtracting or "
+              "comparing different measured units (ns + bytes, pages < "
+              "sectors, a time*time product); a value flowing into a "
+              "target that declares another unit (`lat_ns = nbytes`, a us "
+              "value passed for a `_ns` parameter, a value scaled by the "
+              "wrong units constant); or a bytes quantity scaled by a bare "
+              "literal on its way into a time context, a hand-rolled "
+              "bandwidth conversion that skips transfer_ns()/ns_per_byte(). "
+              "The integer-ns contract only holds if every scale change "
+              "goes through the units constants. Units are inferred from "
+              "name suffixes (`lat_ns`, `nbytes`, `_lba`, `_ppn`, `_hz`), "
+              "the repro.common.units constants, and callee return "
+              "summaries through the call graph; only two *proven* facts "
+              "ever collide, so a finding is evidence, not a guess.")
+def check_units(project: Project) -> Iterator[ProjectSite]:
+    checker = UnitChecker(project)
+    for func in project.all_functions():
+        for violation in _FunctionUnits(checker, func).run():
+            node = violation.node
+            yield ProjectSite(
+                path=func.module.path,
+                line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0),
+                message=violation.message,
+                witness=violation.witness)

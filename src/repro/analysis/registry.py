@@ -68,8 +68,8 @@ class SourceFile:
     """One parsed module: path, text, AST, and parsed suppressions.
 
     The rules share one walk of the tree: :attr:`nodes`,
-    :meth:`functions` and :attr:`aliases` are computed on first use and
-    kept.
+    :meth:`functions`, :meth:`own_nodes` and :attr:`aliases` are
+    computed on first use and kept.
     """
 
     path: str
@@ -99,6 +99,28 @@ class SourceFile:
     def functions(self) -> Iterator[ast.AST]:
         """Every function/method definition, outermost first."""
         return iter(self._functions)
+
+    @cached_property
+    def _own_nodes(self) -> Dict[ast.AST, List[ast.AST]]:
+        return {}
+
+    def own_nodes(self, scope: ast.AST) -> List[ast.AST]:
+        """The nodes of a function's (or the module's) own body.
+
+        Nested function and lambda definitions are listed but not
+        entered.  Each scope is walked once.
+        """
+        nodes = self._own_nodes.get(scope)
+        if nodes is None:
+            nodes = self._own_nodes[scope] = []
+            stack: List[ast.AST] = list(ast.iter_child_nodes(scope))
+            while stack:
+                node = stack.pop()
+                nodes.append(node)
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef, ast.Lambda)):
+                    stack.extend(ast.iter_child_nodes(node))
+        return nodes
 
     @cached_property
     def aliases(self) -> Dict[str, str]:

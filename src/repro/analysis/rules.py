@@ -21,25 +21,6 @@ from repro.analysis.registry import (
     rule,
 )
 
-# -- shared AST helpers -------------------------------------------------------
-
-
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested functions."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _has_own_yield(func: ast.AST) -> bool:
-    return any(isinstance(n, (ast.Yield, ast.YieldFrom))
-               for n in _own_nodes(func))
-
-
 # -- SIM110: wall-clock reads outside the designated modules ------------------
 
 _WALLCLOCK = {
@@ -147,30 +128,14 @@ def _is_setish(node: ast.AST, set_names: Set[str]) -> bool:
     return False
 
 
-def _scopes(src: SourceFile) -> Iterator[Tuple[ast.AST, List[ast.AST]]]:
-    """(scope node, its own statements) for the module and each function."""
-    yield src.tree, list(_own_nodes_module(src.tree))
-    for func in src.functions():
-        yield func, list(_own_nodes(func))
-
-
-def _own_nodes_module(tree: ast.Module) -> Iterator[ast.AST]:
-    stack: List[ast.AST] = list(ast.iter_child_nodes(tree))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
 @rule("SIM103", "unordered-iteration",
       "Iterating a set visits elements in hash order, which changes "
       "between interpreter runs under string-hash randomization; anything "
       "it feeds — event scheduling, float accumulation, victim selection — "
       "silently loses bit-reproducibility. Wrap the iterable in sorted().")
 def check_unordered_iteration(src: SourceFile) -> Iterator[Site]:
-    for _scope, nodes in _scopes(src):
+    for scope in [src.tree, *src.functions()]:
+        nodes = src.own_nodes(scope)
         assigns: List[Tuple[int, str, bool]] = []
         for node in nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
@@ -202,17 +167,20 @@ def check_unordered_iteration(src: SourceFile) -> Iterator[Site]:
                         "reproducible across runs; use sorted(...)"
 
 
-# -- SIM104: discarded waits / processes that never yield ---------------------
+# -- SIM104: events nobody waits on / processes that never yield --------------
 
 _EVENT_MAKERS = {"timeout", "acquire", "all_of", "any_of"}
 
 
 @rule("SIM104", "discarded-event",
-      "A wait primitive used as a bare statement is a silent no-op wait: "
-      "the event is still created (and a Timeout still *schedules* itself, "
-      "perturbing events_processed) but nobody resumes on it. Either "
-      "`yield` it or don't create it. Also flags generator functions "
-      "handed to `sim.process(...)` that contain no yield at all.")
+      "An event nobody waits on is a silent no-op wait: it is still "
+      "created (and a Timeout still *schedules* itself: it sits in the "
+      "heap, advances nothing, and perturbs events_processed) but "
+      "nobody resumes on it. Flags a wait primitive used as a bare "
+      "statement and a timeout bound to a name that is never read "
+      "again; `yield` it, cancel() it, or don't create it. Also flags "
+      "generator functions handed to `sim.process(...)` that contain no "
+      "yield at all.")
 def check_discarded_event(src: SourceFile) -> Iterator[Site]:
     # (a) expression statements that create-and-drop a wait
     for node in src.nodes:
@@ -252,29 +220,23 @@ def check_discarded_event(src: SourceFile) -> Iterator[Site]:
                 name = inner.attr if isinstance(inner, ast.Attribute) else \
                     (inner.id if isinstance(inner, ast.Name) else None)
         if name and name in defs and \
-                all(not _has_own_yield(d) for d in defs[name]):
+                all(not any(isinstance(n, (ast.Yield, ast.YieldFrom))
+                            for n in src.own_nodes(d))
+                    for d in defs[name]):
             yield node, node.col_offset, \
                 f"`{name}` is driven as a process but never yields; " \
                 "`process()` requires a generator function"
 
-
-# -- SIM105: leaked timeouts --------------------------------------------------
-
-
-@rule("SIM105", "timeout-leak",
-      "A Timeout bound to a name that is never used again still fires: "
-      "it sits in the heap, advances nothing, and inflates the schedule. "
-      "Yield it, cancel() it, or stop creating it.")
-def check_timeout_leak(src: SourceFile) -> Iterator[Site]:
+    # (c) timeouts bound to a name the function never reads
     for func in src.functions():
-        nodes = list(_own_nodes(func))
-        loads: Dict[str, int] = {}
-        for node in nodes:
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loads[node.id] = loads.get(node.id, 0) + 1
+        nodes = src.own_nodes(func)
+        loaded = {node.id for node in nodes
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
         for node in nodes:
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)
+                    and node.targets[0].id not in loaded
                     and isinstance(node.value, ast.Call)):
                 continue
             call_func = node.value.func
@@ -284,7 +246,7 @@ def check_timeout_leak(src: SourceFile) -> Iterator[Site]:
                 dotted = dotted_name(call_func)
                 is_timeout = dotted is not None and \
                     dotted.split(".")[-1] == "Timeout"
-            if is_timeout and not loads.get(node.targets[0].id):
+            if is_timeout:
                 yield node, node.col_offset, \
                     f"timeout bound to `{node.targets[0].id}` is never " \
                     "yielded, cancelled or passed on — it still fires"
@@ -293,9 +255,9 @@ def check_timeout_leak(src: SourceFile) -> Iterator[Site]:
 # -- SIM106: acquire/release pairing ------------------------------------------
 
 
-def _finally_ranges(func: ast.AST) -> List[Tuple[int, int]]:
+def _finally_ranges(nodes: List[ast.AST]) -> List[Tuple[int, int]]:
     ranges = []
-    for node in _own_nodes(func):
+    for node in nodes:
         if isinstance(node, ast.Try) and node.finalbody:
             start = node.finalbody[0].lineno
             end = max(getattr(stmt, "end_lineno", stmt.lineno)
@@ -318,7 +280,7 @@ ACQUIRE_CALLS = ("acquire", "hold")
       "them.")
 def check_acquire_release(src: SourceFile) -> Iterator[Site]:
     for func in src.functions():
-        nodes = list(_own_nodes(func))
+        nodes = src.own_nodes(func)
         acquires: List[Tuple[ast.Call, str]] = []
         releases: List[Tuple[ast.Call, str]] = []
         for node in nodes:
@@ -330,7 +292,7 @@ def check_acquire_release(src: SourceFile) -> Iterator[Site]:
                     releases.append((node, ast.unparse(node.func.value)))
         if not acquires:
             continue
-        protected = _finally_ranges(func)
+        protected = _finally_ranges(nodes)
         yield_lines = sorted(n.lineno for n in nodes
                              if isinstance(n, (ast.Yield, ast.YieldFrom)))
         for call, recv in acquires:
@@ -435,7 +397,7 @@ def check_fleet_seed(src: SourceFile) -> Iterator[Site]:
         name = func.name.lower()
         if not any(marker in name for marker in _WORKER_NAME_MARKERS):
             continue
-        for node in _own_nodes(func):
+        for node in src.own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
             target = expand_alias(dotted_name(node.func), aliases)

@@ -211,8 +211,9 @@ class MultiTenantEngine:
         system = self.system
         sim = system.sim
         spec = state.spec
-        rng = random.Random((job.seed * 0x9E3779B1 + spec.seed
-                             + 7919 * state.index) & 0x7FFFFFFFFFFF)
+        seed = (job.seed * 0x9E3779B1 + spec.seed
+                + 7919 * state.index) & 0x7FFFFFFFFFFF
+        rng = random.Random(seed)
         sectors = spec.bs // 512
         n_blocks = state.n_sectors // sectors
         if n_blocks < 1:
@@ -266,8 +267,11 @@ class MultiTenantEngine:
                 block = next_seq % n_blocks
                 next_seq += 1
             kind = spec.kind_for(rng)
-            req = IORequest(kind, block * sectors, sectors,
-                            nsid=state.nsid)
+            slba = block * sectors
+            data = None
+            if system.data_emulation and kind == IOKind.WRITE:
+                data = system.pattern_data(slba, sectors, seed)
+            req = IORequest(kind, slba, sectors, data=data, nsid=state.nsid)
             req.queue_id = state.index
             yield from system.cpu.execute(_USER_SUBMIT, core=state.index,
                                           kernel=False)

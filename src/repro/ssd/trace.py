@@ -1,9 +1,10 @@
 """Standalone trace-driven mode for the SSD model.
 
 Prior simulators only support block-trace replay; Amber supports it too
-(Table IV's standalone column) — useful for apples-to-apples speed
-comparisons (Fig 16) and for driving the device with recorded workloads
-without a host model.
+(Table IV's standalone column), for driving the device with recorded
+workloads without a host model.  Fig 16's standalone row does not
+replay a trace: it runs closed-loop random reads straight at the device
+(:func:`repro.experiments.common.standalone_random_reads`).
 
 Trace format: an iterable of ``TraceRecord`` or text lines
 ``<time_ns> <R|W|T|F> <slba> <nsectors>`` (comments with '#').
@@ -133,7 +134,7 @@ class SsdTraceReplayer:
 def synthetic_trace(n: int, kind: str = "randread", bs: int = 4096,
                     region_sectors: int = 1 << 20, interarrival_ns: int = 0,
                     seed: int = 13) -> List[TraceRecord]:
-    """Generate a simple synthetic trace (handy for tests and Fig 16)."""
+    """Generate a simple synthetic trace (handy for tests)."""
     import random
     rng = random.Random(seed)
     sectors = bs // 512

@@ -5,12 +5,12 @@ from random import randint
 
 
 def jitter_ns():
-    return random.uniform(0, 50)
+    return random.uniform(0, 50)        # expect: SIM102
 
 
 def pick_victim(blocks):
-    return blocks[randint(0, len(blocks) - 1)]
+    return blocks[randint(0, len(blocks) - 1)]  # expect: SIM102
 
 
 def fresh_rng():
-    return random.Random()
+    return random.Random()              # expect: SIM102

@@ -3,7 +3,7 @@
 
 def total_latency(samples):
     acc = 0.0
-    for value in {1.5, 2.25, 3.125}:
+    for value in {1.5, 2.25, 3.125}:    # expect: SIM103
         acc += value
     return acc
 
@@ -11,6 +11,6 @@ def total_latency(samples):
 def gc_order(dirty):
     victims = set(dirty)
     order = []
-    for block in victims:
+    for block in victims:               # expect: SIM103
         order.append(block)
-    return order + [b for b in victims | {0}]
+    return order + [b for b in victims | {0}]  # expect: SIM103

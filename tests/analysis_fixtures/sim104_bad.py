@@ -2,9 +2,9 @@
 
 
 def worker(sim, gate, mailbox):
-    sim.timeout(5)
-    gate.acquire()
-    mailbox.get()
+    sim.timeout(5)                      # expect: SIM104
+    gate.acquire()                      # expect: SIM104, SIM106
+    mailbox.get()                       # expect: SIM104
     yield sim.timeout(1)
 
 
@@ -13,4 +13,4 @@ def silent_worker(sim):
 
 
 def boot(sim):
-    sim.process(silent_worker(sim))
+    sim.process(silent_worker(sim))     # expect: SIM104

@@ -1,6 +1,6 @@
-"""SIM105 fixture: a timeout bound to a name that is never used again."""
+"""SIM104 fixture, leak case: a timeout bound to a name never read."""
 
 
 def worker(sim):
-    watchdog = sim.timeout(50_000)
+    watchdog = sim.timeout(50_000)      # expect: SIM104
     yield sim.timeout(1)

@@ -1,4 +1,4 @@
-"""SIM105 fixture: bound timeouts are yielded or cancelled."""
+"""SIM104 fixture, leak case: bound timeouts are yielded or cancelled."""
 
 
 def worker(sim):

@@ -3,10 +3,10 @@
 from collections import defaultdict
 
 
-def run_batch(jobs=[]):
+def run_batch(jobs=[]):                 # expect: SIM107
     jobs.append("warmup")
     return jobs
 
 
-def build_stats(counters=defaultdict(int), *, labels={}):
+def build_stats(counters=defaultdict(int), *, labels={}):  # expect: SIM107
     return counters, labels

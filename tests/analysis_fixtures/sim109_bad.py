@@ -5,16 +5,19 @@ import random
 
 
 def run_job_worker(job):
-    rng = random.Random(1234)            # same stream for every job
+    # same stream for every job
+    rng = random.Random(1234)           # expect: SIM109
     return rng.uniform(0, 50)
 
 
 def sweep_worker(params):
-    rng = random.Random(os.getpid())     # varies by scheduling, not config
+    # varies by scheduling, not config
+    rng = random.Random(os.getpid())    # expect: SIM109
     return rng.randrange(100)
 
 
 def replay_job(entry, counter):
-    rng = random.Random(counter * 31)    # depends on completion order
-    rng.seed(counter * 31)
+    # depends on completion order
+    rng = random.Random(counter * 31)   # expect: SIM109
+    rng.seed(counter * 31)              # expect: SIM109
     return rng.random()

@@ -12,10 +12,10 @@ from datetime import datetime
 
 
 def measure_step(sim):
-    started = time.perf_counter()
+    started = time.perf_counter()       # expect: SIM110
     sim.step()
-    return time.perf_counter() - started
+    return time.perf_counter() - started  # expect: SIM110
 
 
 def stamp_request():
-    return time.time(), datetime.now()
+    return time.time(), datetime.now()  # expect: SIM110

@@ -4,12 +4,13 @@ from repro.common.units import NS
 
 
 def total_latency_ns(lat_ns, nbytes):
-    return lat_ns + nbytes          # ns + bytes
+    return lat_ns + nbytes              # expect: SIM201 (ns + bytes)
 
 
-def queue_depth_check(depth_pages, span_lba):
-    return depth_pages < span_lba   # pages compared with sectors
+def queue_depth_check(depth_ppn, span_lba):
+    # pages compared with sectors
+    return depth_ppn < span_lba         # expect: SIM201
 
 
 def scaled_wait_ns(wait_us, pad_ns):
-    return wait_us * pad_ns * NS    # time * time product
+    return wait_us * pad_ns * NS        # expect: SIM201 (time * time)

@@ -1,8 +1,9 @@
-"""SIM202 fixture: values changing units as they flow."""
+"""SIM201 fixture, flow case: values changing units as they flow."""
 
 
 def mislabel(nbytes):
-    lat_ns = nbytes                 # bytes stored under an ns name
+    # bytes stored under an ns name
+    lat_ns = nbytes                     # expect: SIM201
     return lat_ns
 
 
@@ -11,4 +12,5 @@ def wait(sim, delay_ns):
 
 
 def caller(sim, delay_us):
-    yield from wait(sim, delay_us)  # us passed for an ns parameter
+    # us passed for an ns parameter
+    yield from wait(sim, delay_us)      # expect: SIM201

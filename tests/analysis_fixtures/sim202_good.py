@@ -1,4 +1,4 @@
-"""SIM202 fixture: scale changes go through the units constants."""
+"""SIM201 fixture, flow case: scale changes go through the constants."""
 
 from repro.common.units import US, transfer_ns
 

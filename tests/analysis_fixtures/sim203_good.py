@@ -1,4 +1,4 @@
-"""SIM203 fixture: byte->time conversion through the sanctioned helpers."""
+"""SIM201 fixture, raw-literal case: byte->time through the helpers."""
 
 from repro.common.units import ns_per_byte, transfer_ns
 

@@ -1,8 +1,10 @@
 """SIM210 fixture: nondeterminism crossing call edges into state.
 
-The individual helpers also trip the per-file source rules (SIM102,
-SIM110) at the read site — SIM210 is the *transitive* finding at the
-store site, where the per-file rules are blind.
+The clock helper also trips the per-file source rule SIM110 at the read
+site — SIM210 is the *transitive* finding at the store site, where the
+per-file rules are blind.  The set helper trips no per-file rule:
+``list({...})`` materializes hash order without iterating, so SIM103
+does not see it.
 """
 
 import time
@@ -10,16 +12,18 @@ import time
 
 class Gauge:
     def _read_clock(self):
-        return time.time()
+        return time.time()              # expect: SIM110
 
     def _sample(self):
         return self._read_clock()
 
     def record(self):
-        self.last_sample = self._sample()   # wallclock -> model state
+        # wallclock -> model state
+        self.last_sample = self._sample()   # expect: SIM210
 
     def _ordered_tags(self):
         return list({"read", "program", "erase"})
 
     def snapshot(self):
-        self.order = self._ordered_tags()   # hash order -> model state
+        # hash order -> model state
+        self.order = self._ordered_tags()   # expect: SIM210

@@ -5,7 +5,7 @@ class Backend:
     def read(self, sim):
         yield self.die.acquire()
         try:
-            yield self.channel.acquire()
+            yield self.channel.acquire()  # expect: SIM220
             try:
                 yield sim.timeout(5)
             finally:
@@ -31,7 +31,7 @@ class Bridge:
     def upstream(self, sim):
         yield self.left.acquire()
         try:
-            timer = self.right.hold(5)
+            timer = self.right.hold(5)  # expect: SIM220
             try:
                 yield timer
             finally:

@@ -159,6 +159,36 @@ class TestUnitInference:
         """))
         assert {f.rule for f in _unsup(findings)} == {"SIM201"}
 
+    def test_return_summary_has_no_depth_cap(self):
+        # the caller is summarized first, so the ns fact reaches it
+        # through four nested summaries
+        findings = lint_source("deep.py", textwrap.dedent("""
+            def a_total(nbytes):
+                return b1() + nbytes
+            def b1():
+                return b2()
+            def b2():
+                return b3()
+            def b3():
+                return b4()
+            def b4():
+                sense_ns = 59_975
+                return sense_ns
+        """))
+        assert [(f.rule, f.line) for f in _unsup(findings)] == \
+            [("SIM201", 3)]
+
+    def test_recursive_return_summary_stays_silent(self):
+        findings = lint_source("cycle.py", textwrap.dedent("""
+            def ping(n):
+                return pong(n)
+            def pong(n):
+                return ping(n)
+            def total(nbytes):
+                return ping(1) + nbytes
+        """))
+        assert _unsup(findings) == []
+
     def test_cross_file_unit_flow_via_lint_paths(self, tmp_path):
         _write(tmp_path, "timing.py", """
             def sense_ns():

@@ -1,14 +1,17 @@
 """Per-rule simlint fixtures, suppression semantics and the CLI
 (docs/ANALYSIS.md, "Rule catalog").
 
-Every rule has a bad/good fixture pair under ``tests/analysis_fixtures``:
-the bad file must trip exactly that rule, the good file must lint
-completely clean — so a rule that goes blind *or* trigger-happy fails
-here before it reaches the self-check gate.
+Every rule has bad/good fixture pairs under ``tests/analysis_fixtures``.
+Each line of a bad file that must fire ends in an ``# expect: RULE[,
+RULE]`` marker, and the file must trip exactly those (line, rule)
+pairs; the good file must lint completely clean — so a rule that goes
+blind *or* trigger-happy fails here before it reaches the self-check
+gate, and so does a single dead case among live ones.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,21 +28,47 @@ from repro.analysis.registry import (
 )
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
+ANALYSIS_DOC = Path(__file__).parent.parent / "docs" / "ANALYSIS.md"
 
-#: rules with a bad/good file pair (SIM100 is the meta-rule, tested below)
-FIXTURE_RULES = ("SIM102", "SIM103", "SIM104", "SIM105",
-                 "SIM106", "SIM107", "SIM109", "SIM110")
+#: one row of the docs/ANALYSIS.md rule catalog: ``| ID | name | ...``
+_CATALOG_ROW_RE = re.compile(r"^\| (SIM\d+) \| ([a-z-]+) \|", re.MULTILINE)
 
-#: whole-project (simflow) rules, also covered by bad/good pairs
-PROJECT_FIXTURE_RULES = ("SIM201", "SIM202", "SIM203", "SIM210", "SIM220")
+#: the per-file rules (SIM100 is the meta-rule, tested below)
+FILE_RULES = ("SIM102", "SIM103", "SIM104", "SIM106", "SIM107", "SIM109",
+              "SIM110")
+
+#: the whole-project (simflow) rules
+PROJECT_RULES = ("SIM201", "SIM210", "SIM220")
+
+#: bad/good fixture pairs, named ``simNNN_{bad,good}.py`` after the case
+#: they pin: one per rule, plus SIM104's timeout-leak case (``sim105``)
+#: and SIM201's flow and raw-literal cases (``sim202``, ``sim203``)
+FIXTURE_CASES = ("SIM102", "SIM103", "SIM104", "SIM105", "SIM106", "SIM107",
+                 "SIM109", "SIM110")
+PROJECT_FIXTURE_CASES = ("SIM201", "SIM202", "SIM203", "SIM210", "SIM220")
 
 #: a path outside the designated wall-clock modules, so SIM110 fires on
 #: a clock read and the suppression-semantics tests exercise it and SIM100
 _PLAIN_PATH = "repro/model/snippet.py"
 
 
+#: the marker a bad fixture puts on each line that must fire
+_EXPECT_RE = re.compile(r"#\s*expect:\s*(SIM\d+(?:\s*,\s*SIM\d+)*)")
+
+
 def _rule_ids(findings):
     return {f.rule for f in findings if not f.suppressed}
+
+
+def _expected_sites(path):
+    """The (line, rule) pairs a bad fixture's ``# expect:`` markers name."""
+    sites = set()
+    for lineno, text in enumerate(path.read_text().splitlines(), 1):
+        match = _EXPECT_RE.search(text)
+        if match:
+            sites.update((lineno, rule_id.strip())
+                         for rule_id in match.group(1).split(","))
+    return sites
 
 
 # -- registry -----------------------------------------------------------------
@@ -47,11 +76,11 @@ def _rule_ids(findings):
 class TestRegistry:
     def test_every_rule_registered_once(self):
         rules = all_rules()
-        assert [r.id for r in rules] == sorted(FIXTURE_RULES)
+        assert [r.id for r in rules] == list(FILE_RULES)
 
     def test_every_project_rule_registered_once(self):
         rules = all_project_rules()
-        assert [r.id for r in rules] == sorted(PROJECT_FIXTURE_RULES)
+        assert [r.id for r in rules] == list(PROJECT_RULES)
 
     def test_rules_carry_name_and_rationale(self):
         for rule in all_rules() + all_project_rules():
@@ -68,39 +97,66 @@ class TestRegistry:
             [r.id for r in all_project_rules()]
         assert len(ids) == len(set(ids))
 
+    def test_docs_catalog_matches_registry(self):
+        rows = _CATALOG_ROW_RE.findall(ANALYSIS_DOC.read_text())
+        registered = {(r.id, r.name)
+                      for r in all_rules() + all_project_rules()}
+        assert len(rows) == len(set(rows))
+        assert set(rows) == registered | {(META_RULE, "meta")}
+
 
 # -- fixture pairs ------------------------------------------------------------
 
 class TestFixturePairs:
-    @pytest.mark.parametrize("rule_id",
-                             FIXTURE_RULES + PROJECT_FIXTURE_RULES)
-    def test_bad_fixture_trips_the_rule(self, rule_id):
-        path = FIXTURES / f"{rule_id.lower()}_bad.py"
-        findings = lint_source(str(path))
-        assert rule_id in _rule_ids(findings), \
-            f"{path.name} did not trigger {rule_id}"
+    @pytest.mark.parametrize("case", FIXTURE_CASES + PROJECT_FIXTURE_CASES)
+    def test_bad_fixture_trips_the_rule(self, case):
+        path = FIXTURES / f"{case.lower()}_bad.py"
+        expected = _expected_sites(path)
+        assert expected, f"{path.name} marks no line with `# expect:`"
+        fired = {(f.line, f.rule) for f in lint_source(str(path))
+                 if not f.suppressed}
+        assert fired == expected, \
+            f"{path.name}: missing {sorted(expected - fired)}, " \
+            f"unexpected {sorted(fired - expected)}"
 
-    @pytest.mark.parametrize("rule_id",
-                             FIXTURE_RULES + PROJECT_FIXTURE_RULES)
-    def test_good_fixture_is_clean(self, rule_id):
-        path = FIXTURES / f"{rule_id.lower()}_good.py"
+    @pytest.mark.parametrize("case", FIXTURE_CASES + PROJECT_FIXTURE_CASES)
+    def test_good_fixture_is_clean(self, case):
+        path = FIXTURES / f"{case.lower()}_good.py"
         findings = [f for f in lint_source(str(path)) if not f.suppressed]
         assert findings == [], \
             "\n".join(f.format() for f in findings)
 
     def test_fixture_directory_is_paired(self):
         names = {p.name for p in FIXTURES.glob("sim*.py")}
-        for rule_id in FIXTURE_RULES + PROJECT_FIXTURE_RULES:
-            assert f"{rule_id.lower()}_bad.py" in names
-            assert f"{rule_id.lower()}_good.py" in names
+        expected = set()
+        for case in FIXTURE_CASES + PROJECT_FIXTURE_CASES:
+            assert f"{case.lower()}_bad.py" in names
+            assert f"{case.lower()}_good.py" in names
+            expected |= {rule_id for _line, rule_id in _expected_sites(
+                FIXTURES / f"{case.lower()}_bad.py")}
+        assert set(FILE_RULES + PROJECT_RULES) <= expected, \
+            "every rule must be pinned by some bad fixture"
 
-    @pytest.mark.parametrize("rule_id", PROJECT_FIXTURE_RULES)
-    def test_project_findings_carry_witness(self, rule_id):
-        path = FIXTURES / f"{rule_id.lower()}_bad.py"
+    @pytest.mark.parametrize("case", PROJECT_FIXTURE_CASES)
+    def test_project_findings_carry_witness(self, case):
+        path = FIXTURES / f"{case.lower()}_bad.py"
         hits = [f for f in lint_source(str(path))
-                if f.rule == rule_id and not f.suppressed]
+                if f.rule in PROJECT_RULES and not f.suppressed]
         assert hits and all(f.witness for f in hits), \
-            f"{rule_id} findings should explain themselves"
+            f"{path.name}: project findings should explain themselves"
+
+    def test_one_node_one_unit_finding_with_both_hints(self):
+        """The flow check and the raw-literal check both fire on
+        ``timeout(nbytes * 3)``; one SIM201 finding carries both."""
+        path = FIXTURES / "sim203_bad.py"
+        line = next(number for number, text
+                    in enumerate(path.read_text().splitlines(), 1)
+                    if "nbytes * 3" in text)
+        hits = [f for f in lint_source(str(path)) if f.line == line]
+        assert len(hits) == 1
+        assert "changes units" in hits[0].message
+        assert "raw-literal time math" in hits[0].message
+        assert any("bare literal 3" in hop for hop in hits[0].witness)
 
 
 class TestHoldIsAnAcquire:
@@ -213,10 +269,10 @@ class TestCli:
     def test_rules_subcommand_lists_catalog(self):
         proc = _run_cli("rules")
         assert proc.returncode == 0
-        for rule_id in FIXTURE_RULES + PROJECT_FIXTURE_RULES:
-            assert rule_id in proc.stdout
-        assert "SIM101" not in proc.stdout
-        assert "SIM108" not in proc.stdout
+        listed = re.findall(r"^(SIM\d+) ", proc.stdout, re.MULTILINE)
+        assert listed == list(FILE_RULES + PROJECT_RULES)
+        for retired in ("SIM101", "SIM105", "SIM108", "SIM202", "SIM203"):
+            assert retired not in proc.stdout
 
 
 # -- lint_paths over the fixture tree -----------------------------------------
@@ -224,5 +280,5 @@ class TestCli:
 def test_lint_paths_walks_directories():
     result = lint_paths([str(FIXTURES)])
     rules_hit = {f.rule for f in result.unsuppressed}
-    assert set(FIXTURE_RULES) <= rules_hit
+    assert set(FILE_RULES + PROJECT_RULES) <= rules_hit
     assert result.exit_code() == 1

@@ -265,6 +265,28 @@ class TestMultiTenantEngine:
         _, b = _run_closed_loop(seed=2)
         assert a.latency.histogram.to_dict() != b.latency.histogram.to_dict()
 
+    def test_tenant_writes_carry_bytes_under_data_emulation(self):
+        """A tenant write replaces the sectors' bytes: a read after the
+        job returns the tenant's payload, not what was there before."""
+        system = FullSystem(device=tiny_ssd_config(), interface="nvme",
+                            data_emulation=True)
+        old = FullSystem.pattern_data(0, 16, seed=7)
+        system.run_process(system.write(0, 16, old))
+        result = system.run_multi_tenant(MultiTenantJob(
+            tenants=(TenantSpec(rw="write", bs=2048, total_ios=4),)))
+        assert [t.completed for t in result.tenants] == [4]
+
+        def read_back():
+            return (yield from system.read(0, 16))
+
+        data = system.run_process(read_back())
+        sectors = [data[i:i + 512] for i in range(0, len(data), 512)]
+        assert len(sectors) == 16
+        for index, sector in enumerate(sectors):
+            assert sector != old[index * 512:(index + 1) * 512], index
+            assert sector == sector[:8] * 64, "not a pattern sector"
+        assert len(set(sectors)) == 16
+
 
 # -- rollup exactness ---------------------------------------------------------
 
