@@ -69,25 +69,6 @@ class IORequest:
     def offset(self) -> int:
         return self.slba * self.SECTOR
 
-    def user_latency(self) -> int:
-        """End-to-end latency seen by the submitting application."""
-        if self.t_complete < 0 or self.t_submit < 0:
-            raise ValueError("request has not completed")
-        return self.t_complete - self.t_submit
-
-    def device_latency(self) -> int:
-        """Latency inside the device (fetch -> backend done)."""
-        if self.t_backend_done < 0 or self.t_device < 0:
-            raise ValueError("request has not been serviced by the device")
-        return self.t_backend_done - self.t_device
-
-    def sector_range(self) -> range:
-        return range(self.slba, self.slba + self.nsectors)
-
-    def overlaps(self, other: "IORequest") -> bool:
-        return (self.slba < other.slba + other.nsectors
-                and other.slba < self.slba + self.nsectors)
-
     def __repr__(self) -> str:
         return (f"IORequest(#{self.req_id} {self.kind.value} "
                 f"slba={self.slba} n={self.nsectors})")

@@ -82,16 +82,12 @@ class LatencyRecorder:
 
 
 class BandwidthRecorder:
-    """Counts bytes moved; reports MB/s over a window.
-
-    ``warmup_ns`` excludes the initial transient (cache fill, queue ramp)
-    from steady-state bandwidth, mirroring how FIO reports after ramp time.
+    """Counts bytes moved; reports MB/s between the first and the last
+    recorded completion.  Callers exclude a warm-up by not recording it.
     """
 
-    def __init__(self, warmup_ns: int = 0) -> None:
-        self.warmup_ns = warmup_ns
+    def __init__(self) -> None:
         self._bytes = 0
-        self._warm_bytes = 0
         self._first_ns: Optional[int] = None
         self._last_ns: Optional[int] = None
 
@@ -99,10 +95,6 @@ class BandwidthRecorder:
         if self._first_ns is None:
             self._first_ns = now_ns
         self._bytes += nbytes
-        if now_ns - self._first_ns >= self.warmup_ns:
-            if self._warm_bytes == 0:
-                self._warm_start = now_ns
-            self._warm_bytes += nbytes
         self._last_ns = now_ns
 
     @property
@@ -110,11 +102,7 @@ class BandwidthRecorder:
         return self._bytes
 
     def mbps(self) -> float:
-        """Steady-state bandwidth in MB/s."""
-        if self._warm_bytes and self._last_ns is not None:
-            span = self._last_ns - self._warm_start
-            if span > 0:
-                return (self._warm_bytes / MB) / (span / SEC)
+        """Bandwidth in MB/s over the recorded window."""
         if self._first_ns is None or self._last_ns is None:
             return 0.0
         span = self._last_ns - self._first_ns

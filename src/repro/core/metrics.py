@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.common.recorders import LatencyRecorder
 
@@ -20,28 +20,15 @@ class FioResult:
     total_bytes: int = 0
     elapsed_ns: int = 0
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    device_latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     # where time went, per request stage (ns means); the request's
     # lifecycle timestamps make user/interface/device levels separable
     stage_breakdown: Dict[str, float] = field(default_factory=dict)
     # host-side observations
     host_kernel_utilization: float = 0.0
-    host_memory_used: int = 0
-    kernel_cpu_timeline: List[Tuple[int, float]] = field(default_factory=list)
-    memory_timeline: List[Tuple[int, float]] = field(default_factory=list)
     # device-side observations
     ssd_power: Dict[str, float] = field(default_factory=dict)
     ssd_instructions: Dict[str, float] = field(default_factory=dict)
     ssd_stats: Dict[str, float] = field(default_factory=dict)
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "bandwidth_mbps": round(self.bandwidth_mbps, 1),
-            "iops": round(self.iops, 0),
-            "mean_latency_us": round(self.latency.mean_us(), 1),
-            "p99_latency_us": round(self.latency.percentile(99) / 1000.0, 1),
-            "kernel_cpu": round(self.host_kernel_utilization, 3),
-        }
 
 
 @dataclass

@@ -12,6 +12,7 @@ from typing import Optional
 
 from repro.common.instructions import InstructionMix
 from repro.common.iorequest import IOKind, IORequest
+from repro.common.metrics import MetricsRegistry
 from repro.core.fio import FioEngine, FioJob
 from repro.core.metrics import FioResult
 from repro.host.bus import SystemBus
@@ -23,7 +24,6 @@ from repro.host.platform import HostPlatform, mobile_platform, pc_platform
 from repro.hostos.blocklayer import BlockLayer
 from repro.hostos.kernel import KernelProfile, kernel_by_version
 from repro.hostos.pagecache import PageCache
-from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
@@ -162,23 +162,8 @@ class FullSystem:
         sim_scope.register("events_processed",
                            lambda: float(self.sim.events_processed))
         sim_scope.register("now_ns", lambda: float(self.sim.now))
-        tracer = self.sim.tracer
-        if getattr(tracer, "causal", False):
-            # causal capture armed: fold the exact per-component latency
-            # sums into the metric tree so telemetry epochs stream them
-            causal_scope = reg.scoped("causal")
-            causal_scope.register("requests",
-                                  lambda: float(tracer.records))
-            causal_scope.register("violations",
-                                  lambda: float(tracer.violations))
-            from repro.obs.causal import COMPONENTS
-
-            def _component_gauge(component: str):
-                """Bind one component's cumulative-ns gauge closure."""
-                return lambda: float(tracer.component_total(component))
-            for component in COMPONENTS:
-                causal_scope.register(f"{component}.ns",
-                                      _component_gauge(component))
+        # the causal tracer, when armed, adds its ``causal.*`` gauges
+        self.sim.tracer.register_metrics(reg)
         # telemetry (when armed) samples this registry every epoch
         probe = self.sim.telemetry
         if probe is not None:

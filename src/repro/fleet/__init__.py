@@ -10,8 +10,8 @@ derive from those hashes, a resumable content-addressed
 streaming histograms of :mod:`repro.obs`.
 
 Running sweeps also stream a live NDJSON run journal beside the store
-(:mod:`repro.fleet.watch` + :mod:`repro.obs.journal`): ``watch`` and
-``status --follow`` tail it to show running/failed/ETA per job and emit
+(:mod:`repro.fleet.watch` + :mod:`repro.obs.journal`): ``watch``
+tails it to show running/failed/ETA per job and emits
 streaming partial reports that converge byte-identically to the final
 ``report``.
 
@@ -19,7 +19,7 @@ Entry points::
 
     python -m repro.fleet plan   --builtin smoke4
     python -m repro.fleet run    --builtin smoke4 --store out/ --jobs 4
-    python -m repro.fleet status --builtin smoke4 --store out/ [--follow]
+    python -m repro.fleet status --builtin smoke4 --store out/
     python -m repro.fleet watch  --builtin smoke4 --store out/ --out live.md
     python -m repro.fleet report --builtin smoke4 --store out/ --out fleet.md
 

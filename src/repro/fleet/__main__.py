@@ -5,7 +5,7 @@ Usage::
     python -m repro.fleet plan   --builtin smoke4
     python -m repro.fleet run    --spec sweep.json --store out/ --jobs 4
     python -m repro.fleet run    --builtin smoke4 --store out/ --resume
-    python -m repro.fleet status --builtin smoke4 --store out/ [--follow]
+    python -m repro.fleet status --builtin smoke4 --store out/
     python -m repro.fleet watch  --builtin smoke4 --store out/ --out partial.md
     python -m repro.fleet report --builtin smoke4 --store out/ --out fleet.md
     python -m repro.fleet explain HASH_A HASH_B --store out/ --out why.md
@@ -17,9 +17,9 @@ skip) without simulating.  Runs journal lifecycle events beside the
 store by default (``--no-journal`` opts out, ``--profile`` adds
 per-layer wall-time attribution to the journal); ``status`` folds the
 journal in to tell running and failed jobs apart from never-started
-ones, and ``watch`` / ``status --follow`` tail the journal live,
-optionally rewriting a streaming partial report that converges
-byte-identically to the final ``report``.  Reports pick their format
+ones, and ``watch`` tails the journal live, optionally rewriting a
+streaming partial report that converges byte-identically to the final
+``report``.  Reports pick their format
 from the ``--out`` suffix: ``.html`` is HTML, ``.json`` the canonical
 merged document, anything else Markdown.  ``run --causal`` embeds
 each job's per-request causal latency decomposition
@@ -118,10 +118,6 @@ def main(argv=None) -> int:
                             help="done/running/failed/pending for a sweep")
     _add_spec_args(status)
     status.add_argument("--store", metavar="DIR", required=True)
-    status.add_argument("--follow", action="store_true",
-                        help="keep refreshing until the sweep settles")
-    status.add_argument("--interval", type=float, default=2.0, metavar="SEC",
-                        help="refresh period with --follow (default 2.0)")
 
     watch_cmd = sub.add_parser(
         "watch", help="tail a sweep's journal with streaming partial reports")
@@ -214,9 +210,6 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "status":
-        if args.follow:
-            doc = watch(spec, store, emit=print, interval_s=args.interval)
-            return 0 if not doc["missing"] else 1
         state = sweep_status(spec, store)
         live = journal_status(spec, store)
         print(f"{state['spec']}: {state['done']}/{state['planned']} done, "

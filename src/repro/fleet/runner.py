@@ -176,7 +176,7 @@ def run_sweep(spec: SweepSpec, store: ResultStore, jobs: int = 1,
     overwrites even configurations that already have results.
 
     ``journal=True`` (the default) streams per-job lifecycle events into
-    ``<store>/journal.ndjson`` for ``watch``/``status --follow``;
+    ``<store>/journal.ndjson`` for ``watch``;
     ``heartbeat_s`` throttles the in-flight heartbeats; ``profile=True``
     arms the wall-clock self-profiler per job and journals the
     per-layer attribution; ``causal=True`` embeds each job's causal

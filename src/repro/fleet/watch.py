@@ -7,7 +7,7 @@ splits "missing" three ways: **running** (a ``job_started`` with live
 heartbeats and no terminal event), **failed** (a ``job_failed``) and
 truly **pending**.  On top of that it estimates an ETA from the mean
 wall duration of completed jobs, renders the one-screen status block
-behind ``python -m repro.fleet watch`` / ``status --follow``, and
+behind ``python -m repro.fleet watch``, and
 writes *streaming partial reports*: the ordinary
 :func:`repro.fleet.report.merge_results` document over whatever the
 store holds right now.  Because the final ``report`` runs the exact

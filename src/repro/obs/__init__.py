@@ -8,10 +8,10 @@ Two substrates, documented in detail in ``docs/OBSERVABILITY.md``:
   (``io.submit`` -> ``os.blocklayer`` -> ``nvme.sq`` / ``ahci`` /
   ``ufs.utp`` / ``ocssd.pblk`` -> ``hil`` -> ``icl`` -> ``ftl`` ->
   ``flash``), exportable as a Chrome ``trace_event`` JSON.
-* **Metrics** (:mod:`repro.obs.metrics`): one hierarchical namespace
-  (``ssd.channel0.util``) unifying the previously ad-hoc counters,
-  ``TimeAverage`` and ``UtilizationTracker`` instruments, exportable
-  as CSV.
+* **Metrics** (the model's :mod:`repro.common.metrics` registry, read
+  here): one hierarchical namespace (``ssd.channel0.util``) unifying the
+  previously ad-hoc counters, ``TimeAverage`` and
+  ``UtilizationTracker`` instruments, exportable as CSV.
 
 **Causal forensics** (:mod:`repro.obs.causal`) builds on tracing: a
 :class:`~repro.obs.causal.CausalTracer` decomposes every request's end-to-end latency

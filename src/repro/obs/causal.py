@@ -146,9 +146,6 @@ class CausalTracer(Tracer):
     are discarded once their track's root closes.
     """
 
-    #: marker consulted by metric registration (see ``core/system.py``)
-    causal = True
-
     def __init__(self, clock=None, top_k: int = 8,
                  retain_spans: bool = False) -> None:
         super().__init__(clock)
@@ -321,6 +318,16 @@ class CausalTracer(Tracer):
             else:
                 heapq.heapreplace(heap, entry)
 
+    def register_metrics(self, registry) -> None:
+        """Fold the exact per-component latency sums into a system's
+        metric tree (``causal.*``), so telemetry epochs stream them."""
+        scope = registry.scoped("causal")
+        scope.register("requests", lambda: float(self.records))
+        scope.register("violations", lambda: float(self.violations))
+        for component in COMPONENTS:
+            scope.register(f"{component}.ns",
+                           lambda c=component: float(self.component_total(c)))
+
     # -- queries ----------------------------------------------------------
 
     def component_total(self, component: str) -> int:
@@ -419,19 +426,13 @@ def collectors() -> List[CausalTracer]:
     return list(_collectors)
 
 
-def label_latest(label: str) -> None:
-    """Label the most recent causal tracer (no-op when capture is off)."""
-    if _collectors:
-        _collectors[-1].label = label
-
-
 def causal_summary() -> Dict:
     """Combined summary over every collected system, canonically ordered.
 
     ``systems`` lists one :meth:`CausalTracer.summary` per simulator in
-    construction order (labelled via
-    :func:`repro.obs.runtime.label_latest_tracer`, else ``system<i>``);
-    top-level ``records``/``violations`` aggregate across them.
+    construction order (labelled by the tracer's ``label``, which the
+    experiments set, else ``system<i>``); top-level
+    ``records``/``violations`` aggregate across them.
     """
     systems = []
     for index, tracer in enumerate(_collectors):

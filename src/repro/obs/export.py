@@ -10,7 +10,7 @@ Three output shapes:
 * :func:`latency_breakdown` / :func:`format_breakdown` — per-span-kind
   count and p50/p95/p99 table, the "where did the time go" summary
   (:func:`breakdown_rows` gives the same rows to the run report).
-* metrics CSV via :meth:`repro.obs.metrics.MetricsRegistry.to_csv` and
+* metrics CSV via :meth:`repro.common.metrics.MetricsRegistry.to_csv` and
   :func:`write_metrics_csv` for merged multi-system snapshots.
 
 Simulated time is integer nanoseconds; the Chrome format counts in

@@ -84,17 +84,6 @@ def tracers() -> List[Tracer]:
     return list(_tracers)
 
 
-def label_latest_tracer(label: str) -> None:
-    """Attach a human-readable label to the most recent tracer.
-
-    Exporters show it as the Chrome-trace process name; harmless no-op
-    when tracing is off.
-    """
-    if _tracers:
-        _tracers[-1].label = label
-    _causal.label_latest(label)
-
-
 def collect_metrics(label: str, snapshot: Dict[str, float]) -> None:
     """Record one system's end-of-run metric snapshot (no-op when off)."""
     if _active:

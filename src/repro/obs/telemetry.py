@@ -19,7 +19,7 @@ every figure byte-identical (a pinned test holds this to any
 
 * **epoch sampling** — when event processing crosses an ``epoch_ns``
   boundary, every metric of the bound
-  :class:`~repro.obs.metrics.MetricsRegistry` (plus built-in engine
+  :class:`~repro.common.metrics.MetricsRegistry` (plus built-in engine
   gauges) is read into a bounded
   :class:`~repro.obs.timeseries.TimeSeries`;
 * **flight recording** — each processed event's time and type go into a

@@ -7,7 +7,7 @@ than growing linearly with simulated time.  Scalar summaries (means,
 utilizations) are always exact regardless of the history setting.
 
 For a unified, named view of many instruments across a system, register
-them with a :class:`repro.obs.metrics.MetricsRegistry`.
+them with a :class:`repro.common.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations

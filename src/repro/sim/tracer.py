@@ -165,6 +165,10 @@ class Tracer:
             return ctx
         return f"req:{track}" if track else "bg"
 
+    def register_metrics(self, registry) -> None:
+        """Publish this tracer's gauges into a system's metric registry;
+        a span tracer has none (the causal tracer overrides this)."""
+
     # -- queries ----------------------------------------------------------
 
     def kinds(self) -> List[str]:

@@ -6,14 +6,12 @@ Table III generator instead of a fixed pattern.
 
 from __future__ import annotations
 
-from repro.common.instructions import InstructionMix
 from repro.common.iorequest import IOKind
 from repro.common.recorders import BandwidthRecorder, LatencyRecorder
 from repro.common.units import SEC
+from repro.core.fio import USER_SUBMIT
 from repro.core.metrics import FioResult
 from repro.workloads.enterprise import EnterpriseGenerator, WorkloadSpec
-
-_USER_SUBMIT = InstructionMix.typical(700)
 
 
 class EnterpriseRunner:
@@ -45,7 +43,7 @@ class EnterpriseRunner:
                                                    self.seed)
                 req.queue_id = index
                 nbytes = req.nbytes   # merging may grow req.nsectors later
-                yield from system.cpu.execute(_USER_SUBMIT, core=index,
+                yield from system.cpu.execute(USER_SUBMIT, core=index,
                                               kernel=False)
                 req.t_submit = sim.now
                 event = yield from system.submit_io(req, stream_id=index,
@@ -78,7 +76,6 @@ class EnterpriseRunner:
             elapsed_ns=elapsed,
             latency=latency,
             host_kernel_utilization=system.cpu.kernel_utilization(),
-            host_memory_used=system.memory.used_bytes,
             ssd_power=system.ssd.power_report(),
             ssd_instructions=system.ssd.instruction_report(),
             ssd_stats=system.ssd.stats_report(),

@@ -99,6 +99,22 @@ class TestArming:
                 if name not in ("repro", "repro.common")
                 and not name.startswith("repro.common.")] == []
 
+    def test_core_system_import_loads_no_instrument(self):
+        """The model imports nothing from the layers that observe or
+        drive it: ``import repro.core.system`` loads no ``repro.obs``,
+        ``repro.analysis``, ``repro.experiments`` or ``repro.fleet``."""
+        proc = _fresh_python(
+            "import sys, repro.core.system; print(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        loaded = [name for name in proc.stdout.split()
+                  if name.partition(".")[0] == "repro"]
+        assert "repro.common.metrics" in loaded
+        above = ("repro.obs", "repro.analysis", "repro.experiments",
+                 "repro.fleet")
+        assert [name for name in loaded
+                if name.startswith(tuple(p + "." for p in above))
+                or name in above] == []
+
     def test_causal_capture_alone_arms_a_fresh_process(self):
         """``enable_causal`` fills the tracer slot through
         ``repro.obs.runtime``, which nothing else has imported yet."""

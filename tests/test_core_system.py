@@ -11,16 +11,45 @@ from tests.conftest import tiny_ssd_config
 
 class TestFioJobValidation:
     def test_rejects_bad_block_size(self):
-        with pytest.raises(ValueError):
-            FioJob(bs=1000)
+        for bs in (1000, 0):
+            with pytest.raises(ValueError):
+                FioJob(bs=bs)
 
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            FioJob(rw="readwrite")
+        for rw in ("readwrite", "rw"):
+            with pytest.raises(ValueError):
+                FioJob(rw=rw)
 
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
             FioJob(iodepth=0)
+
+    def test_rejects_a_job_with_no_bound(self):
+        """``total_ios=0`` means "until the runtime": without one the
+        job would issue requests forever."""
+        for runtime_ns in (None, 0):
+            with pytest.raises(ValueError, match="runtime_ns"):
+                FioJob(total_ios=0, runtime_ns=runtime_ns)
+        assert FioJob(total_ios=0, runtime_ns=1_000).total_ios == 0
+
+    def test_rejects_negative_total_ios(self):
+        with pytest.raises(ValueError, match="total_ios"):
+            FioJob(total_ios=-1, runtime_ns=1_000)
+
+    def test_rejects_warmup_outside_unit_interval(self):
+        """A warm-up of the whole run or more would measure nothing."""
+        for fraction in (-0.1, 1.0, 2.0):
+            with pytest.raises(ValueError, match="warmup_fraction"):
+                FioJob(warmup_fraction=fraction)
+        assert FioJob(warmup_fraction=0.0).warmup_fraction == 0.0
+
+    def test_fio_and_tenant_accept_the_same_modes(self):
+        from repro.core.tenants import TenantSpec
+        for rw in ("read", "write", "randread", "randwrite", "randrw"):
+            assert FioJob(rw=rw).rw == TenantSpec(rw=rw).rw == rw
+        for spec in (FioJob, TenantSpec):
+            with pytest.raises(ValueError, match="rw mode"):
+                spec(rw="rw")
 
     def test_mix_mode_draws_both_kinds(self):
         import random
@@ -45,6 +74,27 @@ class TestFioEngine:
         result = system.run_fio(FioJob(rw="randread", bs=2048, iodepth=2,
                                        numjobs=3, total_ios=60))
         assert result.total_ios == 180
+
+    def test_numjobs_stripe_sequential_starts(self):
+        """Job ``j`` of ``numjobs`` starts its sequential run at block
+        ``j * n_blocks // numjobs``."""
+        system = FullSystem(device=tiny_ssd_config(), interface="nvme",
+                            data_emulation=True)
+        result = system.run_fio(FioJob(rw="write", bs=2048, numjobs=2,
+                                       total_ios=1))
+        assert result.total_ios == 2
+        n_blocks = system.device_sectors * 512 // 2048
+        assert n_blocks // 2 == 192
+
+        def block_holds_pattern(block):
+            slba = block * 4
+            data = yield from system.read(slba, 4)
+            return data == FullSystem.pattern_data(slba, 4, 1234)
+
+        for block, written in ((0, True), (192, True), (1, False),
+                               (193, False)):
+            assert system.run_process(block_holds_pattern(block)) \
+                is written, block
 
     def test_runtime_bound_stops_early(self, tiny_config):
         system = FullSystem(device=tiny_config, interface="nvme")

@@ -186,14 +186,6 @@ class TestBandwidthRecorder:
         recorder.record(MB, now_ns=SEC)
         assert recorder.mbps() == pytest.approx(2.0)
 
-    def test_warmup_excluded(self):
-        recorder = BandwidthRecorder(warmup_ns=SEC)
-        recorder.record(100 * MB, now_ns=0)          # warmup burst
-        recorder.record(MB, now_ns=SEC)
-        recorder.record(MB, now_ns=2 * SEC)
-        # steady window sees 2 MB over 1 s, not the burst
-        assert recorder.mbps() == pytest.approx(2.0)
-
     def test_no_samples(self):
         assert BandwidthRecorder().mbps() == 0.0
 

@@ -98,6 +98,10 @@ class TestNamespaces:
         with pytest.raises(ValueError, match="too small"):
             tenant_sizes(64, tenants, align_sectors=64)
 
+    def test_tenant_spec_rejects_negative_total_ios(self):
+        with pytest.raises(ValueError, match="total_ios"):
+            TenantSpec(total_ios=-1)
+
     def test_tenant_sizes_reject_over_allocation(self):
         tenants = [TenantSpec(size_fraction=0.7),
                    TenantSpec(size_fraction=0.7)]

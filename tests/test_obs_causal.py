@@ -335,6 +335,25 @@ class TestFullStackConservation:
         assert any(label.startswith("ns:") or label == "bg"
                    for label in blamed), blamed
 
+    def test_causal_gauges_join_the_metric_tree(self, causal):
+        """With capture armed, each system's registry carries the two
+        causal counters and one cumulative-ns gauge per component."""
+        from repro.core import presets
+        from repro.core.fio import FioJob
+        from repro.core.system import FullSystem
+        system = FullSystem(device=presets.intel750(), interface="nvme")
+        assert system.metrics.names("causal") == sorted(
+            ["causal.requests", "causal.violations"]
+            + [f"causal.{component}.ns" for component in COMPONENTS])
+        assert len(system.metrics.names("causal")) == 13
+        system.run_fio(FioJob(rw="randread", total_ios=20, iodepth=4))
+        tracer = system.sim.tracer
+        assert tracer.records >= 20
+        assert system.metrics.read("causal.requests") == tracer.records
+        assert system.metrics.read("causal.violations") == 0
+        assert sum(system.metrics.read(f"causal.{component}.ns")
+                   for component in COMPONENTS) > 0
+
     def test_capture_is_bit_neutral(self):
         """The contract: enabling causal capture cannot move a result."""
         from repro.fleet.scenarios import run_scenario

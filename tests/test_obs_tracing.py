@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.common.metrics import MetricsRegistry
 from repro.core.system import FullSystem
 from repro.obs.causal import CausalTracer, disable_causal, enable_causal
 from repro.obs.export import (
@@ -13,7 +14,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_metrics_csv,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import (
     collect_metrics,
     disable_tracing,

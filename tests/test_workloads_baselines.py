@@ -24,7 +24,6 @@ from repro.experiments.featurematrix import (
     feature_table,
 )
 from repro.workloads.enterprise import ENTERPRISE_WORKLOADS, EnterpriseGenerator
-from repro.workloads.synthetic import blocksize_sweep, depth_sweep, standard_patterns
 
 
 class TestEnterpriseGenerators:
@@ -64,21 +63,6 @@ class TestEnterpriseGenerators:
     def test_too_small_region_rejected(self):
         with pytest.raises(ValueError):
             EnterpriseGenerator(ENTERPRISE_WORKLOADS["24HR"], 100)
-
-
-class TestSyntheticWorkloads:
-    def test_standard_patterns_cover_grid(self):
-        jobs = standard_patterns()
-        assert set(jobs) == {"seqread", "randread", "seqwrite", "randwrite"}
-        assert jobs["randwrite"].rw == "randwrite"
-
-    def test_depth_sweep(self):
-        jobs = depth_sweep("randread", [1, 4, 16])
-        assert [j.iodepth for j in jobs] == [1, 4, 16]
-
-    def test_blocksize_sweep(self):
-        jobs = blocksize_sweep("seqwrite", [4096, 65536])
-        assert [j.bs for j in jobs] == [4096, 65536]
 
 
 class TestBaselineModels:
