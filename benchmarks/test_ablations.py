@@ -6,8 +6,6 @@ and checks the performance consequence the paper attributes to it.
 
 import os
 
-import pytest
-
 from repro.core import presets
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem

@@ -19,7 +19,7 @@ data movement     no          no         no        no
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.iorequest import IORequest
 from repro.common.units import US, transfer_ns

@@ -8,7 +8,7 @@ FIO-like workload engine plus direct I/O entry points.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.common.instructions import InstructionMix
 from repro.common.iorequest import IOKind, IORequest
@@ -77,6 +77,9 @@ class FullSystem:
         self._writeback_running = False
         self.metrics = MetricsRegistry()
         self._register_metrics()
+        #: the latest multi-tenant run's tenants by index, which the
+        #: ``tenantN.*`` gauges read (``repro.core.tenants``)
+        self.tenant_states: Dict[int, object] = {}
 
     # -- wiring ------------------------------------------------------------------
 

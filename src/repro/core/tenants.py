@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.recorders import LatencyRecorder
 from repro.common.stats import jain_fairness
@@ -126,6 +126,16 @@ class _TenantState:
             self.latency.record(self._sim.now - t_submit)
 
 
+def _tenant_gauge(system, index: int,
+                  read: Callable[[_TenantState], float]) -> Callable[[], float]:
+    """A gauge of tenant ``index`` in the system's latest run: 0 when
+    that run had no such tenant."""
+    def gauge() -> float:
+        state = system.tenant_states.get(index)
+        return float(read(state)) if state is not None else 0.0
+    return gauge
+
+
 def tenant_sizes(total_sectors: int, tenants: Sequence[TenantSpec],
                  align_sectors: int) -> List[int]:
     """Partition a device's sectors across tenants, alignment-floored.
@@ -180,30 +190,33 @@ class MultiTenantEngine:
         return states
 
     def _register_tenant_metrics(self, states: List[_TenantState]) -> None:
-        """Publish live ``tenantN.*`` gauges into the system registry.
+        """Point the live ``tenantN.*`` gauges at this run's tenants.
 
         Telemetry epochs sample these like any other layer's metrics, so
-        fairness is observable over time, not just post-run.  Guarded so
-        a second engine on the same system does not double-register.
+        fairness is observable over time, not just post-run.  A gauge
+        reads tenant N of ``system.tenant_states``, which every run
+        replaces, so the gauges describe the system's latest run; a
+        tenant index that run lacks reads 0.  Each name is registered
+        once per system.
         """
-        reg = self.system.metrics
-        hil = self.system.ssd.hil
+        system = self.system
+        system.tenant_states = {state.index: state for state in states}
+        reg = system.metrics
+        arbiter = system.ssd.hil.arbiter
         for state in states:
             prefix = f"tenant{state.index}"
             if f"{prefix}.issued" in reg:
                 continue
             scope = reg.scoped(prefix)
-            scope.register("issued", lambda s=state: float(s.stream.issued))
-            scope.register("completed", lambda s=state: float(s.completed))
-            scope.register("bytes", lambda s=state: float(s.bytes))
-            scope.register("outstanding",
-                           lambda s=state: float(s.stream.outstanding))
-            scope.register("p99_latency_us",
-                           lambda s=state:
-                           s.latency.percentile(99) / 1000.0)
-            scope.register("grants",
-                           lambda s=state, h=hil:
-                           float(h.arbiter.grants.get(s.qid, 0)))
+            for name, read in (
+                    ("issued", lambda s: s.stream.issued),
+                    ("completed", lambda s: s.completed),
+                    ("bytes", lambda s: s.bytes),
+                    ("outstanding", lambda s: s.stream.outstanding),
+                    ("p99_latency_us",
+                     lambda s: s.latency.percentile(99) / 1000.0),
+                    ("grants", lambda s: arbiter.grants.get(s.qid, 0))):
+                scope.register(name, _tenant_gauge(system, state.index, read))
 
     # -- the run -------------------------------------------------------------
 

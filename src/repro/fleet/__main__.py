@@ -39,7 +39,7 @@ from repro.fleet.runner import run_sweep, sweep_status
 from repro.fleet.scenarios import SCENARIOS, builtin_specs, spec_names
 from repro.fleet.spec import SweepSpec
 from repro.fleet.store import ResultStore
-from repro.fleet.watch import journal_status, render_status, watch
+from repro.fleet.watch import journal_status, watch
 from repro.obs.diff import explain, write_explain_report
 
 

@@ -16,7 +16,7 @@ entry is a separate timed bus/link/memory transaction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.host.bus import SystemBus
 from repro.host.cpu import HostCpu

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
-from repro.common.units import GB, GHZ, KB, MB, MHZ
+from repro.common.units import GB, GHZ, MHZ
 from repro.host.cpu import CpuModel
 
 

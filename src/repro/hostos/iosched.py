@@ -16,7 +16,7 @@ charged by the block layer from the kernel profile.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Optional
 
 from repro.common.iorequest import IORequest
 

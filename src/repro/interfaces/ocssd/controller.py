@@ -12,7 +12,6 @@ from typing import List, Optional, Sequence
 
 from repro.common.instructions import InstructionMix
 from repro.host.dma import DmaEngine, PointerList
-from repro.interfaces.base import buffer_address
 from repro.interfaces.ocssd.geometry import (
     ChunkDescriptor,
     ChunkState,

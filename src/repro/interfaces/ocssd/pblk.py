@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional
 
-import numpy as np
-
 from repro.common.instructions import InstructionMix
 from repro.common.iorequest import IOKind, IORequest
 from repro.host.cpu import HostCpu
@@ -22,8 +20,7 @@ from repro.host.pcie import PcieLink
 from repro.interfaces.base import HostAdapter
 from repro.interfaces.ocssd.controller import OcssdController
 from repro.sim.tracer import NULL_SPAN_CONTEXT
-
-UNMAPPED = -1
+from repro.ssd.firmware.ftl.mapping import UNMAPPED, unmapped_table
 
 # pblk kernel-path instruction budgets: the host pays what device
 # firmware would otherwise pay, plus buffer management.
@@ -75,8 +72,8 @@ class PblkDriver(HostAdapter):
         usable = (geometry.total_pages
                   - self.num_pu * reserve_chunks * geometry.pages_per_chunk)
         self.logical_pages = usable
-        self.l2p = np.full(usable, UNMAPPED, dtype=np.int64)
-        self.p2l = np.full(geometry.total_pages, UNMAPPED, dtype=np.int64)
+        self.l2p = unmapped_table(usable)
+        self.p2l = unmapped_table(geometry.total_pages)
         self._pus = [_PuState(geometry.chunks_per_pu, geometry.pages_per_chunk)
                      for _ in range(self.num_pu)]
         self._pu_cursor = 0
@@ -232,7 +229,7 @@ class PblkDriver(HostAdapter):
             yield proc
 
         for lpn, ppn in placements.items():
-            old = int(self.l2p[lpn])
+            old = self.l2p[lpn]
             self.l2p[lpn] = ppn
             self.p2l[ppn] = lpn
             pu, chunk, _page = self._decompose(ppn)
@@ -293,7 +290,7 @@ class PblkDriver(HostAdapter):
                     chunks[i] = (bytes(buffered) if buffered is not None
                                  else bytes(self.page_size))
                     continue
-                ppn = int(self.l2p[lpn]) if lpn < self.logical_pages \
+                ppn = self.l2p[lpn] if lpn < self.logical_pages \
                     else UNMAPPED
                 if ppn == UNMAPPED:
                     chunks[i] = bytes(self.page_size)
@@ -354,9 +351,9 @@ class PblkDriver(HostAdapter):
 
     def _collect(self, pu: int, victim: int):
         base = self._ppn(pu, victim, 0)
-        live = [(int(self.p2l[base + page]), base + page)
+        live = [(self.p2l[base + page], base + page)
                 for page in range(self.pages_per_chunk)
-                if int(self.p2l[base + page]) != UNMAPPED]
+                if self.p2l[base + page] != UNMAPPED]
         for lpn, old_ppn in live:
             yield from self.cpu.execute(_MIX_GC_PAGE, kernel=True)
             payloads = yield from self.controller.vector_read([old_ppn])

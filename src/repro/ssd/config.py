@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
-from repro.common.units import GB, KB, MB, MHZ, MS, US
+from repro.common.units import GB, KB, MHZ, MS
 
 
 @dataclass(frozen=True)

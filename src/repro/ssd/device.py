@@ -20,6 +20,7 @@ from repro.ssd.content import ContentStore
 from repro.ssd.firmware.fil import FlashInterfaceLayer
 from repro.ssd.firmware.ftl.allocator import OutOfBlocksError
 from repro.ssd.firmware.ftl.ftl import FlashTranslationLayer
+from repro.ssd.firmware.ftl.mapping import counting_table
 from repro.ssd.firmware.hil import HostInterfaceLayer
 from repro.ssd.firmware.icl import InternalCacheLayer
 from repro.ssd.firmware.requests import DeviceCommand
@@ -37,6 +38,8 @@ class SSD:
         self.sim = sim
         self.config = config
         self.data_emulation = data_emulation
+        # a derived property, read on every command's bounds check
+        self._logical_sectors = config.logical_sectors
 
         # storage complex
         self.array = FlashArray(config.geometry)
@@ -69,10 +72,10 @@ class SSD:
 
     def _check_bounds(self, cmd: DeviceCommand) -> None:
         if cmd.kind in (IOKind.READ, IOKind.WRITE, IOKind.TRIM):
-            if cmd.slba < 0 or cmd.slba + cmd.nsectors > self.config.logical_sectors:
+            if cmd.slba < 0 or cmd.slba + cmd.nsectors > self._logical_sectors:
                 raise ValueError(
                     f"LBA range [{cmd.slba}, {cmd.slba + cmd.nsectors}) exceeds "
-                    f"device capacity ({self.config.logical_sectors} sectors)")
+                    f"device capacity ({self._logical_sectors} sectors)")
 
     # -- standalone convenience (no host attached) -----------------------------
 
@@ -113,11 +116,12 @@ class SSD:
 
         Each parallel unit holds one page of every line of its channel/way
         group, so its share of the fill is one strided LPN run, claimed a
-        block at a time and bound with array slices.  A unit's pages go in
-        the same order as writing the lines one page at a time, so the end
-        state is that of the per-page fill.  The fill is all or nothing:
-        if any unit lacks the room, :class:`OutOfBlocksError` is raised
-        before anything changes.
+        block at a time and bound with two slice copies out of one
+        counting table; the fill's LPNs are unbound once, up front.  A
+        unit's pages go in the same order as writing the lines one page
+        at a time, so the end state is that of the per-page fill.  The
+        fill is all or nothing: if any unit lacks the room,
+        :class:`OutOfBlocksError` is raised before anything changes.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
@@ -135,6 +139,11 @@ class SSD:
                     raise OutOfBlocksError(
                         f"unit {unit} has room for {room} of the "
                         f"{len(lines)} pages the fill needs")
+        mapping = ftl.mapping
+        # the fill rebinds every LPN of its lines: unbind them at once
+        for old in mapping.unbind_below(n_lines * slots):
+            self.array.invalidate_ppn(old)
+        counting = counting_table(len(mapping.p2l))
         now = self.sim.now
         for units, lines in groups:
             for slot, unit in enumerate(units):
@@ -144,9 +153,7 @@ class SSD:
                              lines.step * slots)
                 while lpns:
                     ppn, count = allocator.allocate_run(unit, len(lpns), now)
-                    for old in ftl.mapping.bind_run(lpns[:count],
-                                                    ppn).tolist():
-                        self.array.invalidate_ppn(old)
+                    mapping.bind_run(lpns[:count], ppn, counting)
                     lpns = lpns[count:]
         return n_lines * slots
 

@@ -10,7 +10,7 @@ through the ICL.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from repro.common.instructions import InstructionMix
 from repro.common.iorequest import IOKind
@@ -30,6 +30,9 @@ class HostInterfaceLayer:
         self.config = config
         self.cores = cores
         self.icl = icl
+        # what split_command needs of the config, derived once
+        self._page_size = config.geometry.page_size
+        self._superpage_pages = config.superpage_pages
         self._queues: "OrderedDict[int, Deque[DeviceCommand]]" = OrderedDict()
         self._pending = 0
         self._wakeup = None
@@ -105,8 +108,8 @@ class HostInterfaceLayer:
                     yield from self.icl.flush_all()
                     result = None
                 elif cmd.kind == IOKind.TRIM:
-                    lines = split_command(cmd, self.config.geometry.page_size,
-                                          self.config.superpage_pages)
+                    lines = split_command(cmd, self._page_size,
+                                          self._superpage_pages)
                     for line_req in lines:
                         yield from self.icl.trim(line_req)
                     result = None
@@ -122,8 +125,7 @@ class HostInterfaceLayer:
                 event.succeed()
 
     def _serve_rw(self, cmd: DeviceCommand) -> Optional[bytes]:
-        lines = split_command(cmd, self.config.geometry.page_size,
-                              self.config.superpage_pages)
+        lines = split_command(cmd, self._page_size, self._superpage_pages)
         if cmd.kind.is_write:
             procs = [self.sim.process(self.icl.write(req)) for req in lines]
             yield AllOf(self.sim, procs)

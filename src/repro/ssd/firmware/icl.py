@@ -14,7 +14,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.instructions import InstructionMix
-from repro.sim import AllOf, Resource
+from repro.sim import Resource
 from repro.sim.tracer import NULL_SPAN_CONTEXT
 from repro.ssd.computation.cores import CpuComplex
 from repro.ssd.computation.dram import InternalDram

@@ -30,6 +30,8 @@ class AddressMapper:
         self.geometry = geometry
         self._pages_per_unit = geometry.pages_per_plane
         self._units = geometry.parallel_units
+        self._units_per_channel = (geometry.planes_per_die
+                                   * geometry.ways_per_channel)
 
     @property
     def total_units(self) -> int:
@@ -61,7 +63,7 @@ class AddressMapper:
         return unit // self.geometry.planes_per_die
 
     def channel_of_unit(self, unit: int) -> int:
-        return unit // (self.geometry.planes_per_die * self.geometry.ways_per_channel)
+        return unit // self._units_per_channel
 
     def ppn(self, ppa: PPA) -> int:
         geom = self.geometry

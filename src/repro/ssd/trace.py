@@ -17,8 +17,6 @@ from typing import Iterable, Iterator, List, Union
 
 from repro.common.iorequest import IOKind
 from repro.common.recorders import BandwidthRecorder, LatencyRecorder
-from repro.common.units import SEC
-from repro.sim import Simulator
 from repro.ssd.device import SSD
 from repro.ssd.firmware.requests import DeviceCommand
 

@@ -115,6 +115,21 @@ class TestArming:
                 if name.startswith(tuple(p + "." for p in above))
                 or name in above] == []
 
+    def test_model_runs_without_numpy(self):
+        """The simulator needs only the standard library: building and
+        preconditioning a system on every interface imports no numpy."""
+        proc = _fresh_python(
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(repro.__file__).parents[2])!r})\n"
+            "from repro.core.system import FullSystem\n"
+            "from tests.conftest import tiny_ssd_config\n"
+            "for interface in ('nvme', 'sata', 'ufs', 'ocssd'):\n"
+            "    FullSystem(device=tiny_ssd_config(),\n"
+            "               interface=interface).precondition()\n"
+            "print(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy" not in proc.stdout.split()
+
     def test_causal_capture_alone_arms_a_fresh_process(self):
         """``enable_causal`` fills the tracer slot through
         ``repro.obs.runtime``, which nothing else has imported yet."""

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.sim import Simulator
 from repro.ssd.config import CacheConfig, FTLConfig, NandReliability
 from repro.ssd.device import SSD

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.ssd.config import FlashGeometry, FlashTiming, SSDConfig
+from repro.ssd.config import FlashGeometry
 from repro.ssd.storage.address import PPA, AddressMapper
 from repro.ssd.storage.array import FlashArray, PageState
 from repro.ssd.storage.backend import FlashBackend

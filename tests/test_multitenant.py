@@ -42,7 +42,6 @@ from tests.conftest import tiny_ssd_config
 
 
 def _tiny_system(**hil_overrides):
-    from dataclasses import replace
     from repro.ssd.config import HILConfig
     config = tiny_ssd_config()
     if hil_overrides:
@@ -220,6 +219,24 @@ class TestMultiTenantEngine:
                 result.tenants[index].completed
             assert snap[f"tenant{index}.outstanding"] == 0.0
             assert snap[f"tenant{index}.grants"] > 0
+
+    def test_tenant_gauges_follow_the_latest_run(self):
+        """A second run on one system re-points every ``tenantN.*`` gauge
+        at its own tenants; an index it lacks reads 0."""
+        system, first = _run_closed_loop()
+        assert system.metrics.read("tenant1.completed") == 60
+        second = system.run_multi_tenant(MultiTenantJob(
+            tenants=(TenantSpec(rw="randread", bs=2048, iodepth=4,
+                                total_ios=50),)))
+        assert [t.completed for t in second.tenants] == [50]
+        snap = system.metrics.snapshot("tenant0")
+        assert snap["tenant0.issued"] == second.tenants[0].issued
+        assert snap["tenant0.completed"] == 50
+        assert snap["tenant0.bytes"] == 50 * 2048
+        assert system.metrics.snapshot("tenant1") == {
+            f"tenant1.{name}": 0.0
+            for name in ("bytes", "completed", "grants", "issued",
+                         "outstanding", "p99_latency_us")}
 
     def test_grants_attribute_to_tenant_queues(self):
         system, result = _run_closed_loop()

@@ -8,8 +8,6 @@ from repro.core.fio import FioJob
 from repro.core.system import FullSystem
 from repro.ssd.config import HILConfig
 
-from tests.conftest import tiny_ssd_config
-
 
 class TestSgl:
     def test_sgl_mode_wires_through(self, tiny_config):

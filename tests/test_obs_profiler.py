@@ -14,7 +14,6 @@ from repro.obs.profiler import (
     WallProfiler,
     attribution,
     attribution_markdown,
-    chrome_profile_trace,
     disable_profiling,
     enable_profiling,
     hottest_layers,

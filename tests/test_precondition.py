@@ -8,14 +8,16 @@ as the reference: the two must leave identical device state across
 presets, placements, parallelism orders, superpage spans and refills.
 """
 
-import numpy as np
+from array import array
+
 import pytest
 
 from repro.bench.scenarios import _storm_config
 from repro.core import presets
 from repro.sim import Simulator
-from repro.ssd.config import FILConfig
+from repro.ssd.config import FILConfig, FlashGeometry
 from repro.ssd.device import SSD
+from repro.ssd.firmware.ftl import mapping as ftl_mapping
 from repro.ssd.firmware.ftl.allocator import OutOfBlocksError
 from repro.ssd.storage.array import BlockState
 
@@ -108,8 +110,8 @@ def _state(ssd):
     every unit's pools and the program counter."""
     mapping, allocator = ssd.ftl.mapping, ssd.ftl.allocator
     return {
-        "l2p": mapping.l2p.copy(),
-        "p2l": mapping.p2l.copy(),
+        "l2p": mapping.l2p[:],
+        "p2l": mapping.p2l[:],
         "blocks": [tuple(getattr(block, field)
                          for field in BlockState.__slots__)
                    for unit in range(ssd.config.geometry.parallel_units)
@@ -121,8 +123,8 @@ def _state(ssd):
 
 
 def _assert_same_state(got, want):
-    assert np.array_equal(got["l2p"], want["l2p"])
-    assert np.array_equal(got["p2l"], want["p2l"])
+    assert got["l2p"] == want["l2p"]
+    assert got["p2l"] == want["p2l"]
     assert got["blocks"] == want["blocks"]
     assert got["pools"] == want["pools"]
     assert got["total_programs"] == want["total_programs"]
@@ -163,3 +165,36 @@ def test_overfull_fill_changes_nothing(name, plan):
     with pytest.raises(OutOfBlocksError):
         ssd.precondition_sequential(again)
     _assert_same_state(_state(ssd), before)
+
+
+# -- the 4-byte tables ----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 65_535, 65_536, 65_537,
+                               491_520])
+def test_counting_table_counts(n):
+    assert ftl_mapping.counting_table(n) == array("i", range(n))
+
+
+def test_tables_of_2_31_entries_are_rejected_unallocated(monkeypatch):
+    """Page numbers must fit 4 bytes: a table of 2**31 entries raises
+    before any buffer for it is built."""
+    def refuse(*_args):
+        raise AssertionError("a table buffer was allocated")
+    monkeypatch.setattr(ftl_mapping, "array", refuse)
+    monkeypatch.setattr(ftl_mapping, "bytearray", refuse, raising=False)
+    for build in (ftl_mapping.unmapped_table, ftl_mapping.counting_table):
+        with pytest.raises(ValueError, match="4-byte"):
+            build(2 ** 31)
+    # 2**32 physical pages, three quarters of them logical
+    huge = tiny_ssd_config(geometry=FlashGeometry(
+        channels=16, packages_per_channel=4, dies_per_package=4,
+        planes_per_die=4, blocks_per_plane=4096, pages_per_block=1024))
+    assert huge.logical_pages >= 2 ** 31
+    with pytest.raises(ValueError, match="4-byte"):
+        ftl_mapping.PageMapping(huge)
+
+
+def test_intel750_tables_take_4_bytes_per_entry():
+    tables = SSD(Simulator(), presets.intel750()).ftl.mapping
+    assert (len(tables.l2p), len(tables.p2l)) == (393_216, 491_520)
+    assert tables.l2p.itemsize == tables.p2l.itemsize == 4

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.common.instructions import InstructionMix
 from repro.common.recorders import LatencyRecorder
 from repro.sim import PriorityStore, Resource, Simulator, Store
-from repro.ssd.config import FlashGeometry, FTLConfig
+from repro.ssd.config import FlashGeometry
 from repro.ssd.device import SSD
 from repro.ssd.firmware.requests import DeviceCommand, split_command
 from repro.ssd.storage.address import AddressMapper

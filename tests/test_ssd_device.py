@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.sim import AllOf, Simulator
-from repro.ssd.config import CacheConfig, FTLConfig
+from repro.sim import AllOf
+from repro.ssd.config import CacheConfig
 from repro.ssd.device import SSD
 
 from tests.conftest import tiny_ssd_config
