@@ -32,11 +32,10 @@ _WALLCLOCK = {
 }
 
 #: path fragments of the modules designated to read the wall clock:
-#: benchmarking, the self-profiler, the run journal, worker lifecycle
-#: stamps and trace replay.  Checked against "/"-normalized paths.
+#: benchmarking, the run journal, worker lifecycle stamps and trace
+#: replay.  Checked against "/"-normalized paths.
 _WALLCLOCK_MODULES = (
     "repro/bench/",
-    "repro/obs/profiler",
     "repro/obs/journal",
     "repro/fleet/runner",
     "repro/baselines/replay",
@@ -53,14 +52,15 @@ def _in_wallclock_module(path: str) -> bool:
       "Host wall-clock reads are nondeterministic; simulated logic must "
       "derive every timestamp from `sim.now`. Wall-clock reads are only "
       "legal in the designated profiling modules (repro.bench, "
-      "repro.obs.profiler, repro.obs.journal, repro.fleet.runner, "
-      "repro.baselines.replay), whose outputs are declared "
-      "wall-clock-tainted side artifacts, so `grep` over five files "
-      "audits every clock in the tree. Anywhere else, route the read "
-      "through repro.obs.journal.wall_now, move the code into a "
-      "designated module, or — for the rare site that measures "
-      "simulator speed itself — suppress it with the reason and keep "
-      "its outputs in golden VOLATILE_KEYS.")
+      "repro.obs.journal, repro.fleet.runner, repro.baselines.replay), "
+      "whose outputs are declared wall-clock-tainted side artifacts, so "
+      "`grep` over four modules audits every clock in the tree (the "
+      "host-time profiler reads none: cProfile times itself). "
+      "Anywhere else, route the read through "
+      "repro.obs.journal.wall_now, move the code into a designated "
+      "module, or — for the rare site that measures simulator speed "
+      "itself — suppress it with the reason and keep its outputs in "
+      "golden VOLATILE_KEYS.")
 def check_wallclock_containment(src: SourceFile) -> Iterator[Site]:
     if _in_wallclock_module(src.path):
         return

@@ -14,9 +14,9 @@ stdout.  ``--metrics`` dumps each system's end-of-run metric snapshot
 as CSV.  ``--report`` arms telemetry epochs (and tracing) and renders
 time-series, latency histograms and the span breakdown into one
 self-contained HTML or Markdown artifact; ``--epoch-ns`` tunes the
-sampling period.  ``--profile BASE`` arms the wall-clock self-profiler
-(:mod:`repro.obs.profiler`) and writes ``BASE.md`` +
-``BASE.trace.json`` showing which layer burned the host time.
+sampling period.  ``--profile BASE`` profiles the experiment's run
+with cProfile (:mod:`repro.obs.profiler`) and writes ``BASE.md``, the
+host self time per layer, plus the stdlib's ``BASE.prof``.
 ``--explain OUT.md`` arms per-request causal capture
 (:mod:`repro.obs.causal`) and writes the per-system component
 decomposition — with worst-request causal chains and blame edges —
@@ -39,11 +39,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_metrics_csv,
 )
-from repro.obs.profiler import (
-    disable_profiling,
-    enable_profiling,
-    write_profile,
-)
+from repro.obs.profiler import new_profile, write_profile
 from repro.obs.report import write_report
 from repro.obs.runtime import (
     disable_tracing,
@@ -105,8 +101,8 @@ def main(argv=None) -> int:
                         help="telemetry sampling period in simulated ns "
                              "(used with --report; default 100000)")
     parser.add_argument("--profile", metavar="BASE",
-                        help="attribute wall time per layer; writes BASE.md "
-                             "+ BASE.trace.json (repro.obs.profiler)")
+                        help="profile host self time per layer; writes "
+                             "BASE.md + BASE.prof (repro.obs.profiler)")
     parser.add_argument("--explain", metavar="OUT.md",
                         help="arm causal capture and write the per-system "
                              "latency decomposition (repro.obs.causal)")
@@ -129,13 +125,15 @@ def main(argv=None) -> int:
         enable_tracing()
     if args.report:
         enable_telemetry(epoch_ns=args.epoch_ns)
-    if args.profile:
-        enable_profiling()
     if args.explain:
         enable_causal()
     try:
         started = time.perf_counter()  # simlint: disable=SIM110 -- wall-clock progress display only; never enters results
-        result = module.run(quick=not args.full)
+        if args.profile:
+            profile = new_profile()
+            result = profile.runcall(module.run, quick=not args.full)
+        else:
+            result = module.run(quick=not args.full)
         elapsed = time.perf_counter() - started  # simlint: disable=SIM110 -- wall-clock progress display only; never enters results
         print(module.render(result))
         if args.trace:
@@ -156,9 +154,9 @@ def main(argv=None) -> int:
             print(f"\n[report -> {args.report}]")
         if args.profile:
             paths = write_profile(
-                args.profile,
-                title=f"{EXPERIMENTS[args.experiment]} — wall attribution")
-            print(f"\n[self-profile -> {', '.join(paths)}]")
+                args.profile, profile,
+                title=f"{EXPERIMENTS[args.experiment]} — host self time")
+            print(f"\n[profile -> {', '.join(paths)}]")
         if args.explain:
             summary = causal_summary()
             write_causal_report(
@@ -170,8 +168,6 @@ def main(argv=None) -> int:
     finally:
         if args.explain:
             disable_causal()
-        if args.profile:
-            disable_profiling()
         if args.report:
             disable_telemetry()
         if observing:

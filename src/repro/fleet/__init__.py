@@ -19,7 +19,6 @@ Entry points::
 
     python -m repro.fleet plan   --builtin smoke4
     python -m repro.fleet run    --builtin smoke4 --store out/ --jobs 4
-    python -m repro.fleet status --builtin smoke4 --store out/
     python -m repro.fleet watch  --builtin smoke4 --store out/ --out live.md
     python -m repro.fleet report --builtin smoke4 --store out/ --out fleet.md
 
@@ -32,7 +31,7 @@ from repro.fleet.report import (
     render_markdown,
     write_fleet_report,
 )
-from repro.fleet.runner import RunSummary, run_one_job, run_sweep, sweep_status
+from repro.fleet.runner import RunSummary, run_one_job, run_sweep
 from repro.fleet.scenarios import (
     SCENARIOS,
     builtin_specs,
@@ -67,7 +66,6 @@ __all__ = [
     "run_sweep",
     "scenario",
     "spec_names",
-    "sweep_status",
     "watch",
     "write_fleet_report",
     "write_partial_report",

@@ -5,7 +5,6 @@ Usage::
     python -m repro.fleet plan   --builtin smoke4
     python -m repro.fleet run    --spec sweep.json --store out/ --jobs 4
     python -m repro.fleet run    --builtin smoke4 --store out/ --resume
-    python -m repro.fleet status --builtin smoke4 --store out/
     python -m repro.fleet watch  --builtin smoke4 --store out/ --out partial.md
     python -m repro.fleet report --builtin smoke4 --store out/ --out fleet.md
     python -m repro.fleet explain HASH_A HASH_B --store out/ --out why.md
@@ -15,17 +14,18 @@ Usage::
 result; ``run --dry-run`` prints the plan (including what resume would
 skip) without simulating.  Runs journal lifecycle events beside the
 store by default (``--no-journal`` opts out, ``--profile`` adds
-per-layer wall-time attribution to the journal); ``status`` folds the
-journal in to tell running and failed jobs apart from never-started
-ones, and ``watch`` tails the journal live, optionally rewriting a
-streaming partial report that converges byte-identically to the final
-``report``.  Reports pick their format
-from the ``--out`` suffix: ``.html`` is HTML, ``.json`` the canonical
-merged document, anything else Markdown.  ``run --causal`` embeds
-each job's per-request causal latency decomposition
-(:mod:`repro.obs.causal`) in its stored result, and ``explain HASH_A
-HASH_B`` then renders a deterministic report ranking the resource
-components that moved the p50/p99 between the two configurations.
+each job's per-layer host self time to the journal); ``watch`` folds
+the journal in to tell running and failed jobs apart from
+never-started ones and tails it live, optionally rewriting a streaming
+partial report that converges byte-identically to the final
+``report``, and ``watch --once`` prints one snapshot.  Reports pick
+their format from the ``--out`` suffix: ``.html`` is HTML, ``.json``
+the canonical merged document, anything else Markdown.
+``run --causal`` embeds each job's per-request causal latency
+decomposition (:mod:`repro.obs.causal`) in its stored result, and
+``explain HASH_A HASH_B`` then renders a deterministic report ranking
+the resource components that moved the p50/p99 between the two
+configurations.
 See ``docs/FLEET.md``.
 """
 
@@ -35,11 +35,11 @@ import argparse
 import sys
 
 from repro.fleet.report import merge_results, write_fleet_report
-from repro.fleet.runner import run_sweep, sweep_status
+from repro.fleet.runner import run_sweep
 from repro.fleet.scenarios import SCENARIOS, builtin_specs, spec_names
 from repro.fleet.spec import SweepSpec
 from repro.fleet.store import ResultStore
-from repro.fleet.watch import journal_status, watch
+from repro.fleet.watch import watch
 from repro.obs.diff import explain, write_explain_report
 
 
@@ -107,17 +107,12 @@ def main(argv=None) -> int:
                      help="min wall seconds between journal heartbeats "
                           "(default 2.0)")
     run.add_argument("--profile", action="store_true",
-                     help="wall-clock self-profile each job; per-layer "
-                          "attribution lands in the journal")
+                     help="profile each job with cProfile; per-layer "
+                          "host self time lands in the journal")
     run.add_argument("--causal", action="store_true",
                      help="capture per-request causal latency forensics; "
                           "the summary lands in each stored result for "
                           "'fleet explain'")
-
-    status = sub.add_parser("status",
-                            help="done/running/failed/pending for a sweep")
-    _add_spec_args(status)
-    status.add_argument("--store", metavar="DIR", required=True)
 
     watch_cmd = sub.add_parser(
         "watch", help="tail a sweep's journal with streaming partial reports")
@@ -208,23 +203,6 @@ def main(argv=None) -> int:
               f"cached {len(summary.skipped)}, "
               f"planned {summary.planned} -> {store.root}")
         return 0
-
-    if args.command == "status":
-        state = sweep_status(spec, store)
-        live = journal_status(spec, store)
-        print(f"{state['spec']}: {state['done']}/{state['planned']} done, "
-              f"{len(live['running'])} running, "
-              f"{len(live['failed'])} failed, "
-              f"{len(live['pending'])} pending")
-        for entry in live["running"]:
-            print(f"  running {entry['job'][:16]}  pid={entry['pid']}  "
-                  f"sim={entry['sim_ns']}ns")
-        for entry in live["failed"]:
-            print(f"  failed  {entry['job'][:16]}  {entry['error']}: "
-                  f"{entry['message']}")
-        for job_hash in live["pending"]:
-            print(f"  missing {job_hash[:16]}")
-        return 0 if not state["missing"] else 1
 
     if args.command == "watch":
         doc = watch(spec, store, emit=print, interval_s=args.interval,

@@ -85,8 +85,9 @@ def run_one_job(job: Job,
     so the returned result is unchanged), then ``job_completed`` — or
     ``job_failed`` with the error and any ``flightrec-*.json``
     post-mortems the failure dumped beside the journal.  ``profile=True``
-    additionally arms the wall-clock self-profiler and records the
-    per-layer attribution in the ``job_completed`` event.
+    additionally profiles ``run_scenario`` with cProfile
+    (:mod:`repro.obs.profiler`) and records its per-layer self seconds in
+    the ``job_completed`` event.
 
     ``causal=True`` arms per-request causal capture
     (:mod:`repro.obs.causal`) for the duration and embeds the causal
@@ -105,14 +106,12 @@ def run_one_job(job: Job,
                else _journal.RunJournal(journal_path))
     dump_dir = (None if journal is None else journal.path.parent)
     own_telemetry = journal is not None and not _telemetry.telemetry_enabled()
-    own_profiler = profile and not _profiler.profiling_enabled()
     own_causal = causal and not _causal.causal_enabled()
+    profiled = _profiler.new_profile() if profile else None
     dumps_before = [] if dump_dir is None else _flightrec_dumps(dump_dir)
     try:
         if own_telemetry:
             _telemetry.enable_telemetry(dump_dir=str(dump_dir))
-        if own_profiler:
-            _profiler.enable_profiling()
         if causal:
             # (re)arm per job: clears any previous job's collectors so
             # the embedded summary covers exactly this simulation
@@ -121,7 +120,10 @@ def run_one_job(job: Job,
             _journal.begin_job(journal, job.config_hash,
                                heartbeat_s=heartbeat_s)
         try:
-            result = run_scenario(job.params, seed)
+            if profiled is None:
+                result = run_scenario(job.params, seed)
+            else:
+                result = profiled.runcall(run_scenario, job.params, seed)
             if causal and isinstance(result, dict):
                 result = dict(result, causal=_causal.causal_summary())
         except BaseException as error:
@@ -143,8 +145,8 @@ def run_one_job(job: Job,
             facts = {key: result[key]
                      for key in ("events_processed", "sim_time_ns")
                      if isinstance(result, dict) and key in result}
-            if profile:
-                doc = _profiler.attribution()
+            if profiled is not None:
+                doc = _profiler.attribution(profiled)
                 facts["profile"] = {
                     name: round(entry["seconds"], 6)
                     for name, entry in sorted(doc["layers"].items())}
@@ -156,8 +158,6 @@ def run_one_job(job: Job,
                              message="worker exited without a terminal event")
         if own_causal:
             _causal.disable_causal()
-        if own_profiler:
-            _profiler.disable_profiling()
         if own_telemetry:
             _telemetry.disable_telemetry()
 
@@ -178,9 +178,9 @@ def run_sweep(spec: SweepSpec, store: ResultStore, jobs: int = 1,
     ``journal=True`` (the default) streams per-job lifecycle events into
     ``<store>/journal.ndjson`` for ``watch``;
     ``heartbeat_s`` throttles the in-flight heartbeats; ``profile=True``
-    arms the wall-clock self-profiler per job and journals the
-    per-layer attribution; ``causal=True`` embeds each job's causal
-    latency decomposition in its stored result (``fleet explain``).
+    profiles each job and journals its per-layer self seconds;
+    ``causal=True`` embeds each job's causal latency decomposition in
+    its stored result (``fleet explain``).
     None of these can perturb simulated results (see
     :func:`run_one_job`) — a causal store differs from a plain one only
     by the deterministic ``"causal"`` payload, and stays byte-identical
@@ -232,13 +232,3 @@ def run_sweep(spec: SweepSpec, store: ResultStore, jobs: int = 1,
             note(f"done {job_hash[:12]} "
                  f"({len(summary.executed)}/{len(pending)})")
     return summary
-
-
-def sweep_status(spec: SweepSpec, store: ResultStore) -> Dict:
-    """Completion status of a spec against a store (for ``status``)."""
-    planned = sorted(spec.expand(), key=lambda job: job.config_hash)
-    done = [job.config_hash for job in planned if store.has(job.config_hash)]
-    missing = [job.config_hash for job in planned
-               if not store.has(job.config_hash)]
-    return {"spec": spec.name, "planned": len(planned), "done": len(done),
-            "missing": missing}

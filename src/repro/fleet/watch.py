@@ -1,19 +1,18 @@
 """Live sweep watching: journal-derived job states, ETA and partials.
 
-``sweep_status`` (:mod:`repro.fleet.runner`) can only see the store, so
-it answers "done or missing".  This module folds in the run journal
-(:mod:`repro.obs.journal`) that workers stream beside the store, which
-splits "missing" three ways: **running** (a ``job_started`` with live
-heartbeats and no terminal event), **failed** (a ``job_failed``) and
-truly **pending**.  On top of that it estimates an ETA from the mean
-wall duration of completed jobs, renders the one-screen status block
-behind ``python -m repro.fleet watch``, and
-writes *streaming partial reports*: the ordinary
-:func:`repro.fleet.report.merge_results` document over whatever the
-store holds right now.  Because the final ``report`` runs the exact
-same merge in the exact same sorted-hash order, a partial report
-regenerated once the sweep completes is byte-identical to the final
-one (pinned by test and by the fleet-smoke CI job).
+The store alone answers "done or missing".  This module folds in the
+run journal (:mod:`repro.obs.journal`) that workers stream beside the
+store, which splits "missing" three ways: **running** (a
+``job_started`` with live heartbeats and no terminal event),
+**failed** (a ``job_failed``) and truly **pending**.  On top of that it
+estimates an ETA from the mean wall duration of completed jobs, renders
+the one-screen status block behind ``python -m repro.fleet watch``
+(``--once`` for one snapshot), and writes *streaming partial reports*:
+the ordinary :func:`repro.fleet.report.merge_results` document over
+whatever the store holds right now.  Because the final ``report`` runs
+the exact same merge in the exact same sorted-hash order, a partial
+report regenerated once the sweep completes is byte-identical to the
+final one (pinned by test and by the fleet-smoke CI job).
 
 Everything here is display-plane: wall clocks come only from the
 journal's blessed accessor (:func:`repro.obs.journal.wall_now`) and

@@ -120,6 +120,8 @@ class PblkDriver(HostAdapter):
         event = self.sim.event()
         if req.kind == IOKind.FLUSH:
             self.sim.process(self._flush_then(event))
+        elif req.kind == IOKind.TRIM:
+            self.sim.process(self._trim(req, event))
         elif req.kind.is_write:
             self.sim.process(self._write(req, event))
         else:
@@ -229,6 +231,11 @@ class PblkDriver(HostAdapter):
             yield proc
 
         for lpn, ppn in placements.items():
+            self.pages_flushed += 1
+            if lpn not in self._buffer:
+                # a TRIM deallocated the page mid-flush: it stays unbound
+                self.controller.invalidate(ppn)
+                continue
             old = self.l2p[lpn]
             self.l2p[lpn] = ppn
             self.p2l[ppn] = lpn
@@ -239,10 +246,12 @@ class PblkDriver(HostAdapter):
             # a write that re-dirtied the page mid-flush keeps its entry
             if self._buffer.get(lpn) is snapshots[lpn]:
                 self._buffer.pop(lpn, None)
-            self.pages_flushed += 1
-            while self._buffer_waiters and \
-                    len(self._buffer) < self.buffer_capacity_pages:
-                self._buffer_waiters.popleft().succeed()
+            self._wake_buffer_waiters()
+
+    def _wake_buffer_waiters(self) -> None:
+        while self._buffer_waiters and \
+                len(self._buffer) < self.buffer_capacity_pages:
+            self._buffer_waiters.popleft().succeed()
 
     def _invalidate(self, ppn: int) -> None:
         pu, chunk, _page = self._decompose(ppn)
@@ -310,6 +319,32 @@ class PblkDriver(HostAdapter):
         else:
             event.succeed(None)
 
+    # -- trim ---------------------------------------------------------------------------
+
+    def _trim(self, req: IORequest, event):
+        """Deallocate every page the range touches: drop it from the
+        write buffer, unbind it and invalidate its flash page.  No vector
+        read and no data phase; a flush batch still programming one of
+        these pages leaves it unbound."""
+        tracer = self.sim.tracer
+        with (tracer.span("ocssd.pblk.trim", req.req_id,
+                          nsectors=req.nsectors)
+              if tracer.enabled else NULL_SPAN_CONTEXT):
+            req.t_device = self.sim.now
+            end_lpn = -(-(req.slba + req.nsectors) // self.sectors_per_page)
+            for lpn in range(req.slba // self.sectors_per_page, end_lpn):
+                if lpn >= self.logical_pages:
+                    raise ValueError(f"lpn {lpn} beyond pblk capacity")
+                yield from self.cpu.execute(_MIX_READ_LOOKUP, kernel=True)
+                self._buffer.pop(lpn, None)
+                ppn = self.l2p[lpn]
+                if ppn != UNMAPPED:
+                    self.l2p[lpn] = UNMAPPED
+                    self._invalidate(ppn)
+            self._wake_buffer_waiters()
+            req.t_backend_done = self.sim.now
+        event.succeed(None)
+
     # -- flush / GC -----------------------------------------------------------------------
 
     def _flush_then(self, event):
@@ -364,6 +399,10 @@ class PblkDriver(HostAdapter):
             new_ppn = self._allocate(new_pu)
             yield from self.controller.vector_write(
                 [new_ppn], [payloads[0]] if self.data_emulation else None)
+            if self.p2l[old_ppn] != lpn:
+                # trimmed while it migrated: the copy stays unbound
+                self.controller.invalidate(new_ppn)
+                continue
             self.l2p[lpn] = new_ppn
             self.p2l[new_ppn] = lpn
             npu, nchunk, _ = self._decompose(new_ppn)

@@ -40,13 +40,15 @@ the kernel's table (:data:`repro.sim.engine.HOOKS`), e.g. from
 ``python -m repro.experiments <fig> --trace out.json --report out.html``.
 The kernel imports none of this package.
 
-Two wall-clock substrates complete the picture (both deliberately
+Two host-time substrates complete the picture (both deliberately
 outside the simulated-time determinism contract): the **run journal**
 (:mod:`repro.obs.journal`) streams NDJSON lifecycle events beside a
 fleet result store for ``python -m repro.fleet watch``, and the
-**self-profiler** (:mod:`repro.obs.profiler`) attributes host wall time
-per layer (``--profile`` on the CLIs).  Both are off by default and
-zero-cost when off, and neither ever perturbs simulated results.
+**profiler** (:mod:`repro.obs.profiler`) rolls one cProfile pass up
+into host self time and exact call counts per layer (``--profile`` on
+the CLIs); a profile is a value its caller owns, not a kernel hook.
+Both are off by default and zero-cost when off, and neither ever
+perturbs simulated results.
 
 This package module imports nothing: import each name from the module
 that defines it.

@@ -92,6 +92,7 @@ KIND_COMPONENT: Dict[str, str] = {
     "ftl.gc": "ftl",
     "ocssd.pblk.read": "ftl",
     "ocssd.pblk.write": "ftl",
+    "ocssd.pblk.trim": "ftl",
     "ftl.gc_stall": "gc_stall",
     "ftl.unit_wait": "gc_stall",
     "flash.channel_wait": "channel_wait",

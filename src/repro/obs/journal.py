@@ -15,7 +15,7 @@ per lifecycle event to ``<store>/journal.ndjson``:
 Every line carries **both clocks**: ``wall_ts`` (host seconds, for
 liveness/ETA) and, where a simulator is in flight, ``sim_ns``.  The
 journal is therefore *deliberately wall-clock-tainted* — it is a side
-artifact for ``python -m repro.fleet watch``/``status``, **never** part
+artifact for ``python -m repro.fleet watch``, **never** part
 of the byte-identical store contract: result payloads stay bit-identical
 with the journal on or off, and store diffs exclude ``journal.ndjson``
 by design (``docs/FLEET.md``).

@@ -27,13 +27,12 @@ from repro.sim.tracer import NULL_TRACER
 #: each.  The instruments fill the table from above: each ``enable_*``
 #: installs its factory and each ``disable_*`` puts back ``None``, so the
 #: kernel imports none of them.  ``tracer`` builds ``sim.tracer``
-#: (``NULL_TRACER`` while the slot is empty); the other three build the
+#: (``NULL_TRACER`` while the slot is empty); the other two build the
 #: loop's observers, and the table's order is their fan-out order.
 HOOKS: Dict[str, Optional[Callable[[Any], Any]]] = {
     "tracer": None,
     "telemetry": None,
     "sanitizer": None,
-    "profiler": None,
 }
 
 
@@ -91,10 +90,10 @@ class Simulator:
     simulated time only and never schedule events, so tracing cannot
     perturb results.
 
-    ``telemetry``, ``sanitizer`` and ``profiler`` are ``None`` unless
-    their factory was installed before construction, which folds the
-    armed ones into one observer slot: ``None``, the one hook, or a
-    fan-out in that order.  The loop calls ``on_event(when, event)``
+    ``telemetry`` and ``sanitizer`` are ``None`` unless their factory
+    was installed before construction, which folds the armed ones into
+    one observer slot: ``None``, the one hook, or a fan-out in that
+    order.  The loop calls ``on_event(when, event)``
     before each live event's callbacks and ``on_stop(drained)`` on every
     exit, a raise included (``drained``: ``run()`` without ``until``
     emptied the queue); ``run_process`` calls ``on_failure(error)``
@@ -116,7 +115,6 @@ class Simulator:
         self.tracer = hooks.pop("tracer", NULL_TRACER)
         self.telemetry = hooks.get("telemetry")
         self.sanitizer = hooks.get("sanitizer")
-        self.profiler = hooks.get("profiler")
         armed = list(hooks.values())
         self._observer = (None if not armed else armed[0] if len(armed) == 1
                           else _FanOut(armed))

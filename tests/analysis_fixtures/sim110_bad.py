@@ -1,8 +1,8 @@
 """SIM110 fixture: wall-clock reads outside the designated modules.
 
 This file stands in for ordinary simulation code (it is not under
-``repro/bench/``, ``repro/obs/profiler|journal``, ``repro/fleet/runner``
-or ``repro/baselines/replay``), so neither simulated logic nor a speed
+``repro/bench/``, ``repro/obs/journal``, ``repro/fleet/runner`` or
+``repro/baselines/replay``), so neither simulated logic nor a speed
 measurement may read the host clock here — timestamps come from
 ``sim.now``, and speed measurement belongs in a designated module.
 """

@@ -22,11 +22,11 @@ from repro.fleet import (
     builtin_specs,
     config_hash,
     derive_seed,
+    journal_status,
     merge_results,
     render_markdown,
     run_scenario,
     run_sweep,
-    sweep_status,
 )
 
 #: the smoke4 job CI also runs — any drift in the hash scheme (key
@@ -270,9 +270,9 @@ class TestRunner:
 
     def test_status_reports_missing(self, baseline, tmp_path):
         store_j1, _summary, _doc = baseline
-        state = sweep_status(TINY, store_j1)
+        state = journal_status(TINY, store_j1)
         assert state["done"] == 2 and state["missing"] == []
-        empty = sweep_status(TINY, ResultStore(tmp_path / "none"))
+        empty = journal_status(TINY, ResultStore(tmp_path / "none"))
         assert empty["done"] == 0 and len(empty["missing"]) == 2
 
     def test_report_marks_missing_configs(self, baseline, tmp_path):
@@ -346,7 +346,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "executed 2" in proc.stdout
 
-        proc = _run_cli("status", "--spec", str(spec_path),
+        proc = _run_cli("watch", "--once", "--spec", str(spec_path),
                         "--store", str(store))
         assert proc.returncode == 0
         assert "2/2 done" in proc.stdout
@@ -372,7 +372,7 @@ class TestCli:
         assert json.loads(out.read_text())["merged"] == 2
 
     def test_status_of_empty_store_fails(self, tmp_path):
-        proc = _run_cli("status", "--builtin", "smoke4",
+        proc = _run_cli("watch", "--once", "--builtin", "smoke4",
                         "--store", str(tmp_path / "none"))
         assert proc.returncode == 1
         assert "0/4 done" in proc.stdout

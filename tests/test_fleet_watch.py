@@ -1,9 +1,9 @@
-"""The live-observability layer: the NDJSON run journal, journal-aware
-fleet status, ``watch`` with streaming partial reports, and the
-invariants that keep all of it outside the determinism contract —
-result payloads byte-identical with journaling on or off, and a
-partial report that converges byte-identically to the final one
-(``docs/FLEET.md``, ``docs/OBSERVABILITY.md``)."""
+"""The live-observability layer: the NDJSON run journal, the
+journal-aware ``watch`` with its ``--once`` snapshot and streaming
+partial reports, and the invariants that keep all of it outside the
+determinism contract — result payloads byte-identical with journaling
+on or off, and a partial report that converges byte-identically to the
+final one (``docs/FLEET.md``, ``docs/OBSERVABILITY.md``)."""
 
 import json
 import os
@@ -374,7 +374,7 @@ class TestCli:
             for job in builtin_specs()["smoke4"].expand())[0]
         journal.append("job_failed", job=some_hash, error="RuntimeError",
                        message="injected", flightrec=[])
-        proc = _run_cli("status", "--builtin", "smoke4",
+        proc = _run_cli("watch", "--once", "--builtin", "smoke4",
                         "--store", str(store))
         assert proc.returncode == 1
         assert "1 failed" in proc.stdout

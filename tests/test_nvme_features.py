@@ -1,6 +1,6 @@
 """Optional NVMe features: SGL transfers, WRR queue priorities, CLI."""
 
-import json
+import pstats
 
 import pytest
 
@@ -91,9 +91,17 @@ class TestExperimentCli:
         assert any(block in page for block in "▁▂▃▄▅▆▇█")
         base = tmp_path / "attr"
         assert main(["fig16", "--profile", str(base)]) == 0
-        assert "hottest layers" in (tmp_path / "attr.md").read_text()
-        trace = json.loads((tmp_path / "attr.trace.json").read_text())
-        assert trace["traceEvents"]
+        markdown = (tmp_path / "attr.md").read_text()
+        assert "hottest layers" in markdown
+        rows = [row.split(" | ") for row in markdown.splitlines()
+                if row.startswith("| `") and row.endswith("% |")]
+        shares = {cells[0].strip("| `"): float(cells[3].rstrip(" |%"))
+                  for cells in rows}
+        assert shares["ssd.ftl"] > 0
+        # each share is rounded to 0.1 %
+        assert sum(shares.values()) == \
+            pytest.approx(100.0, abs=0.06 * len(shares))
+        assert pstats.Stats(str(tmp_path / "attr.prof")).total_calls > 0
 
 
 class TestAdminCommands:

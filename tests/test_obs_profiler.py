@@ -1,36 +1,40 @@
-"""The wall-clock self-profiler (``repro.obs.profiler``): zero cost and
-zero presence when off, bit-identical simulation when on, >= 95% of
-measured wall time attributed across the pinned perf scenarios, and the
-Markdown/Chrome-trace exports the CI artifact is built from
+"""The host-time profiler (``repro.obs.profiler``): no kernel hook and
+bit-identical simulation, every profiled second in exactly one layer,
+planted work charged to the layer whose code ran it, and the
+Markdown/``.prof`` pair the CI artifact is built from
 (``docs/OBSERVABILITY.md``, "Live runs & profiling")."""
 
-import json
+import ast
+import inspect
+import os
+import pstats
+import runpy
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench.scenarios import SCENARIOS
 from repro.obs import profiler as profiler_mod
 from repro.obs.profiler import (
-    WallProfiler,
+    MODULE_LAYERS,
     attribution,
     attribution_markdown,
-    disable_profiling,
-    enable_profiling,
     hottest_layers,
-    profilers,
-    profiling_enabled,
+    layer_of,
+    new_profile,
     write_profile,
-    write_profile_trace,
 )
 from repro.sim import Simulator
+from repro.sim.engine import HOOKS
 
-
-@pytest.fixture(autouse=True)
-def _profiling_off():
-    """Every test starts and ends with the switch off."""
-    disable_profiling()
-    yield
-    disable_profiling()
+SUITE_LAYERS = Path(__file__).resolve().parents[1] / "benchmarks" / "suite" \
+    / "layers.py"
+#: where planted code pretends to live
+FTL = "/x/src/repro/ssd/firmware/ftl/planted.py"
+CORES = "/x/src/repro/ssd/computation/cores.py"
 
 
 def _pingpong(sim, rounds=50):
@@ -44,32 +48,54 @@ def _pingpong(sim, rounds=50):
     return proc()
 
 
-# -- the switch ---------------------------------------------------------------
+def _planted_in(path):
+    """Plant a function's code in ``path``, as if a module there had
+    defined it."""
+    def plant(function):
+        function.__code__ = function.__code__.replace(co_filename=path)
+        return function
+    return plant
+
+
+def _cores_leaf(sim):
+    """A one-timeout leaf planted in the SSD's embedded-cores module."""
+    @_planted_in(CORES)
+    def leaf():
+        yield sim.timeout(10)
+    return leaf
+
+
+def _profile_five_calls(sim, helper):
+    """Attribution of a process that runs ``helper()`` five times
+    through ``yield from``; the process itself lives in this file."""
+    def caller():
+        for _ in range(5):
+            yield from helper()
+
+    profile = new_profile()
+    profile.runcall(sim.run_process, caller())
+    return attribution(profile)
+
+
+# -- no switch, no hook -------------------------------------------------------
 
 class TestSwitch:
     def test_off_by_default(self):
-        assert not profiling_enabled()
-        assert Simulator().profiler is None
-        assert profilers() == []
-
-    def test_enable_arms_new_simulators(self):
-        enable_profiling()
-        assert profiling_enabled()
-        sim = Simulator()
-        assert isinstance(sim.profiler, WallProfiler)
-        assert profilers() == [sim.profiler]
-
-    def test_disable_drops_collected_profilers(self):
-        enable_profiling()
-        Simulator()
-        disable_profiling()
-        assert not profiling_enabled()
-        assert profilers() == []
-        assert Simulator().profiler is None
-
-    def test_max_slices_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_slices"):
-            enable_profiling(max_slices=0)
+        """Nothing to switch off: the kernel's table has no profiler slot,
+        a simulator has no profiler, and the module keeps no profiles,
+        imports nothing from ``repro.sim`` and reads no clock."""
+        assert list(HOOKS) == ["tracer", "telemetry", "sanitizer"]
+        assert not hasattr(Simulator(), "profiler")
+        nodes = list(ast.walk(ast.parse(inspect.getsource(profiler_mod))))
+        imported = [alias.name for node in nodes
+                    if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module for node in nodes
+                     if isinstance(node, ast.ImportFrom)]
+        assert "cProfile" in imported
+        assert [name for name in imported
+                if name == "time" or name.startswith("repro.sim")] == []
+        assert [name for name, value in vars(profiler_mod).items()
+                if isinstance(value, list)] == []
 
 
 # -- behavioural equivalence --------------------------------------------------
@@ -78,9 +104,9 @@ class TestBitIdentical:
     def test_run_process_identical_on_and_off(self):
         plain = Simulator()
         value_plain = plain.run_process(_pingpong(plain))
-        enable_profiling()
         profiled = Simulator()
-        value_profiled = profiled.run_process(_pingpong(profiled))
+        with new_profile():
+            value_profiled = profiled.run_process(_pingpong(profiled))
         assert value_profiled == value_plain
         assert profiled.now == plain.now
         assert profiled.events_processed == plain.events_processed
@@ -96,85 +122,84 @@ class TestBitIdentical:
 
         plain = Simulator()
         fired_plain = drive(plain)
-        enable_profiling()
         profiled = Simulator()
-        fired_profiled = drive(profiled)
+        fired_profiled = new_profile().runcall(drive, profiled)
         assert fired_profiled == fired_plain
         assert profiled.now == plain.now
         assert profiled.events_processed == plain.events_processed
 
     def test_run_until_deadline_semantics_match(self):
-        enable_profiling()
         sim = Simulator()
-        sim.schedule(100, lambda: None)
-        sim.run(until=50)
-        assert sim.now == 50 and sim.events_processed == 0
-        with pytest.raises(ValueError, match="past"):
-            sim.run(until=10)
+        with new_profile():
+            sim.schedule(100, lambda: None)
+            sim.run(until=50)
+            assert sim.now == 50 and sim.events_processed == 0
+            with pytest.raises(ValueError, match="past"):
+                sim.run(until=10)
 
     def test_run_process_failure_paths_match(self):
-        enable_profiling()
+        profile = new_profile()
         sim = Simulator()
 
         def boom():
             yield sim.timeout(5)
             raise RuntimeError("kaput")
 
-        with pytest.raises(RuntimeError, match="kaput"):
-            sim.run_process(boom())
-
         stalled = Simulator()
 
         def forever():
             yield stalled.event()       # never succeeds
-
-        with pytest.raises(RuntimeError, match="did not complete"):
-            stalled.run_process(forever())
 
         broken = Simulator()
 
         def not_an_event():
             yield 42                    # raises out of the event loop
 
-        with pytest.raises(TypeError, match="non-event"):
-            broken.run_process(not_an_event())
-        # every raise still closes its run
-        assert [prof.runs for prof in profilers()] == [1, 1, 1]
-        assert all(prof.run_wall_s > 0 for prof in profilers())
+        with profile:
+            with pytest.raises(RuntimeError, match="kaput"):
+                sim.run_process(boom())
+            with pytest.raises(RuntimeError, match="did not complete"):
+                stalled.run_process(forever())
+            with pytest.raises(TypeError, match="non-event"):
+                broken.run_process(not_an_event())
+        # every raise leaves the profile readable
+        doc = attribution(profile)
+        assert doc["layers"]["sim"]["calls"] > 0
+        assert sum(e["share"] for e in doc["layers"].values()) == \
+            pytest.approx(1.0)
 
     def test_run_process_deadline_advances_clock(self):
-        enable_profiling()
         sim = Simulator()
 
         def patient():
             yield sim.timeout(1000)
 
-        with pytest.raises(RuntimeError, match="deadline"):
-            sim.run_process(patient(), until=100)
+        with new_profile():
+            with pytest.raises(RuntimeError, match="deadline"):
+                sim.run_process(patient(), until=100)
         assert sim.now == 100
 
     def test_all_three_observers_together(self):
-        """Telemetry, sanitizer and profiler share the one observer slot,
-        fanned out in the kernel table's order whatever the arming order:
-        the perf-scenario golden digest holds, the profiler sees every
-        processed event, telemetry samples and the sanitizer stays clean."""
+        """Telemetry and the sanitizer share the one observer slot,
+        fanned out in the kernel table's order whatever the arming order,
+        and a profile runs around both: the perf-scenario golden digest
+        holds, telemetry samples, the sanitizer stays clean and the
+        profile sees the kernel."""
         from repro.analysis.sanitizer import (
             all_violations, disable_sanitizer, enable_sanitizer)
         from repro.experiments import golden
         from repro.obs.telemetry import (
             disable_telemetry, enable_telemetry, probes)
-        enable_profiling()
         enable_sanitizer()
         enable_telemetry()
         try:
             sim = Simulator()
-            assert sim._observer.observers == (
-                sim.telemetry, sim.sanitizer, sim.profiler)
-            assert golden.check_case("perf_scenarios")
-            events = sum(probe.sim.events_processed for probe in probes())
-            assert attribution()["events"] == events > 0
+            assert sim._observer.observers == (sim.telemetry, sim.sanitizer)
+            profile = new_profile()
+            assert profile.runcall(golden.check_case, "perf_scenarios")
             assert sum(probe.epochs_sampled for probe in probes()) > 0
             assert all_violations() == []
+            assert attribution(profile)["layers"]["sim"]["calls"] > 0
         finally:
             disable_telemetry()
             disable_sanitizer()
@@ -182,8 +207,7 @@ class TestBitIdentical:
     def test_bench_scenario_facts_identical(self):
         """The perf scenarios produce the same deterministic facts."""
         plain = SCENARIOS["kernel_churn"]("smoke")
-        enable_profiling()
-        profiled = SCENARIOS["kernel_churn"]("smoke")
+        profiled = new_profile().runcall(SCENARIOS["kernel_churn"], "smoke")
         assert profiled.events == plain.events
         assert profiled.sim_ns == plain.sim_ns
 
@@ -192,177 +216,202 @@ class TestBitIdentical:
 
 class TestAttribution:
     def test_attributes_95_percent_across_perf_scenarios(self):
-        """The acceptance pin: >= 95% of measured wall time attributed,
-        per scenario, for all three pinned benchmarks."""
+        """Every profiled second falls in exactly one layer, ``other``
+        included, so all of it is attributed, per scenario, for all
+        three pinned benchmarks."""
         for name, runner in SCENARIOS.items():
-            enable_profiling()
-            runner("smoke")
-            doc = attribution()
-            assert doc["total_wall_s"] > 0, name
-            assert doc["attributed_fraction"] >= 0.95, \
-                f"{name}: {doc['attributed_fraction']:.3f}"
+            profile = new_profile()
+            profile.runcall(runner, "smoke")
+            doc = attribution(profile)
+            assert doc["total_s"] > 0, name
             shares = sum(e["share"] for e in doc["layers"].values())
-            assert shares == pytest.approx(doc["attributed_fraction"])
-            disable_profiling()
+            assert shares == pytest.approx(1.0), name
+            assert sum(e["seconds"] for e in doc["sites"].values()) == \
+                pytest.approx(doc["total_s"]), name
+            assert sum(e["calls"] for e in doc["sites"].values()) == \
+                doc["calls"], name
 
     def test_real_layers_show_up(self):
-        enable_profiling()
-        SCENARIOS["randread_nvme"]("smoke")
-        doc = attribution()
-        assert {"nvme", "icl", "sim"} <= set(doc["layers"])
+        profile = new_profile()
+        profile.runcall(SCENARIOS["randread_nvme"], "smoke")
+        doc = attribution(profile)
+        assert {"interfaces.nvme", "ssd.hil", "ssd.icl", "ssd.ftl",
+                "ssd.flash", "sim"} <= set(doc["layers"])
         for entry in doc["layers"].values():
-            assert entry["calls"] >= 0 and entry["seconds"] >= 0.0
+            assert entry["calls"] > 0 and entry["seconds"] >= 0.0
+
+    def test_calls_repeat_across_fresh_processes(self):
+        """Per-layer calls are exact: two fresh interpreters count the
+        same.  (Within one process a later profile can also count the
+        finalization of an earlier run's suspended generators.)"""
+        code = ("import json; from repro.bench.scenarios import SCENARIOS; "
+                "from repro.obs.profiler import attribution, new_profile; "
+                "profile = new_profile(); "
+                "profile.runcall(SCENARIOS['randread_nvme'], 'smoke'); "
+                "print(json.dumps({name: totals['calls'] for name, totals "
+                "in attribution(profile)['layers'].items()}, "
+                "sort_keys=True))")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        runs = [subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=120,
+                               check=True).stdout for _ in range(2)]
+        assert runs[0] == runs[1] and '"ssd.ftl"' in runs[0]
 
     def test_kernel_overhead_is_booked_under_sim(self):
-        prof = WallProfiler(label="x")
-        prof.record(None, 0.0, 0.25)
-        prof.note_run(1.0)
-        doc = attribution([prof])
-        assert doc["kernel_wall_s"] == pytest.approx(0.75)
-        assert doc["layers"]["sim"]["seconds"] == pytest.approx(1.0)
-        assert doc["attributed_fraction"] == pytest.approx(1.0)
-
-    def test_merges_across_profilers(self):
-        a, b = WallProfiler(label="a"), WallProfiler(label="b")
-        for prof in (a, b):
-            prof.record(None, 0.0, 0.5)
-            prof.note_run(0.5)
-        doc = attribution([a, b])
-        assert doc["runs"] == 2 and doc["events"] == 2
-        assert doc["total_wall_s"] == pytest.approx(1.0)
+        """The loop's own functions are ``sim``: its self time is the sum
+        of the kernel's call sites, and the dispatch loop is one of them."""
+        sim = Simulator()
+        profile = new_profile()
+        profile.runcall(sim.run_process, _pingpong(sim))
+        doc = attribution(profile)
+        kernel = [entry for name, entry in doc["sites"].items()
+                  if name.startswith("repro.sim.")]
+        assert "repro.sim.engine:Simulator._dispatch" in doc["sites"]
+        assert doc["layers"]["sim"]["calls"] == \
+            sum(entry["calls"] for entry in kernel)
+        assert doc["layers"]["sim"]["seconds"] == \
+            pytest.approx(sum(entry["seconds"] for entry in kernel))
 
     def test_hottest_layers_orders_by_seconds(self):
-        doc = {"layers": {"ftl": {"seconds": 3.0}, "sim": {"seconds": 1.0},
-                          "nvme": {"seconds": 2.0}, "gc": {"seconds": 0.5}}}
-        assert hottest_layers(doc) == ["ftl", "nvme", "sim"]
+        doc = {"layers": {"ssd.ftl": {"seconds": 3.0},
+                          "sim": {"seconds": 1.0},
+                          "interfaces.nvme": {"seconds": 2.0},
+                          "ssd.gc": {"seconds": 0.5}}}
+        assert hottest_layers(doc) == ["ssd.ftl", "interfaces.nvme", "sim"]
 
     def test_empty_attribution_is_harmless(self):
-        doc = attribution([])
-        assert doc["total_wall_s"] == 0.0
-        assert doc["attributed_fraction"] == 0.0
-        assert doc["label"] == "(no profilers)"
-        assert "0 dispatched event(s)" in attribution_markdown([])
+        profile = new_profile()
+        doc = attribution(profile)
+        assert doc["total_s"] == 0.0 and doc["calls"] == 0
+        assert doc["layers"] == {} and hottest_layers(doc) == []
+        text = attribution_markdown(profile)
+        assert "in 0 Python calls" in text
+        assert "hottest layers" not in text
 
 
 # -- exports ------------------------------------------------------------------
 
 class TestExports:
     def test_markdown_names_top3_hottest_layers(self):
-        enable_profiling()
-        SCENARIOS["write_storm_gc"]("smoke")
-        text = attribution_markdown()
+        profile = new_profile()
+        profile.runcall(SCENARIOS["write_storm_gc"], "smoke")
+        text = attribution_markdown(profile)
         assert "Top-3 hottest layers:" in text
-        assert "| layer | calls | wall ms | share |" in text
-        doc = attribution()
-        for name in hottest_layers(doc):
+        assert "| layer | calls | self ms | share |" in text
+        assert "| `ssd.ftl` |" in text and "| `ssd.gc` |" in text
+        for name in hottest_layers(attribution(profile)):
             assert f"`{name}`" in text
 
-    def test_chrome_trace_is_valid_and_wall_scaled(self, tmp_path):
-        enable_profiling()
-        sim = Simulator()
-        sim.run_process(_pingpong(sim))
-        path = tmp_path / "prof.trace.json"
-        n_events = write_profile_trace(path, profilers())
-        doc = json.loads(path.read_text())
-        assert len(doc["traceEvents"]) == n_events > 0
-        slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert slices and all(e["dur"] >= 0 for e in slices)
-        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "M"}
-        assert "process_name" in names
-
-    def test_trace_slices_are_bounded(self):
-        enable_profiling(max_slices=4)
-        sim = Simulator()
-        sim.run_process(_pingpong(sim, rounds=100))
-        prof = profilers()[0]
-        assert len(prof.slices()) == 4
-        assert prof.events > 4          # totals still cover everything
-
     def test_write_profile_emits_both_artifacts(self, tmp_path):
-        enable_profiling()
         sim = Simulator()
-        sim.run_process(_pingpong(sim))
-        paths = write_profile(tmp_path / "attr")
-        assert [p.split(".", 1)[-1] for p in
-                [str(p)[len(str(tmp_path)) + 1:] for p in paths]] == \
-            ["md", "trace.json"]
-        markdown = (tmp_path / "attr.md").read_text()
-        assert "Wall-clock attribution" in markdown
-        json.loads((tmp_path / "attr.trace.json").read_text())
+        profile = new_profile()
+        profile.runcall(sim.run_process, _pingpong(sim))
+        paths = write_profile(tmp_path / "attr", profile)
+        assert paths == [str(tmp_path / "attr.md"),
+                         str(tmp_path / "attr.prof")]
+        assert "Host self time by layer" in (tmp_path / "attr.md").read_text()
+        stats = pstats.Stats(str(tmp_path / "attr.prof"))
+        assert any(name == "_dispatch" for _file, _line, name in stats.stats)
 
     def test_write_profile_strips_a_suffixed_base(self, tmp_path):
-        enable_profiling()
         sim = Simulator()
-        sim.run_process(_pingpong(sim))
-        paths = write_profile(tmp_path / "attr.md")
-        assert str(tmp_path / "attr.md") in paths
-        assert str(tmp_path / "attr.trace.json") in paths
+        profile = new_profile()
+        profile.runcall(sim.run_process, _pingpong(sim))
+        for suffix in (".md", ".prof"):
+            paths = write_profile(tmp_path / f"attr{suffix}", profile)
+            assert paths == [str(tmp_path / "attr.md"),
+                             str(tmp_path / "attr.prof")]
 
 
-# -- categorization -----------------------------------------------------------
+# -- the layer map ------------------------------------------------------------
 
 class TestCategorize:
     @pytest.mark.parametrize("path,layer", [
-        ("/x/src/repro/ssd/firmware/ftl/gc.py", "gc"),
-        ("/x/src/repro/ssd/firmware/ftl/mapping.py", "ftl"),
-        ("/x/src/repro/ssd/firmware/icl.py", "icl"),
-        ("/x/src/repro/ssd/firmware/fil.py", "fil"),
-        ("/x/src/repro/ssd/firmware/hil.py", "hil"),
-        ("/x/src/repro/ssd/storage/flash.py", "flash"),
-        ("/x/src/repro/ssd/computation/cores.py", "cores"),
-        ("/x/src/repro/ssd/computation/dram.py", "dram"),
+        ("/x/src/repro/ssd/firmware/ftl/gc.py", "ssd.gc"),
+        ("/x/src/repro/ssd/firmware/ftl/mapping.py", "ssd.ftl"),
+        ("/x/src/repro/ssd/firmware/ftl/__init__.py", "ssd.ftl"),
+        ("/x/src/repro/ssd/firmware/icl.py", "ssd.icl"),
+        ("/x/src/repro/ssd/firmware/fil.py", "ssd.fil"),
+        ("/x/src/repro/ssd/firmware/hil.py", "ssd.hil"),
+        ("/x/src/repro/ssd/firmware/arbiter.py", "ssd.hil"),
+        ("/x/src/repro/ssd/storage/flash.py", "ssd.flash"),
+        ("/x/src/repro/ssd/computation/cores.py", "ssd.cores"),
+        ("/x/src/repro/ssd/computation/dram.py", "ssd.dram"),
         ("/x/src/repro/ssd/config.py", "ssd"),
-        ("/x/src/repro/interfaces/nvme/queues.py", "nvme"),
-        ("/x/src/repro/hostos/blocklayer.py", "hostos"),
-        ("/x/src/repro/host/cpu.py", "host"),
+        ("/x/src/repro/interfaces/nvme/queues.py", "interfaces.nvme"),
+        ("/x/src/repro/interfaces/htype.py", "interfaces.htype"),
+        ("/x/src/repro/interfaces/sata/fis.py", "interfaces.htype"),
+        ("/x/src/repro/interfaces/ufs/upiu.py", "interfaces.htype"),
+        ("/x/src/repro/interfaces/ocssd/pblk.py", "interfaces.ocssd"),
+        ("/x/src/repro/interfaces/base.py", "other"),
+        ("/x/src/repro/hostos/blocklayer.py", "hostos.blocklayer"),
+        ("/x/src/repro/hostos/iosched.py", "hostos"),
+        ("/x/src/repro/host/cpu.py", "host.cpu"),
         ("/x/src/repro/host/pcie.py", "host"),
-        ("/x/src/repro/core/system.py", "host"),
-        ("/x/src/repro/workloads/fio.py", "host"),
-        ("/x/src/repro/baselines/replay.py", "baseline"),
+        ("/x/src/repro/core/system.py", "core"),
+        ("/x/src/repro/workloads/fio.py", "workloads"),
+        ("/x/src/repro/baselines/replay.py", "baselines"),
         ("/x/src/repro/sim/process.py", "sim"),
+        ("/x/src/repro/obs/profiler.py", "other"),
+        ("/ckout/repro/src/repro/sim/engine.py", "sim"),
+        ("/ckout/repro/tests/test_sim_kernel.py", "other"),
         ("/somewhere/else.py", "other"),
-        (None, "sim"),
+        ("<string>", "other"),
     ])
     def test_path_to_layer(self, path, layer):
-        assert profiler_mod._categorize(path) == layer
+        assert layer_of(path) == layer
+
+    def test_suite_layers_keep_their_names(self):
+        """Every module the repo benchmark names keeps the benchmark's
+        layer here, so the two instruments share one vocabulary."""
+        suite = runpy.run_path(str(SUITE_LAYERS))["MODULE_LAYERS"]
+        assert {prefix: MODULE_LAYERS[prefix] for prefix in suite} == suite
 
     def test_yield_from_helper_is_charged_to_its_layer(self):
-        """A resume is charged to the innermost suspended generator: an
-        FTL helper reached through ``yield from`` owns the work it does
-        after its first yield, not the caller that delegated to it."""
-        def planted(sim):
-            yield sim.timeout(10)
+        """An FTL helper owns the work it does after a leaf it delegated
+        to has returned: its frame is the one on the stack."""
+        sim = Simulator()
+        leaf = _cores_leaf(sim)
+
+        @_planted_in(FTL)
+        def helper():
+            yield from leaf()
             total = 0
-            for value in range(50_000):    # fixed work after the first yield
+            for value in range(200_000):    # the spin, after the leaf
                 total += value
             return total
 
-        planted.__code__ = planted.__code__.replace(
-            co_filename="/x/src/repro/ssd/firmware/ftl/planted.py")
-        enable_profiling()
+        doc = _profile_five_calls(sim, helper)
+        assert doc["layers"]["ssd.ftl"]["seconds"] >= 0.9 * doc["total_s"]
+        # five calls and five resumes of the helper; the leaf starts and
+        # resumes once per call too
+        assert doc["layers"]["ssd.ftl"]["calls"] == 10
+        assert doc["layers"]["ssd.cores"]["calls"] == 10
+
+    def test_work_before_the_first_yield_is_charged_to_its_layer(self):
+        """The same helper spinning before its first yield: that time is
+        the helper's too, not its caller's."""
         sim = Simulator()
+        leaf = _cores_leaf(sim)
 
-        def caller():
-            for _ in range(20):
-                yield from planted(sim)
+        @_planted_in(FTL)
+        def helper():
+            total = 0
+            for value in range(200_000):    # the spin, before any yield
+                total += value
+            yield from leaf()
+            return total
 
-        sim.run_process(caller())
-        doc = attribution()
-        # 20 resumes continue inside the helper; only the bootstrap
-        # starts in the caller (this file: "other").  The key is taken
-        # where each resume starts: taken after it, the last spin would
-        # land on the finished caller.
-        assert doc["layers"]["ftl"]["calls"] == 20
-        assert doc["layers"]["other"]["calls"] == 1
-        assert doc["layers"]["other"]["seconds"] < \
-            doc["layers"]["ftl"]["seconds"] / 40
-        assert doc["modules"]["planted.py:planted"]["calls"] == 20
+        doc = _profile_five_calls(sim, helper)
+        assert doc["layers"]["ssd.ftl"]["seconds"] >= 0.9 * doc["total_s"]
 
     def test_process_resume_attributes_to_the_generator(self):
-        enable_profiling()
         sim = Simulator()
-        sim.run_process(_pingpong(sim))
-        doc = attribution()
-        # the generator lives in this test file -> "other", not "sim"
-        assert "other" in doc["layers"]
-        assert any("test_obs_profiler" in name for name in doc["modules"])
+        profile = new_profile()
+        profile.runcall(sim.run_process, _pingpong(sim))
+        doc = attribution(profile)
+        # the generator lives in this test file -> "other", not "sim";
+        # its start and each of its 50 resumes is one call
+        assert doc["layers"]["other"]["calls"] == 51
+        assert doc["sites"]["test_obs_profiler.py:_pingpong.<locals>.proc"] \
+            ["calls"] == 51

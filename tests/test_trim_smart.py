@@ -80,7 +80,7 @@ class TestTrim:
 
         assert system.run_process(scenario()) == bytes(8 * 512)
 
-    @pytest.mark.parametrize("interface", ["nvme", "sata", "ufs"])
+    @pytest.mark.parametrize("interface", ["nvme", "sata", "ufs", "ocssd"])
     def test_trim_deallocates_without_a_data_phase(self, tiny_config,
                                                     interface):
         """A TRIM is no READ: the range reads zeros afterwards and no
@@ -100,6 +100,89 @@ class TestTrim:
 
         assert system.run_process(scenario()) == bytes(64 * 512)
         assert moved["to_host"] == 0
+
+    def test_trim_during_a_pblk_flush_wins(self, tiny_config, monkeypatch):
+        """A TRIM that lands while a pblk flush batch programs its pages
+        wins: the batch leaves them unbound and the range reads zeros."""
+        from repro.common.iorequest import IOKind, IORequest
+        from repro.core.system import FullSystem
+        from repro.ssd.firmware.ftl.mapping import UNMAPPED
+        system = FullSystem(device=tiny_config, interface="ocssd",
+                            data_emulation=True)
+        pblk = system.adapter
+        program = pblk.controller.vector_write
+        trims, trimmed_first = [], []
+
+        def trim_while_programming(ppns, data=None):
+            if not trims:
+                trims.append(system.sim.process(system.trim(0, 8)))
+            yield from program(ppns, data)
+            trimmed_first.append(trims[0].triggered)
+
+        monkeypatch.setattr(pblk.controller, "vector_write",
+                            trim_while_programming)
+
+        def scenario():
+            yield from system.write(0, 8, FullSystem.pattern_data(0, 8))
+            flush = yield from system.submit_io(IORequest(IOKind.FLUSH, 0, 0))
+            yield flush
+            while pblk._flush_running:    # the TRIM emptied the buffer early
+                yield system.sim.timeout(10_000)
+            got = yield from system.read(0, 8)
+            return got
+
+        got = system.run_process(scenario())
+        # one vector write per parallel unit, each done after the TRIM
+        assert trimmed_first == [True, True] and pblk.pages_flushed == 2
+        assert got == bytes(8 * 512)
+        assert pblk.l2p[0] == pblk.l2p[1] == UNMAPPED
+        assert all(lpn == UNMAPPED for lpn in pblk.p2l)
+        assert sum(sum(state.valid) for state in pblk._pus) == 0
+
+    def test_trim_during_a_pblk_gc_migration_wins(self, tiny_config,
+                                                  monkeypatch):
+        """A TRIM that lands while pblk's GC migrates the page wins too:
+        the migrated copy stays unbound."""
+        from repro.common.iorequest import IOKind, IORequest
+        from repro.core.system import FullSystem
+        from repro.ssd.firmware.ftl.mapping import UNMAPPED
+        system = FullSystem(device=tiny_config, interface="ocssd",
+                            data_emulation=True)
+        pblk = system.adapter
+        spp = pblk.sectors_per_page
+        # one full chunk per parallel unit
+        n_sectors = pblk.num_pu * pblk.pages_per_chunk * spp
+        data = FullSystem.pattern_data(0, n_sectors)
+        program = pblk.controller.vector_write
+        migrating, trims, trimmed_first = [], [], []
+
+        def trim_while_migrating(ppns, data=None):
+            if not trims:
+                lpn = migrating[0]
+                trims.append(system.sim.process(
+                    system.trim(lpn * spp, spp)))
+            yield from program(ppns, data)
+            trimmed_first.append(trims[0].triggered)
+
+        def scenario():
+            yield from system.write(0, n_sectors, data)
+            flush = yield from system.submit_io(IORequest(IOKind.FLUSH, 0, 0))
+            yield flush
+            pu, victim, _page = pblk._decompose(pblk.l2p[0])
+            migrating.append(pblk.p2l[pblk._ppn(pu, victim, 0)])
+            monkeypatch.setattr(pblk.controller, "vector_write",
+                                trim_while_migrating)
+            yield from pblk._collect(pu, victim)
+            got = yield from system.read(0, n_sectors)
+            return got
+
+        got = system.run_process(scenario())
+        lpn = migrating[0]
+        assert trimmed_first[0] and pblk.gc_pages_migrated == \
+            pblk.pages_per_chunk - 1
+        assert pblk.l2p[lpn] == UNMAPPED
+        start, end = lpn * spp * 512, (lpn + 1) * spp * 512
+        assert got == data[:start] + bytes(end - start) + data[end:]
 
     def test_trimmed_blocks_become_cheap_gc_victims(self, sim, ssd):
         spp = ssd.config.geometry.page_size // 512
