@@ -33,9 +33,10 @@ class IOKind(enum.Enum):
 class IORequest:
     """One host-visible I/O, in 512-byte logical sectors.
 
-    The request records timestamps as it moves down and back up the stack,
-    so user-level, interface-level and device-level latencies can all be
-    reported (Fig 14 distinguishes exactly these levels).
+    The request records stage timestamps as it moves down the stack;
+    FIO's per-stage latency split (``FioResult.stage_breakdown``) reads
+    them, and they cost nothing when tracing is off.  Fig 14 measures its
+    three levels in three separate runs, not from these.
     """
 
     kind: IOKind
@@ -49,11 +50,9 @@ class IORequest:
     t_driver: int = -1              # handed to the device driver
     t_device: int = -1              # fetched by the device controller
     t_backend_done: int = -1        # flash/cache service complete
-    t_complete: int = -1            # user-level completion
 
     # set by drivers/controllers as the request is serviced
     queue_id: int = 0
-    tag: int = -1
     # NVMe namespace carrying the request; 0 = the driver's default
     # namespace (legacy single-tenant behaviour).  slba is then
     # namespace-relative and translated by the driver.

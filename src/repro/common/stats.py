@@ -1,8 +1,8 @@
 """Shared statistics helpers.
 
-One home for the linear-interpolated percentile convention used
-throughout the repo (recorders, exporters, tests), so the math cannot
-drift between copies.  The convention matches ``numpy.percentile``'s
+One home for the exact linear-interpolated percentile convention, the
+reference that the streaming histograms' estimates are tested against,
+so the math cannot drift between copies.  The convention matches ``numpy.percentile``'s
 default (``linear`` interpolation): rank ``(p / 100) * (n - 1)`` over a
 sorted sample list, interpolating between the two nearest order
 statistics.

@@ -38,7 +38,6 @@ class FullSystem:
                  cpu_model: Optional[CpuModel] = None,
                  data_emulation: bool = False,
                  page_cache_bytes: int = 64 * 1024 * 1024,
-                 nvme_queue_depth: int = 1024,
                  nvme_transfer_mode: str = "prp",
                  nvme_queue_priorities: Optional[dict] = None) -> None:
         if interface not in INTERFACES:
@@ -67,7 +66,7 @@ class FullSystem:
         self.ssd = SSD(self.sim, device, data_emulation=data_emulation)
         self._nvme_transfer_mode = nvme_transfer_mode
         self._nvme_queue_priorities = nvme_queue_priorities or {}
-        self._wire_interface(nvme_queue_depth)
+        self._wire_interface()
         self.blocklayer = BlockLayer(self.sim, self.cpu, self.kernel_profile,
                                      self.adapter)
         self.pagecache = PageCache(self.sim, self.memory, page_cache_bytes,
@@ -83,7 +82,7 @@ class FullSystem:
 
     # -- wiring ------------------------------------------------------------------
 
-    def _wire_interface(self, nvme_queue_depth: int) -> None:
+    def _wire_interface(self) -> None:
         sim = self.sim
         if self.interface == "nvme":
             from repro.interfaces.nvme.controller import NvmeController
@@ -94,7 +93,6 @@ class FullSystem:
             self.adapter = NvmeDriver(
                 sim, self.memory, self.link,
                 n_io_queues=self.platform.n_cores,
-                queue_depth=nvme_queue_depth,
                 transfer_mode=TransferMode(self._nvme_transfer_mode),
                 total_sectors=self.ssd.config.logical_sectors)
             self.controller = NvmeController(
@@ -251,13 +249,11 @@ class FullSystem:
         if req.kind.is_read and cache.lookup_read(req.slba, req.nsectors):
             yield from self.memory.access(req.nbytes)
             done = self.sim.event()
-            req.t_complete = self.sim.now
             done.succeed(cache.read_data(req.slba, req.nsectors))
             return done
         if req.kind.is_write and cache.write(req.slba, req.nsectors, req.data):
             yield from self.memory.access(req.nbytes, write=True)
             done = self.sim.event()
-            req.t_complete = self.sim.now
             done.succeed(None)
             self._kick_writeback(stream_id)
             return done

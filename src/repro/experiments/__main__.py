@@ -9,12 +9,12 @@ Usage::
 
 ``--trace`` records a span trace of every simulated system (in
 simulated time) and writes Chrome ``trace_event`` JSON loadable at
-https://ui.perfetto.dev, plus a per-span-kind latency breakdown on
-stdout.  ``--metrics`` dumps each system's end-of-run metric snapshot
-as CSV.  ``--report`` arms telemetry epochs (and tracing) and renders
-time-series, latency histograms and the span breakdown into one
-self-contained HTML or Markdown artifact; ``--epoch-ns`` tunes the
-sampling period.  ``--profile BASE`` profiles the experiment's run
+https://ui.perfetto.dev, plus a per-span-kind latency table on
+stdout.  ``--metrics`` dumps the end-of-run metric snapshot of every
+traced ``FullSystem`` as CSV.  ``--report`` arms telemetry epochs (and
+tracing) and renders time-series, per-kind latency histograms and the
+metric snapshots into one self-contained HTML or Markdown artifact;
+``--epoch-ns`` tunes the sampling period.  ``--profile BASE`` profiles the experiment's run
 with cProfile (:mod:`repro.obs.profiler`) and writes ``BASE.md``, the
 host self time per layer, plus the stdlib's ``BASE.prof``.
 ``--explain OUT.md`` arms per-request causal capture
@@ -31,18 +31,20 @@ import importlib
 import sys
 import time
 
-from repro.obs.causal import causal_summary, disable_causal, enable_causal
 from repro.obs.diff import write_causal_report
 from repro.obs.export import (
-    format_breakdown,
-    latency_breakdown,
+    format_span_histograms,
+    span_histograms,
     write_chrome_trace,
     write_metrics_csv,
 )
 from repro.obs.profiler import new_profile, write_profile
 from repro.obs.report import write_report
 from repro.obs.runtime import (
+    causal_summary,
+    disable_causal,
     disable_tracing,
+    enable_causal,
     enable_tracing,
     metric_snapshots,
     tracers,
@@ -140,11 +142,12 @@ def main(argv=None) -> int:
             n_events = write_chrome_trace(args.trace, tracers())
             print(f"\n[trace: {n_events} spans from {len(tracers())} "
                   f"system(s) -> {args.trace}]")
-            breakdown = latency_breakdown(merge_spans(tracers()))
-            if breakdown:
-                print("\nLatency breakdown per span kind "
-                      "(simulated time):")
-                print(format_breakdown(breakdown))
+            histograms = span_histograms(merge_spans(tracers()))
+            if histograms:
+                error = next(iter(histograms.values())).relative_error
+                print("\nLatency per span kind (simulated time; "
+                      f"percentiles ±{error:.1%} bucket error):")
+                print(format_span_histograms(histograms))
         if args.metrics:
             rows = write_metrics_csv(args.metrics, metric_snapshots())
             print(f"\n[metrics: {rows} rows -> {args.metrics}]")

@@ -9,7 +9,6 @@ from repro.common.iorequest import IOKind
 from repro.core import presets
 from repro.core.fio import FioJob
 from repro.core.system import FullSystem
-from repro.obs.runtime import collect_metrics
 from repro.ssd.device import SSD
 from repro.ssd.firmware.requests import DeviceCommand
 from repro.workloads.synthetic import PATTERN_RW
@@ -44,12 +43,9 @@ def run_pattern(system: FullSystem, pattern: str, depth: int, bs: int = 4096,
     result = system.run_fio(job)
     tracer = system.sim.tracer
     if tracer.enabled:
-        # label the system's tracer with the workload and bank its
-        # end-of-run metric snapshot for the --metrics CSV
-        base = getattr(tracer, "label", system.interface)
-        label = f"{base} {pattern} qd{depth} bs{bs}"
-        tracer.label = label
-        collect_metrics(label, system.metrics.snapshot())
+        # label the system's spans and metric snapshot with the workload
+        base = tracer.label or system.interface
+        tracer.label = f"{base} {pattern} qd{depth} bs{bs}"
     return result
 
 

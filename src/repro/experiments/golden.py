@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.analysis import sanitizer as _sanitizer
-    from repro.obs import causal as _causal
+    from repro.obs import runtime as _runtime
 
     sanitize = _sanitizer.sanitizer_enabled()
     failures = []
@@ -211,18 +211,16 @@ def main(argv=None) -> int:
                 continue
             # re-arm per case so the counts below cover only this case
             if args.causal:
-                _causal.enable_causal()
+                _runtime.enable_causal()
             if sanitize:
                 _sanitizer.enable_sanitizer()
             ok = check_case(case, args.dir)
             note = ""
             if args.causal:
-                tracers = _causal.collectors()
-                violations = sum(t.violations for t in tracers)
-                records = sum(t.records for t in tracers)
-                note = (f"  [causal: {records} requests, "
-                        f"{violations} violations]")
-                if violations:
+                summary = _runtime.causal_summary()
+                note = (f"  [causal: {summary['records']} requests, "
+                        f"{summary['violations']} violations]")
+                if summary["violations"]:
                     ok = False
             if sanitize:
                 # a sanitizer that saw no event was never called: the
@@ -239,7 +237,7 @@ def main(argv=None) -> int:
                 failures.append(case)
     finally:
         if args.causal:
-            _causal.disable_causal()
+            _runtime.disable_causal()
     return 1 if failures else 0
 
 

@@ -39,9 +39,9 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.fleet.spec import Job, SweepSpec, derive_seed
 from repro.fleet.store import ResultStore
-from repro.obs import causal as _causal
 from repro.obs import journal as _journal
 from repro.obs import profiler as _profiler
+from repro.obs import runtime as _runtime
 from repro.obs import telemetry as _telemetry
 
 
@@ -106,7 +106,7 @@ def run_one_job(job: Job,
                else _journal.RunJournal(journal_path))
     dump_dir = (None if journal is None else journal.path.parent)
     own_telemetry = journal is not None and not _telemetry.telemetry_enabled()
-    own_causal = causal and not _causal.causal_enabled()
+    own_causal = causal and not _runtime.causal_enabled()
     profiled = _profiler.new_profile() if profile else None
     dumps_before = [] if dump_dir is None else _flightrec_dumps(dump_dir)
     try:
@@ -115,7 +115,7 @@ def run_one_job(job: Job,
         if causal:
             # (re)arm per job: clears any previous job's collectors so
             # the embedded summary covers exactly this simulation
-            _causal.enable_causal()
+            _runtime.enable_causal()
         if journal is not None:
             _journal.begin_job(journal, job.config_hash,
                                heartbeat_s=heartbeat_s)
@@ -125,7 +125,7 @@ def run_one_job(job: Job,
             else:
                 result = profiled.runcall(run_scenario, job.params, seed)
             if causal and isinstance(result, dict):
-                result = dict(result, causal=_causal.causal_summary())
+                result = dict(result, causal=_runtime.causal_summary())
         except BaseException as error:
             if journal is not None:
                 new_dumps = [name for name
@@ -157,7 +157,7 @@ def run_one_job(job: Job,
             _journal.end_job("job_failed", error="Interrupted",
                              message="worker exited without a terminal event")
         if own_causal:
-            _causal.disable_causal()
+            _runtime.disable_causal()
         if own_telemetry:
             _telemetry.disable_telemetry()
 

@@ -68,7 +68,7 @@ class PcieLink(_Link):
     _GEN_GBPS_PER_LANE = {1: 0.25 * GB, 2: 0.5 * GB, 3: 0.985 * GB, 4: 1.97 * GB}
 
     def __init__(self, sim, gen: int = 3, lanes: int = 4,
-                 mmio_write_ns: int = 250, mmio_read_ns: int = 900) -> None:
+                 mmio_write_ns: int = 250) -> None:
         if gen not in self._GEN_GBPS_PER_LANE:
             raise ValueError(f"unsupported PCIe generation {gen}")
         bandwidth = self._GEN_GBPS_PER_LANE[gen] * lanes
@@ -78,15 +78,10 @@ class PcieLink(_Link):
         self.gen = gen
         self.lanes = lanes
         self.mmio_write_ns = mmio_write_ns
-        self.mmio_read_ns = mmio_read_ns
 
     def mmio_write(self):
         """Process: posted register write (e.g. a doorbell ring)."""
         yield self.sim.timeout(self.mmio_write_ns)
-
-    def mmio_read(self):
-        """Process: non-posted register read (round trip)."""
-        yield self.sim.timeout(self.mmio_read_ns)
 
 
 class SataLink(_Link):

@@ -147,7 +147,6 @@ class BlockLayer:
         yield from self.cpu.execute(self._mix["isr"], core=irq_core, kernel=True)
         yield from self.cpu.execute(self._mix["complete"], core=irq_core,
                                     kernel=True)
-        req.t_complete = self.sim.now
         children = self._merge_children.pop(req.req_id, [])
         user_event = self._completion_events.pop(req.req_id, None)
         if user_event is not None:
@@ -157,7 +156,6 @@ class BlockLayer:
                 own_payload = payload[:children[0][2] * 512]
             user_event.succeed(own_payload)
         for child, child_event, offset in children:
-            child.t_complete = self.sim.now
             if payload is not None and child.kind.is_read:
                 start = offset * 512
                 child_event.succeed(payload[start:start + child.nbytes])

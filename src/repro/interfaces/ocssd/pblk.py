@@ -29,6 +29,15 @@ _MIX_FLUSH_PAGE = InstructionMix.typical(2800)    # alloc + map + vector build
 _MIX_READ_LOOKUP = InstructionMix.typical(2600)   # l2p walk + vector build
 _MIX_GC_PAGE = InstructionMix.typical(3000)
 
+# pblk's kernel allocation at initialization, and the share of it the
+# write-buffer ring may use
+_BUFFER_BYTES = 64 * 1024 * 1024
+_RING_BYTES = 16 * 1024 * 1024
+# share of each PU's chunks reserved as over-provisioning
+_OP_RESERVE = 0.15
+# a PU with this many free chunks or fewer collects before a flush batch
+_GC_THRESHOLD_CHUNKS = 2
+
 
 class _PuState:
     __slots__ = ("free", "active", "next_page", "valid")
@@ -45,10 +54,6 @@ class PblkDriver(HostAdapter):
 
     def __init__(self, sim, cpu: HostCpu, memory: HostMemory,
                  link: PcieLink, controller: OcssdController,
-                 buffer_bytes: int = 64 * 1024 * 1024,
-                 ring_bytes: int = 16 * 1024 * 1024,
-                 op_reserve: float = 0.15,
-                 gc_threshold_chunks: int = 2,
                  data_emulation: bool = False) -> None:
         self.sim = sim
         self.cpu = cpu
@@ -63,10 +68,10 @@ class PblkDriver(HostAdapter):
         self.pages_per_chunk = geometry.pages_per_chunk
         # pblk reserves whole chunks per PU; at least two, so GC always
         # has an erased chunk to migrate into while another drains
-        reserve_chunks = max(2, int(geometry.chunks_per_pu * op_reserve))
+        reserve_chunks = max(2, int(geometry.chunks_per_pu * _OP_RESERVE))
         if reserve_chunks >= geometry.chunks_per_pu:
             raise ValueError("device too small for pblk's chunk reserve")
-        self.gc_threshold_chunks = min(gc_threshold_chunks,
+        self.gc_threshold_chunks = min(_GC_THRESHOLD_CHUNKS,
                                        reserve_chunks - 1)
 
         usable = (geometry.total_pages
@@ -85,13 +90,13 @@ class PblkDriver(HostAdapter):
         # cannot grow like user space, the very limit that costs OCSSD
         # its large-I/O advantage (Section V-E)
         self.buffer_capacity_pages = max(
-            8, min(ring_bytes, buffer_bytes) // self.page_size)
+            8, min(_RING_BYTES, _BUFFER_BYTES) // self.page_size)
         self._buffer: "OrderedDict[int, Optional[bytearray]]" = OrderedDict()
         self._buffer_waiters: Deque = deque()
         self._flush_running = False
         self._force_drain = False
         self._flush_failure: Optional[BaseException] = None
-        memory.allocate("pblk", buffer_bytes)
+        memory.allocate("pblk", _BUFFER_BYTES)
 
         self.writes_buffered = 0
         self.pages_flushed = 0
@@ -136,23 +141,23 @@ class PblkDriver(HostAdapter):
                           nsectors=req.nsectors)
               if tracer.enabled else NULL_SPAN_CONTEXT):
             req.t_device = self.sim.now
-            first_lpn = req.slba // self.sectors_per_page
-            n_pages = max(1, -(-req.nsectors // self.sectors_per_page))
-            for i in range(n_pages):
-                lpn = first_lpn + i
+            spp = self.sectors_per_page
+            end = req.slba + req.nsectors
+            for lpn in range(req.slba // spp, -(-end // spp)):
                 if lpn >= self.logical_pages:
                     raise ValueError(f"lpn {lpn} beyond pblk capacity")
                 yield from self.cpu.execute(_MIX_WRITE_ENTRY, kernel=True)
-                while len(self._buffer) >= self.buffer_capacity_pages:
-                    self._start_flush()
-                    waiter = self.sim.event()
-                    self._buffer_waiters.append(waiter)
-                    yield waiter
+                # the sectors [lo, hi) of this page the write covers
+                lo = max(req.slba - lpn * spp, 0)
+                hi = min(end - lpn * spp, spp)
+                base = yield from self._buffer_slot(lpn, hi - lo < spp)
                 payload = None
                 if self.data_emulation and req.data is not None:
-                    off = i * self.page_size
-                    payload = bytearray(req.data[off:off + self.page_size]
-                                        .ljust(self.page_size, b"\0"))
+                    # a fresh buffer: a flush may hold the old one
+                    payload = bytearray(base or bytes(self.page_size))
+                    off = (lpn * spp + lo - req.slba) * 512
+                    chunk = req.data[off:off + (hi - lo) * 512]
+                    payload[lo * 512:lo * 512 + len(chunk)] = chunk
                 self._buffer[lpn] = payload
                 self._buffer.move_to_end(lpn)
                 self.writes_buffered += 1
@@ -161,6 +166,34 @@ class PblkDriver(HostAdapter):
                 self._start_flush()
             req.t_backend_done = self.sim.now
         event.succeed(None)
+
+    def _buffer_slot(self, lpn: int, partial: bool):
+        """Wait until the buffer has room for ``lpn``; for a page the
+        write covers only partly, return the page's current bytes.
+
+        Those come from the buffer if the page is there, else from one
+        vector read of its mapped flash page (charged with data
+        emulation off too, as the ICL charges its read-modify-write
+        fetches), else ``None``: an unmapped page reads zeros.  The
+        checks repeat after every wait, so the bytes are current when
+        the caller inserts the page, with no yield in between.
+        """
+        fetched_ppn, fetched = UNMAPPED, None
+        while True:
+            while len(self._buffer) >= self.buffer_capacity_pages:
+                self._start_flush()
+                waiter = self.sim.event()
+                self._buffer_waiters.append(waiter)
+                yield waiter
+            if not partial:
+                return None
+            if lpn in self._buffer:
+                return self._buffer[lpn]
+            ppn = self.l2p[lpn]
+            if ppn == fetched_ppn:
+                return fetched
+            (fetched,) = yield from self.controller.vector_read([ppn])
+            fetched_ppn = ppn
 
     def _start_flush(self) -> None:
         if self._flush_failure is not None:

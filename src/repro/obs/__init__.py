@@ -18,7 +18,9 @@ Two substrates, documented in detail in ``docs/OBSERVABILITY.md``:
 exactly into resource components (conservation invariant: components
 sum to the total), keeps bounded top-K tail captures with blame edges,
 and :mod:`repro.obs.diff` explains *why two runs differ* by ranking
-components against the p50/p99 delta (``fleet explain``).
+components against the p50/p99 delta (``fleet explain``).  Both
+switches, tracing and causal capture, live in :mod:`repro.obs.runtime`,
+which hands out every tracer and collects them in one list.
 
 A third substrate, **telemetry epochs** (:mod:`repro.obs.telemetry`),
 samples every registered metric into bounded

@@ -14,6 +14,17 @@ per-component sums telescope to exactly the root's end-to-end duration
 holds for *every* request by construction (no sampling, no rounding),
 and is pinned by ``tests/test_obs_causal.py`` and the golden smoke.
 
+A span is the deepest open span on its track exactly during its *self
+time* — its duration minus its children's — so when a request's spans
+nest, its components equal the per-component sums of its spans' self
+time, to the nanosecond (pinned per request for single-page reads and
+writes on every interface).  Two limits: child spans that overlap (the
+page reads of a multi-page request run concurrently under one parent)
+are charged only while deepest, so their self times over-count while
+the partition still conserves; and on track 0 a record is an episode
+of interleaved background work, from the first span opening until none
+is open, not one operation.
+
 Component taxonomy (``docs/OBSERVABILITY.md``):
 
 ==============  ======================================================
@@ -54,8 +65,9 @@ are capped at :data:`CHAIN_CAP` entries.  Aggregates are per-op
 :class:`~repro.common.histogram.LogHistogram` objects (bounded buckets).
 
 Capture follows the house observability contract: **zero-cost when
-off** (the process-wide switch is down and every simulator carries the
-``NULL_TRACER``), **bit-identical when on** (spans never schedule
+off** (the process-wide switch, :func:`repro.obs.runtime.enable_causal`,
+is down and every simulator carries the ``NULL_TRACER``),
+**bit-identical when on** (spans never schedule
 events, so enabling capture cannot perturb simulated results — pinned
 by the golden causal smoke in CI).
 """
@@ -63,7 +75,7 @@ by the golden causal smoke in CI).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.common.histogram import LogHistogram
 from repro.sim.tracer import Span, Tracer
@@ -152,7 +164,6 @@ class CausalTracer(Tracer):
         super().__init__(clock)
         self.top_k = top_k
         self.retain_spans = retain_spans
-        self.label: Optional[str] = None
         self._live: Dict[int, _TrackState] = {}
         # raw track id -> stable per-tracer alias, assigned in order of
         # first appearance.  Request ids come from a process-global
@@ -321,7 +332,13 @@ class CausalTracer(Tracer):
 
     def register_metrics(self, registry) -> None:
         """Fold the exact per-component latency sums into a system's
-        metric tree (``causal.*``), so telemetry epochs stream them."""
+        metric tree (``causal.*``), so telemetry epochs stream them.
+
+        The registry itself is kept for end-of-run snapshots only when
+        spans are retained too, i.e. while plain tracing is also on.
+        """
+        if self.retain_spans:
+            super().register_metrics(registry)
         scope = registry.scoped("causal")
         scope.register("requests", lambda: float(self.records))
         scope.register("violations", lambda: float(self.violations))
@@ -375,68 +392,18 @@ class CausalTracer(Tracer):
         }
 
 
-# -- the process-wide switch --------------------------------------------------
-#
-# Mirrors repro.obs.runtime: experiments and fleet workers build fresh
-# Simulators internally, so causal capture is armed process-wide and
-# every subsequently-built simulator's tracer_for() hands out a
-# CausalTracer registered here.
+def summarize(tracers: Iterable[Tracer]) -> Dict:
+    """Combined summary over the causal tracers among ``tracers``.
 
-_active = False
-_top_k = 8
-_collectors: List[CausalTracer] = []
-
-
-def causal_enabled() -> bool:
-    """True while the process-wide causal-capture switch is on."""
-    return _active
-
-
-def enable_causal(top_k: int = 8) -> None:
-    """Arm causal capture and clear previously collected tracers."""
-    global _active, _top_k
-    _active = True
-    _top_k = top_k
-    _collectors.clear()
-    _sync_tracer_slot()
-
-
-def disable_causal() -> None:
-    """Disarm causal capture and drop collected tracers."""
-    global _active
-    _active = False
-    _collectors.clear()
-    _sync_tracer_slot()
-
-
-def _sync_tracer_slot() -> None:
-    """Refill the kernel's tracer slot, which capture shares with tracing."""
-    from repro.obs import runtime  # imports this module at its top
-    runtime.sync_tracer_slot()
-
-
-def causal_tracer_for(clock, retain_spans: bool = False) -> CausalTracer:
-    """Build and register the causal tracer for a new simulator."""
-    tracer = CausalTracer(clock, top_k=_top_k, retain_spans=retain_spans)
-    _collectors.append(tracer)
-    return tracer
-
-
-def collectors() -> List[CausalTracer]:
-    """Every causal tracer handed out since capture was enabled."""
-    return list(_collectors)
-
-
-def causal_summary() -> Dict:
-    """Combined summary over every collected system, canonically ordered.
-
-    ``systems`` lists one :meth:`CausalTracer.summary` per simulator in
-    construction order (labelled by the tracer's ``label``, which the
-    experiments set, else ``system<i>``); top-level
-    ``records``/``violations`` aggregate across them.
+    ``systems`` lists one :meth:`CausalTracer.summary` per causal tracer
+    in the given (construction) order, labelled by the tracer's
+    ``label``, which the experiments set, else ``system<i>``; top-level
+    ``records``/``violations`` aggregate across them.  The process-wide
+    switch that hands these tracers out is :mod:`repro.obs.runtime`.
     """
     systems = []
-    for index, tracer in enumerate(_collectors):
+    causal = [tracer for tracer in tracers if isinstance(tracer, CausalTracer)]
+    for index, tracer in enumerate(causal):
         doc = tracer.summary()
         if doc["label"] is None:
             doc["label"] = f"system{index}"

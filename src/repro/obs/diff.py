@@ -1,6 +1,6 @@
 """Differential run explanation: *why* do two runs have different tails?
 
-Consumes the causal summaries (:func:`repro.obs.causal.causal_summary`)
+Consumes the causal summaries (:func:`repro.obs.runtime.causal_summary`)
 embedded in two result documents — normally two jobs pulled from a
 fleet :class:`~repro.fleet.store.ResultStore` by ``python -m repro.fleet
 explain HASH_A HASH_B`` — and produces a deterministic explain document:

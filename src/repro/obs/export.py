@@ -7,9 +7,9 @@ Three output shapes:
   simulator becomes a *process* row and each request id a *thread* row,
   so one horizontal lane shows a request's full hostos -> interface ->
   firmware -> flash lifetime.
-* :func:`latency_breakdown` / :func:`format_breakdown` — per-span-kind
-  count and p50/p95/p99 table, the "where did the time go" summary
-  (:func:`breakdown_rows` gives the same rows to the run report).
+* :func:`span_histograms` / :func:`format_span_histograms` — one
+  streaming histogram per span kind and its count, mean, p50/p95/p99
+  and max table, the "where did the time go" summary.
 * metrics CSV via :meth:`repro.common.metrics.MetricsRegistry.to_csv` and
   :func:`write_metrics_csv` for merged multi-system snapshots.
 
@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.common.histogram import LogHistogram
 from repro.common.render import format_table
-from repro.common.stats import percentile_sorted
 from repro.sim.tracer import Span, Tracer
 
 
@@ -59,7 +58,7 @@ def chrome_trace(tracers: Sequence[Tracer]) -> dict:
     for pid, tracer in enumerate(tracers):
         events.append({
             "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": getattr(tracer, "label", f"system{pid}")},
+            "args": {"name": tracer.label or f"system{pid}"},
         })
         events.extend(chrome_trace_events(tracer.spans, pid=pid))
     return {"traceEvents": events, "displayTimeUnit": "ns"}
@@ -73,40 +72,13 @@ def write_chrome_trace(path: str, tracers: Sequence[Tracer]) -> int:
     return sum(1 for ev in trace["traceEvents"] if ev["ph"] == "X")
 
 
-def latency_breakdown(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
-    """Per-span-kind latency summary (durations in µs).
-
-    Returns ``{kind: {count, mean_us, p50_us, p95_us, p99_us, max_us}}``
-    over every *closed* span, sorted by kind.  Each kind's durations are
-    sorted exactly once; every percentile is read off that one ordered
-    list through the shared :func:`~repro.common.stats.percentile_sorted`
-    helper.
-    """
-    by_kind: Dict[str, List[int]] = {}
-    for span in spans:
-        if span.t_end is not None and span.kind != "null":
-            by_kind.setdefault(span.kind, []).append(span.duration)
-    out: Dict[str, Dict[str, float]] = {}
-    for kind in sorted(by_kind):
-        durations = sorted(by_kind[kind])
-        out[kind] = {
-            "count": len(durations),
-            "mean_us": sum(durations) / len(durations) / 1000.0,
-            "p50_us": percentile_sorted(durations, 50) / 1000.0,
-            "p95_us": percentile_sorted(durations, 95) / 1000.0,
-            "p99_us": percentile_sorted(durations, 99) / 1000.0,
-            "max_us": durations[-1] / 1000.0,
-        }
-    return out
-
-
 def span_histograms(spans: Iterable[Span],
                     subbuckets: int = 16) -> Dict[str, LogHistogram]:
     """Per-span-kind streaming histograms over closed-span durations.
 
-    The report generator renders these as per-layer latency histograms;
-    unlike :func:`latency_breakdown` the result is mergeable and keeps
-    no raw samples.
+    The one per-kind summary of spans: ``--trace`` prints it
+    (:func:`format_span_histograms`) and the run report draws one
+    histogram per kind.  It is mergeable and keeps no raw samples.
     """
     by_kind: Dict[str, LogHistogram] = {}
     for span in spans:
@@ -118,22 +90,18 @@ def span_histograms(spans: Iterable[Span],
     return by_kind
 
 
-#: column headers of :func:`breakdown_rows`
-BREAKDOWN_HEADERS = ("span", "count", "mean_us", "p50_us", "p95_us",
-                     "p99_us", "max_us")
-
-
-def breakdown_rows(breakdown: Dict[str, Dict[str, float]]) -> List[List[str]]:
-    """:func:`latency_breakdown` as table rows of formatted cells."""
-    return [[kind, f"{s['count']:.0f}", f"{s['mean_us']:.1f}",
-             f"{s['p50_us']:.1f}", f"{s['p95_us']:.1f}",
-             f"{s['p99_us']:.1f}", f"{s['max_us']:.1f}"]
-            for kind, s in breakdown.items()]
-
-
-def format_breakdown(breakdown: Dict[str, Dict[str, float]]) -> str:
-    """Render :func:`latency_breakdown` as an aligned text table."""
-    return format_table(BREAKDOWN_HEADERS, breakdown_rows(breakdown))
+def format_span_histograms(histograms: Dict[str, LogHistogram]) -> str:
+    """Render :func:`span_histograms` as an aligned text table, one row
+    per kind in µs: exact count, mean and max, and p50/p95/p99 within
+    the histograms' bucket error."""
+    rows = []
+    for kind in sorted(histograms):
+        stats = histograms[kind].summary(scale=1e-3)
+        rows.append([kind, f"{stats['count']:.0f}"]
+                    + [f"{stats[key]:.1f}"
+                       for key in ("mean", "p50", "p95", "p99", "max")])
+    return format_table(("span", "count", "mean_us", "p50_us", "p95_us",
+                         "p99_us", "max_us"), rows)
 
 
 def write_metrics_csv(path: str,

@@ -1,10 +1,11 @@
 """Self-contained experiment reports (Markdown, or the same as HTML).
 
 ``write_report`` collects everything the observability runtime gathered
-during a run — epoch time-series from every telemetry probe, per-layer
-streaming latency histograms and the span breakdown from every tracer,
-end-of-run metric snapshots — and renders one artifact with zero
-external assets, suitable for CI upload or an experiment log.
+during a run — epoch time-series from every telemetry probe, one
+streaming latency histogram per span kind over every tracer, and the
+end-of-run metric snapshot of every traced system — and renders one
+artifact with zero external assets, suitable for CI upload or an
+experiment log.
 
 The report is GitHub-flavoured Markdown with unicode block sparklines
 and text histogram bars; a ``.html``/``.htm`` path gets that Markdown
@@ -17,12 +18,7 @@ from typing import Dict, List
 
 from repro.common.histogram import LogHistogram
 from repro.common.render import markdown_table, write_document
-from repro.obs.export import (
-    BREAKDOWN_HEADERS,
-    breakdown_rows,
-    latency_breakdown,
-    span_histograms,
-)
+from repro.obs.export import span_histograms
 from repro.obs.timeseries import TimeSeries, sparkline
 from repro.sim.tracer import merge_spans
 
@@ -45,7 +41,6 @@ def gather(title: str) -> Dict:
     return {
         "title": title,
         "systems": systems,
-        "breakdown": latency_breakdown(spans),
         "histograms": span_histograms(spans),
         "snapshots": metric_snapshots(),
     }
@@ -99,13 +94,6 @@ def render_markdown(data: Dict) -> str:
         out.append("_Tracing was not enabled; no span histograms._")
     for kind in sorted(data["histograms"]):
         out.extend(_md_histogram(kind, data["histograms"][kind]))
-        out.append("")
-
-    if data["breakdown"]:
-        out.append("## Span latency breakdown")
-        out.append("")
-        out.append(markdown_table(BREAKDOWN_HEADERS, "lrrrrrr",
-                                  breakdown_rows(data["breakdown"])))
         out.append("")
 
     if data["snapshots"]:

@@ -11,7 +11,7 @@ Time is an integer number of nanoseconds.
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.stats import TimeAverage, UtilizationTracker
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Process",
     "Resource",
     "Store",
-    "PriorityStore",
     "TimeAverage",
     "UtilizationTracker",
 ]

@@ -1,11 +1,10 @@
-"""Shared-resource primitives: semaphores, FIFO stores, priority stores."""
+"""Shared-resource primitives: semaphores and FIFO stores."""
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from itertools import count
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from repro.sim.events import Event
 
@@ -209,11 +208,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def waiting_getters(self) -> int:
-        """Number of get requests blocked on an empty store."""
-        return len(self._getters)
-
     def put(self, item: Any) -> Event:
         """Append ``item``; the event fires once the store accepts it."""
         event = Event(self.sim)
@@ -228,16 +222,6 @@ class Store:
             self._putters.append((event, item))
         return event
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the store is full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            return True
-        return False
-
     def get(self) -> Event:
         """Take the oldest item; the event fires with it as value."""
         event = Event(self.sim)
@@ -248,74 +232,8 @@ class Store:
             self._getters.append(event)
         return event
 
-    def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking get; returns ``(ok, item)``."""
-        if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            return True, item
-        return False, None
-
-    def peek_items(self) -> List[Any]:
-        """Snapshot of queued items (read-only view for schedulers)."""
-        return list(self._items)
-
     def _admit_putter(self) -> None:
         if self._putters:
             event, item = self._putters.popleft()
             self._items.append(item)
             event.succeed()
-
-
-class PriorityStore(Store):
-    """A store whose items are retrieved lowest-key-first.
-
-    Items are ``(priority, item)`` pairs passed to :meth:`put`; ties break
-    FIFO.  :meth:`get` yields the bare item.
-    """
-
-    def __init__(self, sim, capacity: Optional[int] = None, name: str = "") -> None:
-        super().__init__(sim, capacity, name)
-        self._heap: List[Tuple[Any, int, Any]] = []
-        self._seq = count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def put(self, item: Any, priority: Any = 0) -> Event:
-        """Insert ``item`` with ``priority`` (lower retrieves first)."""
-        event = Event(self.sim)
-        if self._getters and not self._heap:
-            self._getters.popleft().succeed(item)
-            event.succeed()
-            return event
-        if self.capacity is not None and len(self._heap) >= self.capacity:
-            raise RuntimeError("PriorityStore does not support blocking puts")
-        heapq.heappush(self._heap, (priority, next(self._seq), item))
-        event.succeed()
-        # A getter may have been waiting while higher-priority items queue.
-        if self._getters:
-            _prio, _seq, head = heapq.heappop(self._heap)
-            self._getters.popleft().succeed(head)
-        return event
-
-    def get(self) -> Event:
-        """Take the lowest-priority-key item; ties resolve FIFO."""
-        event = Event(self.sim)
-        if self._heap:
-            _prio, _seq, item = heapq.heappop(self._heap)
-            event.succeed(item)
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking get; returns ``(ok, item)``."""
-        if self._heap:
-            _prio, _seq, item = heapq.heappop(self._heap)
-            return True, item
-        return False, None
-
-    def peek_items(self) -> List[Any]:
-        """Snapshot of queued items in retrieval order."""
-        return [item for _prio, _seq, item in sorted(self._heap)]

@@ -104,6 +104,10 @@ class Tracer:
 
     def __init__(self, clock=None) -> None:
         self.clock = clock
+        #: display name of the simulated system (set by experiments)
+        self.label: Optional[str] = None
+        #: the system's metric registry, kept for end-of-run snapshots
+        self.metrics = None
         self.spans: List[Span] = []
         self._open: Dict[int, List[Span]] = {}
         self._track_ctx: Dict[int, str] = {}
@@ -166,8 +170,9 @@ class Tracer:
         return f"req:{track}" if track else "bg"
 
     def register_metrics(self, registry) -> None:
-        """Publish this tracer's gauges into a system's metric registry;
-        a span tracer has none (the causal tracer overrides this)."""
+        """Keep the system's metric registry, which ``repro.obs.runtime``
+        snapshots at export; the causal tracer also adds its gauges."""
+        self.metrics = registry
 
     # -- queries ----------------------------------------------------------
 
@@ -219,6 +224,9 @@ class NullTracer(Tracer):
     def span(self, kind: str, track: int = 0, **args) -> _NullSpanContext:
         """No-op; returns the shared null context manager."""
         return _NULL_CONTEXT
+
+    def register_metrics(self, registry) -> None:
+        """No-op: the shared null tracer keeps no system's registry."""
 
 
 #: Shared placeholder span handed out by the disabled tracer.

@@ -100,12 +100,6 @@ class InternalDram:
             self.read_bursts += bursts
         self.bytes_moved += nbytes
 
-    def access_ns(self, nbytes: int, row_hit: bool = True) -> int:
-        """Closed-form latency estimate (used by analytical baselines)."""
-        cfg = self.config
-        row = cfg.t_cl if row_hit else cfg.t_rp + cfg.t_rcd + cfg.t_cl
-        return row + transfer_ns(nbytes, cfg.bandwidth)
-
     # -- power -------------------------------------------------------------
 
     def dynamic_energy(self) -> float:
@@ -138,7 +132,3 @@ class InternalDram:
     def average_power(self) -> float:
         elapsed_s = (self.sim.now - self._origin) / SEC
         return self.total_energy() / elapsed_s if elapsed_s > 0 else 0.0
-
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0

@@ -52,10 +52,6 @@ class FlashGeometry:
     def physical_capacity(self) -> int:
         return self.total_physical_pages * self.page_size
 
-    @property
-    def block_size(self) -> int:
-        return self.pages_per_block * self.page_size
-
 
 @dataclass(frozen=True)
 class FlashTiming:

@@ -23,6 +23,8 @@ from repro.ssd.firmware.ftl.ftl import FlashTranslationLayer
 from repro.ssd.firmware.requests import LineRequest
 
 _SECTOR = 512
+#: seed of the random replacement policy's victim draws
+_RNG_SEED = 7
 
 
 class _SlotState:
@@ -83,14 +85,14 @@ class _LineLockTable:
 class InternalCacheLayer:
     def __init__(self, sim, config: SSDConfig, cores: CpuComplex,
                  dram: InternalDram, ftl: FlashTranslationLayer,
-                 data_emulation: bool = False, rng_seed: int = 7) -> None:
+                 data_emulation: bool = False) -> None:
         self.sim = sim
         self.config = config
         self.cores = cores
         self.dram = dram
         self.ftl = ftl
         self.data_emulation = data_emulation
-        self._rng = random.Random(rng_seed)
+        self._rng = random.Random(_RNG_SEED)
         cache = config.cache
         self.enabled = cache.enabled
         cache_bytes = int(config.dram.size * cache.fraction_of_dram)

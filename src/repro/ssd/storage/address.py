@@ -29,13 +29,8 @@ class AddressMapper:
     def __init__(self, geometry: FlashGeometry) -> None:
         self.geometry = geometry
         self._pages_per_unit = geometry.pages_per_plane
-        self._units = geometry.parallel_units
         self._units_per_channel = (geometry.planes_per_die
                                    * geometry.ways_per_channel)
-
-    @property
-    def total_units(self) -> int:
-        return self._units
 
     @property
     def pages_per_unit(self) -> int:

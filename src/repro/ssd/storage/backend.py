@@ -83,12 +83,6 @@ class FlashBackend:
     def channel_resource(self, unit: int) -> Resource:
         return self._channels[self.mapper.channel_of_unit(unit)]
 
-    def die_utilizations(self) -> List[float]:
-        return [die.utilization() for die in self._dies]
-
-    def channel_utilizations(self) -> List[float]:
-        return [ch.utilization() for ch in self._channels]
-
     def register_metrics(self, registry, prefix: str = "ssd") -> None:
         """Expose per-channel/die utilization and flash op counters.
 

@@ -130,11 +130,22 @@ class TestArming:
         assert proc.returncode == 0, proc.stderr
         assert "numpy" not in proc.stdout.split()
 
-    def test_causal_capture_alone_arms_a_fresh_process(self):
-        """``enable_causal`` fills the tracer slot through
-        ``repro.obs.runtime``, which nothing else has imported yet."""
+    def test_causal_import_loads_no_switch(self):
+        """``repro.obs.runtime`` owns both tracer switches and imports
+        ``repro.obs.causal``, never the other way round: a bare
+        ``import repro.obs.causal`` loads no ``repro.obs.runtime``."""
         proc = _fresh_python(
-            "from repro.obs import causal; causal.enable_causal(); "
+            "import sys, repro.obs.causal; print(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "repro.obs.causal" in loaded
+        assert "repro.obs.runtime" not in loaded
+
+    def test_causal_capture_alone_arms_a_fresh_process(self):
+        """``enable_causal`` fills the tracer slot from
+        ``repro.obs.runtime`` in a process that armed nothing else."""
+        proc = _fresh_python(
+            "from repro.obs import causal, runtime; runtime.enable_causal(); "
             "from repro.sim import Simulator; "
             "raise SystemExit(0 if isinstance(Simulator().tracer, "
             "causal.CausalTracer) else 1)")

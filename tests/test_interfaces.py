@@ -252,6 +252,37 @@ class TestOcssd:
         system.run_process(scenario())
         assert system.adapter.pages_flushed > 0
 
+    def test_pblk_unaligned_writes_match_nvme(self, tiny_config):
+        """Writes that cover part of a 2 KiB page keep the page's other
+        sectors, whether they sit in the write buffer, were flushed to
+        flash or were never written: OCSSD returns NVMe's bytes."""
+
+        def run(interface):
+            system = FullSystem(device=tiny_config, interface=interface,
+                                data_emulation=True)
+
+            def write(slba, nsectors, seed):
+                yield from system.write(slba, nsectors, FullSystem
+                                        .pattern_data(slba, nsectors, seed))
+
+            def scenario():
+                yield from write(0, 16, 1)          # pages 0-3
+                flush = yield from system.submit_io(
+                    IORequest(IOKind.FLUSH, 0, 0))
+                yield flush                         # ... now on flash
+                yield from write(2, 4, 2)           # halves of pages 0, 1
+                yield from write(9, 2, 3)           # middle of page 2
+                yield from write(10, 1, 4)          # page 2 again, buffered
+                yield from write(21, 5, 5)          # unwritten pages 5, 6
+                reads = []
+                for slba, nsectors in ((0, 16), (2, 4), (16, 16)):
+                    reads.append((yield from system.read(slba, nsectors)))
+                return reads
+
+            return system.run_process(scenario())
+
+        assert run("ocssd") == run("nvme")
+
     def test_pblk_gc_reclaims_chunks(self, tiny_config):
         import random
         system = FullSystem(device=tiny_config, interface="ocssd")

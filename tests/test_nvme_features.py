@@ -1,5 +1,6 @@
 """Optional NVMe features: SGL transfers, WRR queue priorities, CLI."""
 
+import json
 import pstats
 
 import pytest
@@ -102,6 +103,28 @@ class TestExperimentCli:
         assert sum(shares.values()) == \
             pytest.approx(100.0, abs=0.06 * len(shares))
         assert pstats.Stats(str(tmp_path / "attr.prof")).total_calls > 0
+
+    def test_fig14_trace_and_metrics_outputs(self, tmp_path, capsys):
+        """``--trace`` writes Chrome JSON and prints the per-kind table;
+        ``--metrics`` has rows for each of fig14's three FullSystems
+        (its device-level point is a bare Simulator: spans, no rows)."""
+        from repro.experiments.__main__ import main
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.csv"
+        assert main(["fig14", "--trace", str(trace),
+                     "--metrics", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert {event["pid"] for event in events} == {0, 1, 2, 3}
+        assert any(event["ph"] == "X" for event in events)
+        assert "Latency per span kind" in out
+        assert any(line.startswith("io.submit ") and "|" in line
+                   for line in out.splitlines())
+        lines = metrics.read_text().splitlines()
+        assert lines[0] == "system,metric,value"
+        systems = {line.split(",", 1)[0] for line in lines[1:]}
+        assert systems == {"system1", "system2", "system3"}
+        assert all(f"{system},sim.now_ns," in metrics.read_text()
+                   for system in sorted(systems))
 
 
 class TestAdminCommands:

@@ -6,6 +6,7 @@ results with capture on or off, and byte-deterministic explain reports
 across fleet ``--jobs`` counts (``docs/OBSERVABILITY.md``)."""
 
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -19,11 +20,7 @@ from repro.obs.causal import (
     CHAIN_CAP,
     COMPONENTS,
     CausalTracer,
-    causal_enabled,
-    causal_summary,
     component_of,
-    disable_causal,
-    enable_causal,
 )
 from repro.obs.diff import (
     explain,
@@ -32,6 +29,12 @@ from repro.obs.diff import (
     render_explain_markdown,
     write_causal_report,
     write_explain_report,
+)
+from repro.obs.runtime import (
+    causal_enabled,
+    causal_summary,
+    disable_causal,
+    enable_causal,
 )
 from repro.sim.tracer import Tracer
 
@@ -375,6 +378,78 @@ class TestFullStackConservation:
         assert first == second
         disable_causal()
         assert not causal_enabled()
+
+
+#: single-page requests per op in the self-time check (tiny config: 2 KiB)
+SELF_TIME_IOS = 200
+
+
+def _self_time_by_track(spans):
+    """Per track, per component: the sum of its spans' self time (a
+    span's duration minus its children's)."""
+    children_ns = defaultdict(int)
+    for span in spans:
+        if span.parent is not None:
+            children_ns[span.parent] += span.duration
+    by_track = defaultdict(lambda: defaultdict(int))
+    for span in spans:
+        by_track[span.track][component_of(span.kind)] += \
+            span.duration - children_ns[span]
+    return by_track
+
+
+class TestSelfTimeEquivalence:
+    """The causal partition is span self time, per request.
+
+    A span is the deepest open span on its track exactly during its
+    self time, so a request whose spans nest has components equal, in
+    integer ns, to the per-component sums of its spans' self time.  Not
+    asserted, and documented in docs/OBSERVABILITY.md: multi-page
+    requests, whose page reads overlap under one parent, and track 0,
+    where a record is an episode of interleaved background work.
+    """
+
+    @pytest.mark.parametrize("interface", ["nvme", "sata", "ufs", "ocssd"])
+    def test_components_equal_span_self_time(self, interface):
+        from repro.common.iorequest import IOKind, IORequest
+        from repro.core.fio import FioJob
+        from repro.core.system import FullSystem
+        from repro.obs.runtime import disable_tracing, enable_tracing
+        from tests.conftest import tiny_ssd_config
+
+        page = tiny_ssd_config().geometry.page_size
+        enable_tracing()            # the causal tracer retains every span
+        enable_causal(top_k=SELF_TIME_IOS)      # and keeps every record
+        try:
+            system = FullSystem(device=tiny_ssd_config(),
+                                interface=interface)
+            if interface != "ocssd":        # pblk maps its own pages
+                system.precondition()
+            job = dict(bs=page, iodepth=4, total_ios=SELF_TIME_IOS, seed=5)
+            system.run_fio(FioJob(rw="randwrite", **job))
+
+            def flush():        # pblk's write buffer goes to flash
+                done = yield from system.submit_io(
+                    IORequest(IOKind.FLUSH, 0, 0))
+                yield done
+
+            system.run_process(flush())
+            system.run_fio(FioJob(rw="randread", **job))
+            tracer = system.sim.tracer
+        finally:
+            disable_causal()
+            disable_tracing()
+        assert tracer.violations == 0
+        self_time = _self_time_by_track(tracer.spans)
+        raw_track = {alias: raw for raw, alias in tracer._alias.items()}
+        for op in ("WRITE", "READ"):
+            records = tracer.worst(op)
+            assert len(records) == tracer.op_counts[op] == SELF_TIME_IOS
+            for record in records:
+                spans_ns = {component: ns for component, ns in
+                            self_time[raw_track[record["track"]]].items()
+                            if ns}
+                assert record["components"] == spans_ns, (op, record)
 
 
 # -- fleet: stores, reports, explain ------------------------------------------

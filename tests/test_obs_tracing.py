@@ -7,16 +7,17 @@ import pytest
 
 from repro.common.metrics import MetricsRegistry
 from repro.core.system import FullSystem
-from repro.obs.causal import CausalTracer, disable_causal, enable_causal
+from repro.obs.causal import CausalTracer
 from repro.obs.export import (
-    format_breakdown,
-    latency_breakdown,
+    format_span_histograms,
+    span_histograms,
     write_chrome_trace,
     write_metrics_csv,
 )
 from repro.obs.runtime import (
-    collect_metrics,
+    disable_causal,
     disable_tracing,
+    enable_causal,
     enable_tracing,
     metric_snapshots,
     tracers,
@@ -196,18 +197,23 @@ class TestExport:
             span = tracer.begin("flash.read", 1)
             clock.now = duration
             tracer.end(span)
-        stats = latency_breakdown(merge_spans([tracer]))["flash.read"]
+        histograms = span_histograms(merge_spans([tracer]))
+        stats = histograms["flash.read"].summary(scale=1e-3)
+        # count, mean and max are exact; percentiles are bucket estimates
         assert stats["count"] == 4
-        assert stats["mean_us"] == pytest.approx(2.5)
-        assert stats["p50_us"] == pytest.approx(2.5)
-        assert stats["max_us"] == pytest.approx(4.0)
-        table = format_breakdown({"flash.read": stats})
+        assert stats["mean"] == pytest.approx(2.5)
+        assert stats["max"] == pytest.approx(4.0)
+        assert stats["p50"] == pytest.approx(2.5, rel=1 / 16)
+        table = format_span_histograms(histograms)
         assert "flash.read" in table and "p99_us" in table
+        row = table.splitlines()[-1].split("|")
+        assert [cell.strip() for cell in row[1:3]] == ["4", "2.5"]
+        assert row[-1].strip() == "4.0"
 
     def test_open_spans_excluded_from_breakdown(self):
         tracer = Tracer(_Clock())
         tracer.begin("never.closed", 1)
-        assert latency_breakdown(tracer.spans) == {}
+        assert span_histograms(tracer.spans) == {}
 
     def test_metrics_csv(self, tmp_path):
         path = tmp_path / "metrics.csv"
@@ -245,9 +251,46 @@ class TestRuntimeSwitch:
             disable_causal()
         assert Simulator().tracer is NULL_TRACER
 
-    def test_collect_metrics_noop_when_off(self):
-        collect_metrics("ignored", {"x": 1.0})
+    def test_no_metric_snapshots_when_off(self):
+        """With tracing off nothing is collected, and the shared null
+        tracer keeps no system's registry."""
+        system = FullSystem(device=tiny_ssd_config(), interface="nvme")
+        assert system.sim.tracer is NULL_TRACER
+        assert NULL_TRACER.metrics is None
         assert metric_snapshots() == []
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_every_traced_system_has_a_snapshot(self, traced, causal):
+        """Each ``FullSystem``'s registry reaches the snapshots through
+        its tracer, a causal one too; a bare ``Simulator`` has none and
+        no row."""
+        if causal:
+            enable_causal()
+        try:
+            Simulator()
+            first = FullSystem(device=tiny_ssd_config(), interface="nvme")
+            second = FullSystem(device=tiny_ssd_config(), interface="sata")
+            assert isinstance(second.sim.tracer, CausalTracer) == causal
+            second.sim.tracer.label = "sata-box"
+            _run_small_workload(second)
+            snapshots = metric_snapshots()
+        finally:
+            disable_causal()
+        assert [label for label, _snap in snapshots] == ["system1",
+                                                         "sata-box"]
+        assert snapshots[0][1] == first.metrics.snapshot()
+        assert snapshots[1][1]["ssd.flash.reads"] >= 1.0
+
+    def test_causal_capture_alone_keeps_no_registry(self):
+        """Without tracing a causal tracer retains no spans, and so no
+        registry either: nothing would export its snapshot."""
+        enable_causal()
+        try:
+            system = FullSystem(device=tiny_ssd_config(), interface="nvme")
+            assert system.sim.tracer.metrics is None
+            assert metric_snapshots() == []
+        finally:
+            disable_causal()
 
     def test_default_is_off(self):
         assert not tracing_enabled()

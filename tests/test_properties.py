@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.common.instructions import InstructionMix
 from repro.common.recorders import LatencyRecorder
-from repro.sim import PriorityStore, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 from repro.ssd.config import FlashGeometry
 from repro.ssd.device import SSD
 from repro.ssd.firmware.requests import DeviceCommand, split_command
@@ -54,28 +54,6 @@ class TestSimulatorProperties:
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
-
-    @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 5)),
-                    min_size=1, max_size=30))
-    def test_priority_store_orders_by_priority_then_fifo(self, items):
-        sim = Simulator()
-        store = PriorityStore(sim)
-        for value, (priority, _x) in enumerate(items):
-            store.put((priority, value), priority=priority)
-        popped = []
-
-        def consumer():
-            for _ in range(len(items)):
-                popped.append((yield store.get()))
-
-        sim.process(consumer())
-        sim.run()
-        priorities = [p for p, _v in popped]
-        assert priorities == sorted(priorities)
-        # FIFO within equal priority: values ascend
-        for priority in set(priorities):
-            values = [v for p, v in popped if p == priority]
-            assert values == sorted(values)
 
     @given(st.integers(1, 5), st.integers(1, 30))
     def test_resource_never_exceeds_capacity(self, capacity, workers):

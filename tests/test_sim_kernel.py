@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Interrupt,
-    PriorityStore,
     Resource,
     Simulator,
     Store,
@@ -372,58 +371,3 @@ class TestStore:
         sim.run()
         assert ("put-a", 0) in timeline
         assert ("put-b", 50) in timeline
-
-    def test_try_put_respects_capacity(self, sim):
-        store = Store(sim, capacity=2)
-        assert store.try_put(1)
-        assert store.try_put(2)
-        assert not store.try_put(3)
-
-    def test_try_get_empty(self, sim):
-        store = Store(sim)
-        ok, item = store.try_get()
-        assert not ok and item is None
-
-
-class TestPriorityStore:
-    def test_orders_by_priority(self, sim):
-        store = PriorityStore(sim)
-        store.put("low", priority=10)
-        store.put("high", priority=1)
-        store.put("mid", priority=5)
-        out = []
-
-        def consumer():
-            for _ in range(3):
-                out.append((yield store.get()))
-
-        sim.process(consumer())
-        sim.run()
-        assert out == ["high", "mid", "low"]
-
-    def test_ties_break_fifo(self, sim):
-        store = PriorityStore(sim)
-        for i in range(4):
-            store.put(f"item{i}", priority=0)
-        out = []
-
-        def consumer():
-            for _ in range(4):
-                out.append((yield store.get()))
-
-        sim.process(consumer())
-        sim.run()
-        assert out == ["item0", "item1", "item2", "item3"]
-
-    def test_waiting_getter_served_on_put(self, sim):
-        store = PriorityStore(sim)
-        got = []
-
-        def consumer():
-            got.append((yield store.get()))
-
-        sim.process(consumer())
-        sim.run()
-        store.put("x", priority=3)
-        sim.run()
-        assert got == ["x"]
