@@ -198,11 +198,6 @@ def check_discarded_event(src: SourceFile) -> Iterator[Site]:
                 yield node, node.col_offset, \
                     "result of `.get()` is discarded; the item (or the " \
                     "wait for it) is lost"
-        else:
-            dotted = dotted_name(func)
-            if dotted is not None and dotted.split(".")[-1] == "Timeout":
-                yield node, node.col_offset, \
-                    "Timeout(...) is discarded; it still schedules an event"
 
     # (b) local functions driven as processes but containing no yield
     defs: Dict[str, List[ast.AST]] = {}
@@ -240,13 +235,8 @@ def check_discarded_event(src: SourceFile) -> Iterator[Site]:
                     and isinstance(node.value, ast.Call)):
                 continue
             call_func = node.value.func
-            is_timeout = (isinstance(call_func, ast.Attribute)
-                          and call_func.attr == "timeout")
-            if not is_timeout:
-                dotted = dotted_name(call_func)
-                is_timeout = dotted is not None and \
-                    dotted.split(".")[-1] == "Timeout"
-            if is_timeout:
+            if isinstance(call_func, ast.Attribute) and \
+                    call_func.attr == "timeout":
                 yield node, node.col_offset, \
                     f"timeout bound to `{node.targets[0].id}` is never " \
                     "yielded, cancelled or passed on — it still fires"

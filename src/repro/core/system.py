@@ -327,5 +327,13 @@ class FullSystem:
         yield event
 
     def precondition(self, fraction: float = 1.0) -> int:
-        """Fill the device to steady state (instant, untimed)."""
+        """Fill the device to steady state (instant, untimed).
+
+        Refused on OCSSD: pblk maps its own pages, so a fill of the
+        device FTL's blocks behind it would break pblk's in-order
+        programs at its first flush.
+        """
+        if self.interface == "ocssd":
+            raise ValueError("precondition() fills the device FTL; on "
+                             "OCSSD pblk maps its own pages")
         return self.ssd.precondition_sequential(fraction)

@@ -122,7 +122,8 @@ def run_fio_scenario(params: Dict, seed: int) -> Dict:
     interface = params.get("interface") or DEVICE_INTERFACES.get(preset,
                                                                  "nvme")
     system = FullSystem(device=config, interface=interface)
-    system.precondition()
+    if interface != "ocssd":        # pblk maps its own pages
+        system.precondition()
     job = FioJob(rw=params.get("rw", "randread"),
                  bs=int(params.get("bs", 4096)),
                  iodepth=int(params.get("iodepth", 16)),

@@ -76,18 +76,25 @@ class OcssdController:
     # -- vector commands (called by pblk / liblightnvm) ----------------------------
 
     def vector_read(self, ppns: Sequence[int],
-                    transfer_bytes: Optional[int] = None):
-        """Process: read the given physical pages; returns list of payloads."""
+                    transfer_bytes: Optional[int] = None, track: int = 0):
+        """Process: read the given physical pages; returns list of payloads.
+
+        ``track`` is the trace track of the host request the read serves
+        (its ``req_id``), where its flash and DMA spans land; ``0``
+        marks background work.  Writes and erases come only from pblk's
+        flush and GC, so they stay on track 0.
+        """
         yield from self._command_overhead()
         page_size = self.ssd.config.geometry.page_size
         per_page = transfer_bytes or page_size
-        reads = [self.sim.process(self.ssd.fil.read(ppn, per_page))
+        reads = [self.sim.process(self.ssd.fil.read(ppn, per_page,
+                                                    track=track))
                  for ppn in ppns]
         for proc in reads:
             yield proc
         pointers = PointerList.for_buffer(0x2_0000_0000,
                                           per_page * len(ppns), _HOST_PAGE)
-        yield from self.dma.to_host(pointers)
+        yield from self.dma.to_host(pointers, track=track)
         yield from self._completion_overhead()
         self.vector_reads += len(ppns)
         return [self.ssd.content.read(ppn) for ppn in ppns]

@@ -150,7 +150,8 @@ class PblkDriver(HostAdapter):
                 # the sectors [lo, hi) of this page the write covers
                 lo = max(req.slba - lpn * spp, 0)
                 hi = min(end - lpn * spp, spp)
-                base = yield from self._buffer_slot(lpn, hi - lo < spp)
+                base = yield from self._buffer_slot(lpn, hi - lo < spp,
+                                                    req.req_id)
                 payload = None
                 if self.data_emulation and req.data is not None:
                     # a fresh buffer: a flush may hold the old one
@@ -167,16 +168,17 @@ class PblkDriver(HostAdapter):
             req.t_backend_done = self.sim.now
         event.succeed(None)
 
-    def _buffer_slot(self, lpn: int, partial: bool):
+    def _buffer_slot(self, lpn: int, partial: bool, track: int):
         """Wait until the buffer has room for ``lpn``; for a page the
         write covers only partly, return the page's current bytes.
 
         Those come from the buffer if the page is there, else from one
-        vector read of its mapped flash page (charged with data
-        emulation off too, as the ICL charges its read-modify-write
-        fetches), else ``None``: an unmapped page reads zeros.  The
-        checks repeat after every wait, so the bytes are current when
-        the caller inserts the page, with no yield in between.
+        vector read of its mapped flash page on the write's ``track``
+        (charged with data emulation off too, as the ICL charges its
+        read-modify-write fetches), else ``None``: an unmapped page
+        reads zeros.  The checks repeat after every wait, so the bytes
+        are current when the caller inserts the page, with no yield in
+        between.
         """
         fetched_ppn, fetched = UNMAPPED, None
         while True:
@@ -192,7 +194,8 @@ class PblkDriver(HostAdapter):
             ppn = self.l2p[lpn]
             if ppn == fetched_ppn:
                 return fetched
-            (fetched,) = yield from self.controller.vector_read([ppn])
+            (fetched,) = yield from self.controller.vector_read(
+                [ppn], track=track)
             fetched_ppn = ppn
 
     def _start_flush(self) -> None:
@@ -341,7 +344,7 @@ class PblkDriver(HostAdapter):
             if flash:
                 # one vector read covers every missing page (single command)
                 payloads = yield from self.controller.vector_read(
-                    [ppn for _i, ppn in flash])
+                    [ppn for _i, ppn in flash], track=req.req_id)
                 for (i, _ppn), payload in zip(flash, payloads):
                     chunks[i] = payload or bytes(self.page_size)
             req.t_backend_done = self.sim.now

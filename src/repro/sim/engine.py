@@ -7,21 +7,23 @@ right after a stop event, or when the queue drains.  The queue has two
 levels: a heap of ``(when, seq, event)`` entries for events due later,
 and a FIFO of events due now, which a zero-delay schedule appends to
 without a sequence number or a heap push.  The loop binds both and the
-counters to locals: it runs hundreds of thousands of times per macro
+event count to locals: it runs hundreds of thousands of times per macro
 benchmark and attribute lookups dominate otherwise.  The golden
 determinism suite (``tests/golden``) pins its observable behaviour.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.tracer import NULL_TRACER
+
+_new = object.__new__
 
 #: The instrument factories a new simulator calls with itself, one slot
 #: each.  The instruments fill the table from above: each ``enable_*``
@@ -138,7 +140,12 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total events processed so far (simulation-speed metric)."""
+        """Total events processed so far (simulation-speed metric).
+
+        Exact outside the loop and inside the observers' calls; a
+        callback reading it mid-loop sees the count as of the last
+        observer call or loop exit.
+        """
         return self._event_count
 
     @property
@@ -152,11 +159,38 @@ class Simulator:
 
     def event(self) -> Event:
         """A fresh pending :class:`Event` bound to this simulator."""
-        return Event(self)
+        # Event.__init__'s fields, stored inline: no constructor frame
+        event = _new(Event)
+        event.sim = self
+        event.callbacks = []
+        event._value = None
+        event._ok = True
+        event._triggered = False
+        event._cancelled = False
+        return event
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """An event firing ``delay`` ns from now with ``value``."""
-        return Timeout(self, delay, value)
+        """An event firing ``delay`` ns from now with ``value``.
+
+        The one way to make a :class:`Timeout`: built inline, triggered
+        and queued here, once per simulated wait.
+        """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        timeout = _new(Timeout)
+        timeout.sim = self
+        timeout.callbacks = []
+        timeout._value = value
+        timeout._ok = True
+        timeout._triggered = True
+        timeout._cancelled = False
+        timeout.delay = delay = int(delay)
+        if delay:
+            heappush(self._queue,
+                     (self._now + delay, next(self._sequence), timeout))
+        else:
+            self._ready.append(timeout)
+        return timeout
 
     def process(self, generator) -> Process:
         """Register ``generator`` as a process starting at this instant."""
@@ -177,8 +211,8 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         delay = int(delay)
         if delay:
-            heapq.heappush(self._queue,
-                           (self._now + delay, next(self._sequence), event))
+            heappush(self._queue,
+                     (self._now + delay, next(self._sequence), event))
         else:
             self._ready.append(event)
 
@@ -206,7 +240,7 @@ class Simulator:
         queue = self._queue
         while queue:
             if queue[0][2]._cancelled:
-                heapq.heappop(queue)
+                heappop(queue)
             else:
                 return queue[0][0]
         return None
@@ -220,15 +254,18 @@ class Simulator:
         popped (a tombstone is dropped without moving the clock), the
         clock moves to it, and that instant's other heap entries join
         the FIFO before the head's callbacks run.  A failed event nobody
-        waits on is kept for :meth:`check_orphan_failures`.
+        waits on is kept for :meth:`check_orphan_failures`.  The event
+        count lives in a local and is written back before each observer
+        call and on every exit.
         """
         queue = self._queue
         ready = self._ready
-        pop = heapq.heappop
+        pop = heappop
         popleft = ready.popleft
         append = ready.append
         orphans = self._orphan_failures
         observer = self._observer
+        processed = self._event_count
         drained = False
         try:
             if until is not None and until < self._now:
@@ -249,12 +286,13 @@ class Simulator:
                         append(pop(queue)[2])
                 else:
                     break
-                self._event_count += 1
+                processed += 1
                 if observer is not None:
+                    self._event_count = processed
                     observer.on_event(self._now, event)
-                event._processed = True
+                # callbacks None marks the event processed
                 callbacks, event.callbacks = event.callbacks, None
-                if not event._ok and not callbacks:
+                if not callbacks and not event._ok:
                     orphans.append(event)
                 for callback in callbacks:
                     callback(event)
@@ -264,6 +302,7 @@ class Simulator:
             # queue ends the loop
             drained = until is None and stop is None
         finally:
+            self._event_count = processed
             if observer is not None:
                 observer.on_stop(drained)
 
@@ -299,7 +338,7 @@ class Simulator:
         """
         proc = self.process(generator)
         self._dispatch(until, proc)
-        if not proc._processed:
+        if proc.callbacks is not None:      # not processed
             if until is not None and self._now < until:
                 self._now = until
             self.check_orphan_failures()

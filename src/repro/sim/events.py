@@ -6,16 +6,23 @@ hundreds of thousands of events per macro benchmark (see
 ``docs/PERFORMANCE.md``).  The implementation therefore trades a little
 elegance for speed: ``__slots__`` everywhere, direct underscore-field
 access between the three kernel modules instead of property calls, and
-constructors that initialize fields inline rather than chaining through
-``super().__init__``.  Behavioural contracts are pinned by the golden
-determinism suite, so any change here must keep event schedules
-bit-identical.
+hot events built with ``object.__new__`` and inline field stores rather
+than through a constructor (``Simulator.event``/``timeout``,
+``Resource.acquire``/``hold``, ``Store.put``/``get``, the process
+bootstrap; ``tests/test_sim_kernel.py`` audits each against
+:meth:`Event.__init__`).  An event is processed exactly when its
+``callbacks`` is ``None``: the loop sets it so as it takes the list to
+run it, and no separate flag is kept.  Behavioural contracts are pinned
+by the golden determinism suite, so any change here must keep event
+schedules bit-identical.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
+from operator import attrgetter
 from typing import Any, Callable, List, Optional
+
+_value_of = attrgetter("_value")
 
 
 class Event:
@@ -23,12 +30,13 @@ class Event:
 
     An event starts *pending*, becomes *triggered* when ``succeed`` or
     ``fail`` is called (it is then on the simulator's queue), and becomes
-    *processed* once the simulator pops it and runs its callbacks.
-    Processes wait on events by ``yield``-ing them.
+    *processed* once the simulator pops it and runs its callbacks; its
+    ``callbacks`` list is ``None`` from then on.  Processes wait on
+    events by ``yield``-ing them.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",
-                 "_processed", "_cancelled")
+                 "_cancelled")
 
     def __init__(self, sim) -> None:
         self.sim = sim
@@ -36,7 +44,6 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
-        self._processed = False
         self._cancelled = False
 
     @property
@@ -47,7 +54,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once the simulator popped the event and ran callbacks."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def cancelled(self) -> bool:
@@ -62,7 +69,7 @@ class Event:
     @property
     def value(self) -> Any:
         """The success value (or exception); raises while still pending."""
-        if not self._processed and not self._triggered:
+        if not self._triggered and self.callbacks is not None:
             raise RuntimeError("event value not yet available")
         return self._value
 
@@ -95,23 +102,28 @@ class Event:
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` on processing (immediately if already done)."""
-        if self._processed:
+        callbacks = self.callbacks
+        if callbacks is None:
             # Late subscriber: run at the current instant, preserving order.
             immediate = Event(self.sim)
             immediate.callbacks.append(lambda _ev: callback(self))
             immediate.succeed()
         else:
-            self.callbacks.append(callback)
+            callbacks.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else (
-            "processed" if self._processed else (
+            "processed" if self.callbacks is None else (
                 "triggered" if self._triggered else "pending"))
         return f"<{type(self).__name__} {state} at t={self.sim.now}>"
 
 
 class Timeout(Event):
     """An event that fires a fixed delay after creation.
+
+    :meth:`~repro.sim.engine.Simulator.timeout` is the one way to make
+    one: it builds the timeout without a constructor frame, once per
+    simulated wait, and queues it.  Calling ``Timeout(...)`` raises.
 
     A pending timeout may be :meth:`cancel`-led — e.g. an elevator's
     anticipation timer obsoleted by an arriving request.  Cancellation
@@ -122,24 +134,8 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim, delay: int, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        # Inline the Event/queue setup: this constructor runs once per
-        # simulated wait and the super().__init__ chain is measurable.
-        self.sim = sim
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._triggered = True
-        self._processed = False
-        self._cancelled = False
-        self.delay = delay = int(delay)
-        # delay was validated non-negative above; queue directly
-        if delay:
-            heappush(sim._queue, (sim._now + delay, next(sim._sequence), self))
-        else:
-            sim._ready.append(self)
+    def __init__(self, *_args, **_kwargs) -> None:
+        raise TypeError("a Timeout is made by sim.timeout(delay, value)")
 
     def cancel(self) -> None:
         """Tombstone the timeout so it never fires.
@@ -149,7 +145,7 @@ class Timeout(Event):
         the cancel will never be resumed by this event, so only cancel
         timeouts you own exclusively (the usual speculative-timer case).
         """
-        if self._processed:
+        if self.callbacks is None:
             raise RuntimeError("cannot cancel a processed timeout")
         if self._cancelled:
             # double cancel: two owners think they hold this timer —
@@ -182,29 +178,28 @@ class _Condition(Event):
     __slots__ = ("events", "_pending")
 
     def __init__(self, sim, events) -> None:
-        # Inline the Event field setup, as Timeout does: conditions are
-        # built once per composite wait.
+        # Inline the Event field setup, as Simulator.event does:
+        # conditions are built once per composite wait.
         self.sim = sim
         self.callbacks = []
         self._value = None
         self._ok = True
         self._triggered = False
-        self._processed = False
         self._cancelled = False
         self.events = events = list(events)
         pending = 0
         child_done = self._child_done
         for event in events:
-            if event._processed:
+            callbacks = event.callbacks
+            if callbacks is None:       # processed
                 if not event._ok:
                     self._pending = pending
                     self.fail(event._value)
                     return
             else:
                 pending += 1
-                # children are pending or queued here, so their callback
-                # list exists; append directly (no add_callback dispatch)
-                event.callbacks.append(child_done)
+                # append directly (no add_callback dispatch)
+                callbacks.append(child_done)
         self._pending = pending
         if pending < len(events) or not events:
             self._settle()
@@ -234,12 +229,12 @@ class AllOf(_Condition):
             # every child is processed, and none failed (a failure
             # would have triggered this condition): inlined succeed()
             self._triggered = True
-            self._value = [child._value for child in self.events]
+            self._value = list(map(_value_of, self.events))
             self.sim._ready.append(self)
 
     def _settle(self) -> None:
         if not self._pending:
-            self.succeed([event._value for event in self.events])
+            self.succeed(list(map(_value_of, self.events)))
 
 
 class AnyOf(_Condition):
@@ -260,4 +255,4 @@ class AnyOf(_Condition):
 
     def _settle(self) -> None:
         self.succeed(next((event._value for event in self.events
-                           if event._processed), None))
+                           if event.callbacks is None), None))

@@ -4,7 +4,10 @@ Hot-path note: ``_resume`` runs once per generator step — by far the
 most frequent call in any simulation — so it reads the waited event's
 underscore fields directly and attempts the common wait case (a live
 event on the same simulator) inline, deferring to :meth:`_wait_on` only
-for error diagnostics and already-processed targets.
+for error diagnostics and already-processed targets.  ``_waiting_on``
+is overwritten by each new wait and cleared only when the generator
+ends; an event the process is no longer waiting on is processed, so
+:meth:`Process._throw` skips it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.sim.events import Event, Interrupt
+
+_new = object.__new__
 
 
 class Process(Event):
@@ -27,22 +32,25 @@ class Process(Event):
     def __init__(self, sim, generator: Generator) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {type(generator)!r}")
-        # Inline the Event field setup, as Timeout does: a process is
-        # built per spawn.
+        # Inline the Event field setup, as Simulator.event does: a
+        # process is built per spawn.
         self.sim = sim
         self.callbacks = []
         self._value = None
         self._ok = True
         self._triggered = False
-        self._processed = False
         self._cancelled = False
         self._generator = generator
         self._waiting_on: Event = None
-        # Kick off at the current instant (after already-queued events);
-        # inlined succeed() — the bootstrap is ours, never pre-triggered.
-        bootstrap = Event(sim)
-        bootstrap.callbacks.append(self._resume)
+        # Kick off at the current instant (after already-queued events):
+        # the bootstrap is built inline and queued triggered.
+        bootstrap = _new(Event)
+        bootstrap.sim = sim
+        bootstrap.callbacks = [self._resume]
+        bootstrap._value = None
+        bootstrap._ok = True
         bootstrap._triggered = True
+        bootstrap._cancelled = False
         sim._ready.append(bootstrap)
         sanitizer = getattr(sim, "sanitizer", None)
         if sanitizer is not None:
@@ -81,16 +89,23 @@ class Process(Event):
         self._wait_on(target)
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self._generator.send(event._value)
             else:
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._waiting_on = None
+            # inlined succeed(): _ok is still True unless fail() ran,
+            # and fail() triggers, so the guard covers both
+            if self._triggered:
+                raise RuntimeError("event already triggered")
+            self._triggered = True
+            self._value = stop.value
+            self.sim._ready.append(self)
             return
         except BaseException as exc:
+            self._waiting_on = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self.fail(exc)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque, Optional, Tuple
 
 from repro.sim.events import Event
@@ -30,8 +30,8 @@ class _HoldTimer(Event):
         self._triggered = True
         delay = self.delay
         if delay:
-            heapq.heappush(sim._queue,
-                           (sim._now + delay, next(sim._sequence), self))
+            heappush(sim._queue,
+                     (sim._now + delay, next(sim._sequence), self))
         else:
             sim._ready.append(self)
         tracker = self.tracker
@@ -87,7 +87,12 @@ class Resource:
     def acquire(self) -> Event:
         """Request one unit; the returned event fires when granted."""
         sim = self.sim
-        event = Event(sim)
+        # Event.__init__'s fields, stored inline: no constructor frame
+        event = _new(Event)
+        event.sim = sim
+        event.callbacks = []
+        event._ok = True
+        event._cancelled = False
         if self._in_use < self.capacity:
             # inline _grant + succeed: the uncontended fast path
             if self._in_use == 0 and self._busy_since is None:
@@ -97,6 +102,8 @@ class Resource:
             event._value = self
             sim._ready.append(event)
         else:
+            event._triggered = False
+            event._value = None
             self._waiters.append(event)
         return event
 
@@ -115,7 +122,7 @@ class Resource:
         if delay < 0:
             raise ValueError(f"negative hold delay: {delay}")
         sim = self.sim
-        # Inline the Event field setup, as Timeout does: this runs once
+        # Inline the Event field setup, as acquire does: this runs once
         # per modelled operation.
         timer = _new(_HoldTimer)
         timer.sim = sim
@@ -123,7 +130,6 @@ class Resource:
         timer._value = None
         timer._ok = True
         timer._triggered = False
-        timer._processed = False
         timer._cancelled = False
         timer.delay = int(delay)
         timer.tracker = tracker
@@ -132,7 +138,6 @@ class Resource:
         grant.callbacks = [timer._start]
         grant._value = self
         grant._ok = True
-        grant._processed = False
         grant._cancelled = False
         if self._in_use < self.capacity:
             # inline _grant + succeed: the uncontended fast path
@@ -210,25 +215,44 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Append ``item``; the event fires once the store accepts it."""
-        event = Event(self.sim)
+        sim = self.sim
+        # Event.__init__'s fields, stored inline, as in Resource.acquire
+        event = _new(Event)
+        event.sim = sim
+        event.callbacks = []
+        event._value = None
+        event._ok = True
+        event._cancelled = False
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
             self._getters.popleft().succeed(item)
-            event.succeed()
+            event._triggered = True
+            sim._ready.append(event)
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            event.succeed()
+            event._triggered = True
+            sim._ready.append(event)
         else:
+            event._triggered = False
             self._putters.append((event, item))
         return event
 
     def get(self) -> Event:
         """Take the oldest item; the event fires with it as value."""
-        event = Event(self.sim)
+        sim = self.sim
+        event = _new(Event)
+        event.sim = sim
+        event.callbacks = []
+        event._ok = True
+        event._cancelled = False
         if self._items:
-            event.succeed(self._items.popleft())
+            event._triggered = True
+            event._value = self._items.popleft()
+            sim._ready.append(event)
             self._admit_putter()
         else:
+            event._triggered = False
+            event._value = None
             self._getters.append(event)
         return event
 

@@ -116,16 +116,22 @@ class TestArming:
                 or name in above] == []
 
     def test_model_runs_without_numpy(self):
-        """The simulator needs only the standard library: building and
-        preconditioning a system on every interface imports no numpy."""
+        """The simulator needs only the standard library: building a
+        system on every interface, preconditioning it (pblk maps its own
+        pages, so OCSSD refuses that) and writing and reading it import
+        no numpy."""
         proc = _fresh_python(
             "import sys\n"
             f"sys.path.insert(0, {str(Path(repro.__file__).parents[2])!r})\n"
             "from repro.core.system import FullSystem\n"
             "from tests.conftest import tiny_ssd_config\n"
             "for interface in ('nvme', 'sata', 'ufs', 'ocssd'):\n"
-            "    FullSystem(device=tiny_ssd_config(),\n"
-            "               interface=interface).precondition()\n"
+            "    system = FullSystem(device=tiny_ssd_config(),\n"
+            "                        interface=interface)\n"
+            "    if interface != 'ocssd':\n"
+            "        system.precondition()\n"
+            "    system.run_process(system.write(0, 8))\n"
+            "    system.run_process(system.read(0, 8))\n"
             "print(*sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert "numpy" not in proc.stdout.split()

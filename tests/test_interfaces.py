@@ -233,6 +233,28 @@ class TestOcssd:
                   for desc in system.controller.report_chunks(pu)]
         assert ChunkState.OPEN in states or ChunkState.CLOSED in states
 
+    def test_precondition_is_refused_and_the_first_flush_runs(
+            self, tiny_config):
+        """``precondition`` filled the device FTL's blocks behind pblk,
+        so pblk's first flush then broke the in-order program rule
+        (``out-of-order program: block 0 expects page 16, got 0``).  It
+        is refused now, and the same write and flush run clean."""
+        system = FullSystem(device=tiny_config, interface="ocssd",
+                            data_emulation=True)
+        with pytest.raises(ValueError, match="pblk maps its own pages"):
+            system.precondition()
+        assert system.ssd.array.total_programs == 0
+        data = FullSystem.pattern_data(0, 64)
+
+        def scenario():
+            yield from system.write(0, 64, data)
+            flush = yield from system.submit_io(IORequest(IOKind.FLUSH, 0, 0))
+            yield flush
+            return (yield from system.read(0, 64))
+
+        assert system.run_process(scenario()) == data
+        assert system.adapter.pages_flushed == 16
+
     def test_pblk_data_integrity(self, tiny_config):
         system = FullSystem(device=tiny_config, interface="ocssd",
                             data_emulation=True)

@@ -398,6 +398,57 @@ def _self_time_by_track(spans):
     return by_track
 
 
+def _self_time_run(interface):
+    """The self-time workload on ``interface``: single-page random
+    writes, a flush, then single-page random reads, with every span and
+    every causal record kept.  Returns the causal tracer."""
+    from repro.common.iorequest import IOKind, IORequest
+    from repro.core.fio import FioJob
+    from repro.core.system import FullSystem
+    from repro.obs.runtime import disable_tracing, enable_tracing
+    from tests.conftest import tiny_ssd_config
+
+    page = tiny_ssd_config().geometry.page_size
+    enable_tracing()            # the causal tracer retains every span
+    enable_causal(top_k=SELF_TIME_IOS)      # and keeps every record
+    try:
+        system = FullSystem(device=tiny_ssd_config(), interface=interface)
+        if interface != "ocssd":        # pblk maps its own pages
+            system.precondition()
+        job = dict(bs=page, iodepth=4, total_ios=SELF_TIME_IOS, seed=5)
+        system.run_fio(FioJob(rw="randwrite", **job))
+
+        def flush():        # pblk's write buffer goes to flash
+            done = yield from system.submit_io(IORequest(IOKind.FLUSH, 0, 0))
+            yield done
+
+        system.run_process(flush())
+        system.run_fio(FioJob(rw="randread", **job))
+        return system.sim.tracer
+    finally:
+        disable_causal()
+        disable_tracing()
+
+
+@pytest.fixture(scope="module")
+def self_time_tracer():
+    """``_self_time_run``, run once per interface for this module."""
+    tracers = {}
+
+    def tracer_for(interface):
+        if interface not in tracers:
+            tracers[interface] = _self_time_run(interface)
+        return tracers[interface]
+
+    return tracer_for
+
+
+def _raw_tracks(tracer, op):
+    """The trace tracks of ``op``'s requests (records name aliases)."""
+    raw_track = {alias: raw for raw, alias in tracer._alias.items()}
+    return {raw_track[record["track"]] for record in tracer.worst(op)}
+
+
 class TestSelfTimeEquivalence:
     """The causal partition is span self time, per request.
 
@@ -410,35 +461,9 @@ class TestSelfTimeEquivalence:
     """
 
     @pytest.mark.parametrize("interface", ["nvme", "sata", "ufs", "ocssd"])
-    def test_components_equal_span_self_time(self, interface):
-        from repro.common.iorequest import IOKind, IORequest
-        from repro.core.fio import FioJob
-        from repro.core.system import FullSystem
-        from repro.obs.runtime import disable_tracing, enable_tracing
-        from tests.conftest import tiny_ssd_config
-
-        page = tiny_ssd_config().geometry.page_size
-        enable_tracing()            # the causal tracer retains every span
-        enable_causal(top_k=SELF_TIME_IOS)      # and keeps every record
-        try:
-            system = FullSystem(device=tiny_ssd_config(),
-                                interface=interface)
-            if interface != "ocssd":        # pblk maps its own pages
-                system.precondition()
-            job = dict(bs=page, iodepth=4, total_ios=SELF_TIME_IOS, seed=5)
-            system.run_fio(FioJob(rw="randwrite", **job))
-
-            def flush():        # pblk's write buffer goes to flash
-                done = yield from system.submit_io(
-                    IORequest(IOKind.FLUSH, 0, 0))
-                yield done
-
-            system.run_process(flush())
-            system.run_fio(FioJob(rw="randread", **job))
-            tracer = system.sim.tracer
-        finally:
-            disable_causal()
-            disable_tracing()
+    def test_components_equal_span_self_time(self, interface,
+                                             self_time_tracer):
+        tracer = self_time_tracer(interface)
         assert tracer.violations == 0
         self_time = _self_time_by_track(tracer.spans)
         raw_track = {alias: raw for raw, alias in tracer._alias.items()}
@@ -450,6 +475,27 @@ class TestSelfTimeEquivalence:
                             self_time[raw_track[record["track"]]].items()
                             if ns}
                 assert record["components"] == spans_ns, (op, record)
+
+    @pytest.mark.parametrize("interface", ["nvme", "ocssd"])
+    def test_read_flash_and_dma_spans_sit_on_request_tracks(
+            self, interface, self_time_tracer):
+        """Each single-page read's one DMA to the host sits on its
+        request's track on both interfaces; on OCSSD, whose reads all
+        reach flash, so does its one flash read.  The OCSSD controller
+        once ran both on track 0, which charged a read's die and DMA
+        time to ``ftl``."""
+        tracer = self_time_tracer(interface)
+        reads = _raw_tracks(tracer, "READ")
+        assert len(reads) == SELF_TIME_IOS and 0 not in reads
+        kinds = ["dma.to_host"] + (["flash.read"] if interface == "ocssd"
+                                   else [])
+        for kind in kinds:
+            tracks = sorted(span.track for span in tracer.by_kind(kind))
+            assert tracks == sorted(reads), kind
+        if interface == "ocssd":
+            for record in tracer.worst("READ"):
+                assert record["components"].get("die_busy", 0) > 0
+                assert record["components"].get("dma", 0) > 0
 
 
 # -- fleet: stores, reports, explain ------------------------------------------

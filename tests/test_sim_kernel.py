@@ -5,10 +5,12 @@ import pytest
 from repro.sim import (
     AllOf,
     AnyOf,
+    Event,
     Interrupt,
     Resource,
     Simulator,
     Store,
+    Timeout,
 )
 from repro.sim.engine import EmptySchedule
 
@@ -371,3 +373,293 @@ class TestStore:
         sim.run()
         assert ("put-a", 0) in timeline
         assert ("put-b", 50) in timeline
+
+
+# -- construction audit ---------------------------------------------------------
+#
+# The hot events are built with ``object.__new__`` and inline field
+# stores, not through ``Event.__init__``.  Each path that builds an event
+# is audited here: every ``__slots__`` field is set, and the public reads
+# equal those of ``Event.__init__`` plus the path's own trigger.
+
+_PENDING = object()
+
+
+def _like_init(value=_PENDING):
+    """``Event.__init__``'s event, then ``succeed(value)`` unless it is
+    to stay pending: what an inline construction must read like."""
+    event = Event(Simulator())
+    if value is not _PENDING:
+        event.succeed(value)
+    return event
+
+
+def _reads(event):
+    """The public reads; a pending event's ``value`` raises."""
+    try:
+        value = event.value
+    except RuntimeError as error:
+        value = f"raises {error}"
+    return (event.triggered, event.processed, event.ok, event.cancelled,
+            value)
+
+
+def _idle(sim):
+    yield sim.timeout(1)
+
+
+def _store(sim, *items, capacity=None):
+    store = Store(sim, capacity)
+    for item in items:
+        store.put(item)
+    return store
+
+
+#: name -> build(sim) returning (event, the value its trigger gives or
+#: _PENDING, its callbacks, its own fields)
+CONSTRUCTIONS = {}
+
+
+def _construction(name):
+    def register(build):
+        CONSTRUCTIONS[name] = build
+        return build
+    return register
+
+
+@_construction("event")
+def _event(sim):
+    return sim.event(), _PENDING, [], {}
+
+
+@_construction("timeout(0)")
+def _timeout_now(sim):
+    return sim.timeout(0), None, [], {"delay": 0}
+
+
+@_construction("timeout(d, value)")
+def _timeout_later(sim):
+    return sim.timeout(7.0, "v"), "v", [], {"delay": 7}
+
+
+@_construction("acquire, free")
+def _acquire_free(sim):
+    resource = Resource(sim, 1, "r")
+    return resource.acquire(), resource, [], {}
+
+
+@_construction("acquire, contended")
+def _acquire_contended(sim):
+    resource = Resource(sim, 1, "r")
+    resource.acquire()
+    return resource.acquire(), _PENDING, [], {}
+
+
+@_construction("acquire, granted by a release")
+def _acquire_granted(sim):
+    resource = Resource(sim, 1, "r")
+    resource.acquire()
+    waiter = resource.acquire()
+    resource.release()
+    return waiter, resource, [], {}
+
+
+@_construction("hold timer")
+def _hold_timer(sim):
+    resource = Resource(sim, 1, "r")
+    timer = resource.hold(4.0)
+    return timer, _PENDING, [], {"delay": 4, "tracker": None}
+
+
+@_construction("hold grant, free")
+def _hold_grant_free(sim):
+    resource = Resource(sim, 1, "r")
+    timer = resource.hold(4)
+    return timer.grant, resource, [timer._start], {}
+
+
+@_construction("hold grant, contended")
+def _hold_grant_contended(sim):
+    resource = Resource(sim, 1, "r")
+    resource.acquire()
+    timer = resource.hold(4)
+    return timer.grant, _PENDING, [timer._start], {}
+
+
+@_construction("put, immediate")
+def _put_now(sim):
+    return _store(sim).put("x"), None, [], {}
+
+
+@_construction("put, to a waiting getter")
+def _put_to_getter(sim):
+    store = _store(sim)
+    store.get()
+    return store.put("x"), None, [], {}
+
+
+@_construction("get, handed the put's item")
+def _getter_handed(sim):
+    store = _store(sim)
+    getter = store.get()
+    store.put("x")
+    return getter, "x", [], {}
+
+
+@_construction("put, blocked on a full store")
+def _put_blocked(sim):
+    return _store(sim, "a", capacity=1).put("b"), _PENDING, [], {}
+
+
+@_construction("get, immediate")
+def _get_now(sim):
+    return _store(sim, "x").get(), "x", [], {}
+
+
+@_construction("get, waiting")
+def _get_waiting(sim):
+    return _store(sim).get(), _PENDING, [], {}
+
+
+@_construction("process bootstrap")
+def _bootstrap(sim):
+    process = sim.process(_idle(sim))
+    return sim._ready[-1], None, [process._resume], {}
+
+
+@_construction("process")
+def _process(sim):
+    generator = _idle(sim)
+    return (sim.process(generator), _PENDING, [],
+            {"_generator": generator, "_waiting_on": None})
+
+
+@_construction("AllOf, pending")
+def _all_of_pending(sim):
+    children = [sim.timeout(1, "a"), sim.timeout(2, "b")]
+    condition = AllOf(sim, children)
+    return (condition, _PENDING, [],
+            {"events": children, "_pending": 2})
+
+
+@_construction("AllOf, children processed")
+def _all_of_settled(sim):
+    children = [sim.timeout(0, "a"), sim.timeout(0, "b")]
+    sim.run()
+    return (AllOf(sim, children), ["a", "b"], [],
+            {"events": children, "_pending": 0})
+
+
+@_construction("AnyOf, pending")
+def _any_of_pending(sim):
+    children = [sim.timeout(1, "a"), sim.timeout(2, "b")]
+    return (AnyOf(sim, children), _PENDING, [],
+            {"events": children, "_pending": 2})
+
+
+@_construction("AnyOf, a child processed")
+def _any_of_settled(sim):
+    done = sim.timeout(0, "a")
+    sim.run()
+    children = [sim.timeout(2, "b"), done]
+    return (AnyOf(sim, children), "a", [],
+            {"events": children, "_pending": 1})
+
+
+class TestConstructionAudit:
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_fields_and_reads_match_init_plus_trigger(self, name):
+        sim = Simulator()
+        event, value, callbacks, fields = CONSTRUCTIONS[name](sim)
+        slots = [slot for cls in type(event).__mro__
+                 for slot in getattr(cls, "__slots__", ())]
+        assert {"sim", "callbacks", "_value", "_ok", "_triggered",
+                "_cancelled"} <= set(slots)
+        for slot in slots:
+            getattr(event, slot)    # an unset slot raises AttributeError
+        assert event.sim is sim
+        assert _reads(event) == _reads(_like_init(value))
+        assert event.callbacks == callbacks
+        for field, expected in fields.items():
+            assert getattr(event, field) == expected, field
+            assert type(getattr(event, field)) is type(expected), field
+        # an event triggered at construction is dispatched as it stands
+        sim.run()
+        if value is not _PENDING:
+            assert _reads(event) == (True, True, True, False, value)
+            assert event.callbacks is None
+
+    def test_timeout_is_made_by_the_simulator_only(self, sim):
+        with pytest.raises(TypeError, match="sim.timeout"):
+            Timeout(sim, 5)
+        assert sim.queue_length == 0
+
+    def test_processed_is_callbacks_none(self, sim):
+        event = sim.event()
+        event.succeed("v")
+        assert not event.processed and event.callbacks == []
+        sim.run()
+        assert event.processed and event.callbacks is None
+        timeout = sim.timeout(1)
+        sim.run()
+        with pytest.raises(RuntimeError, match="processed timeout"):
+            timeout.cancel()
+
+
+class TestKernelInvariants:
+    def test_events_processed_exact_in_observers_and_after_a_raise(self, sim):
+        """The loop keeps its count in a local; it writes it back before
+        each observer call and on every exit, a raise included."""
+        seen = []
+
+        class Observer:
+            def on_event(self, when, event):
+                seen.append(sim.events_processed)
+
+            def on_stop(self, drained):
+                seen.append(("stop", sim.events_processed))
+
+        sim._observer = Observer()
+        for delay in (1, 2, 2):
+            sim.schedule(delay, lambda: None)
+
+        def boom():
+            raise KeyError("boom")
+
+        sim.schedule(3, boom)
+        sim.schedule(4, lambda: None)
+        with pytest.raises(KeyError):
+            sim.run()
+        assert seen == [1, 2, 3, 4, ("stop", 4)]
+        assert sim.events_processed == 4
+        sim.run()
+        assert sim.events_processed == 5
+
+    def test_waiting_on_is_the_current_wait_until_the_end(self, sim):
+        log = []
+
+        def body():
+            first = sim.timeout(1)
+            yield first
+            log.append(process._waiting_on is first)    # not cleared
+            second = sim.timeout(1)
+            yield second
+            return "done"
+
+        process = sim.process(body())
+        sim.run(until=0)
+        assert process._waiting_on is not None
+        sim.run()
+        assert log == [True]
+        assert process._waiting_on is None
+        assert process.value == "done"
+
+    def test_finishing_after_an_outside_trigger_raises(self, sim):
+        """A process finishes without ``succeed`` but keeps its guard."""
+        def body():
+            yield sim.timeout(1)
+
+        process = sim.process(body())
+        process.succeed("early")
+        with pytest.raises(RuntimeError, match="already triggered"):
+            sim.run()

@@ -11,8 +11,10 @@ the current instant and runs the old ``_dispatch``, ``peek`` and
 Hypothesis programs of a few processes drive both kernels through
 ``run()``, stepped ``run(until=...)``, ``step()`` and ``run_process``;
 after every driver call the dispatch traces, ``events_processed``,
-``now``, ``queue_length``, ``peek()`` and every resource's
-``busy_time()`` must agree.
+``now``, ``queue_length``, ``peek()``, every resource's ``busy_time()``
+and every store's items and waiters must agree.  One store is
+unbounded; the other holds one item and starts full with a put blocked
+behind it, so puts block and gets admit them.
 
 The same programs also check ``Resource.hold`` against the idiom it
 replaces: a program's ``hold`` ops run once as ``hold(delay)`` and once
@@ -24,6 +26,7 @@ timer as a ``Timeout``.
 """
 
 import heapq
+import os
 from itertools import count
 
 from hypothesis import HealthCheck, given, settings
@@ -72,7 +75,7 @@ class _Parent:
             self._pending = 0
             child_done = self._child_done
             for event in self.events:
-                if event._processed:
+                if event.callbacks is None:
                     if not event._ok:
                         self.fail(event._value)
                         return
@@ -92,7 +95,7 @@ class _Parent:
 
         def _results(self):
             return [event._value for event in self.events
-                    if event._processed and event._ok]
+                    if event.callbacks is None and event._ok]
 
     class AllOf(_Condition):
         __slots__ = ()
@@ -108,7 +111,8 @@ class _Parent:
             if self._triggered:
                 return
             if self._pending < len(self.events) or not self.events:
-                done = [event for event in self.events if event._processed]
+                done = [event for event in self.events
+                        if event.callbacks is None]
                 self.succeed(done[0]._value if done else None)
 
 
@@ -151,7 +155,7 @@ class ReferenceSimulator(Simulator):
                 self._event_count += 1
                 if observer is not None:
                     observer.on_event(when, event)
-                event._processed = True
+                # callbacks None marks the event processed
                 callbacks, event.callbacks = event.callbacks, None
                 if not event._ok and not callbacks:
                     orphans.append(event)
@@ -208,9 +212,14 @@ class World:
         self.names = {}
         self.trace = []
         self.resources = (Resource(sim, 1, "r0"), Resource(sim, 2, "r1"))
-        self.store = Store(sim)
-        for item in ("seed0", "seed1"):
-            self.store.put(item)
+        # an unbounded store, and a one-slot store that starts full with
+        # a put blocked behind it: a put there blocks until a get admits
+        # it (``_admit_putter``)
+        unbounded, one_slot = self.stores = (Store(sim, name="s0"),
+                                             Store(sim, 1, "s1"))
+        for store, item in ((unbounded, "seed0"), (unbounded, "seed1"),
+                            (one_slot, "seed2"), (one_slot, "seed3")):
+            store.put(item)
 
     def _owners(self, callbacks):
         owners = []
@@ -252,7 +261,9 @@ class World:
         return (list(self.trace), sim.events_processed, sim.now, length,
                 sim.peek(), len(sim._orphan_failures),
                 [(r.busy_time(), r.in_use, r.queued)
-                 for r in self.resources])
+                 for r in self.resources],
+                [(len(s), len(s._getters), len(s._putters))
+                 for s in self.stores])
 
 
 def _sleeper(sim, delay, value):
@@ -312,10 +323,10 @@ def _script(world, name, ops):
                     finally:
                         resource.release()
             elif kind == "put":
-                event = world.store.put(tag())
+                event = world.stores[op[1]].put(tag())
                 yield event
             elif kind == "get":
-                event = world.store.get()
+                event = world.stores[op[1]].get()
                 yield event
             elif kind in ("allof", "anyof"):
                 children = [child(spec) for spec in op[1]]
@@ -375,8 +386,7 @@ _LEAF = st.one_of(
     st.tuples(st.just("timeout"), _DELAY),
     _HOLD,
     _ACQUIRE,
-    st.just(("put",)),
-    st.just(("get",)),
+    st.tuples(st.sampled_from(["put", "get"]), st.sampled_from([0, 1])),
     st.tuples(st.sampled_from(["allof", "anyof"]),
               st.lists(_CHILD, max_size=3)),
     _CANCEL,
@@ -431,21 +441,31 @@ def _lockstep(program, calls, started=True, worlds=_kernels):
     return worlds
 
 
-_EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True,
-                     suppress_health_check=[HealthCheck.too_slow])
+#: The hypothesis profiles, picked by ``REPRO_DIFFERENTIAL_PROFILE``:
+#: ``tier1`` (the default) runs 60 derandomized examples per test;
+#: ``deep`` (CI's analysis job) runs 500 from a fresh seed, and a
+#: failure prints the ``@reproduce_failure`` decorator that replays it.
+_PROFILES = {
+    "tier1": settings(max_examples=60, deadline=None, derandomize=True,
+                      suppress_health_check=[HealthCheck.too_slow]),
+    "deep": settings(max_examples=500, deadline=None, database=None,
+                     print_blob=True,
+                     suppress_health_check=[HealthCheck.too_slow]),
+}
+_PROFILE = _PROFILES[os.environ.get("REPRO_DIFFERENTIAL_PROFILE", "tier1")]
 
 
 def _run(world):
     return world.sim.run()
 
 
-@_EXAMPLES
+@_PROFILE
 @given(PROGRAMS)
 def test_run_matches_single_heap(program):
     _lockstep(program, [_run])
 
 
-@_EXAMPLES
+@_PROFILE
 @given(PROGRAMS, st.lists(st.integers(0, 3), max_size=12))
 def test_stepped_run_until_matches_single_heap(program, strides):
     calls = [lambda world, stride=stride: world.sim.run(
@@ -453,7 +473,7 @@ def test_stepped_run_until_matches_single_heap(program, strides):
     _lockstep(program, calls + [_run])
 
 
-@_EXAMPLES
+@_PROFILE
 @given(PROGRAMS)
 def test_step_matches_single_heap(program):
     def steps():
@@ -464,7 +484,7 @@ def test_step_matches_single_heap(program):
     assert worlds[1].sim.peek() is None
 
 
-@_EXAMPLES
+@_PROFILE
 @given(PROGRAMS, st.sampled_from([0, 3]), st.sampled_from([None, 0, 2, 5]))
 def test_run_process_matches_single_heap(program, start, until):
     """``start`` moves the clock first, so a deadline can lie behind it."""
@@ -477,13 +497,13 @@ def test_run_process_matches_single_heap(program, start, until):
 
 # -- Resource.hold against acquire + timeout ------------------------------------
 
-@_EXAMPLES
+@_PROFILE
 @given(st.one_of(HOLD_PROGRAMS, PROGRAMS))
 def test_hold_run_matches_acquire_then_timeout(program):
     _lockstep(program, [_run], worlds=_hold_idioms)
 
 
-@_EXAMPLES
+@_PROFILE
 @given(HOLD_PROGRAMS, st.lists(st.integers(0, 3), max_size=12))
 def test_hold_stepped_run_matches_acquire_then_timeout(program, strides):
     calls = [lambda world, stride=stride: world.sim.run(
@@ -491,7 +511,7 @@ def test_hold_stepped_run_matches_acquire_then_timeout(program, strides):
     _lockstep(program, calls + [_run], worlds=_hold_idioms)
 
 
-@_EXAMPLES
+@_PROFILE
 @given(HOLD_PROGRAMS)
 def test_hold_step_matches_acquire_then_timeout(program):
     def steps():
