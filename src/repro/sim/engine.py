@@ -6,10 +6,13 @@
 right after a stop event, or when the queue drains.  The queue has two
 levels: a heap of ``(when, seq, event)`` entries for events due later,
 and a FIFO of events due now, which a zero-delay schedule appends to
-without a sequence number or a heap push.  The loop binds both and the
-event count to locals: it runs hundreds of thousands of times per macro
-benchmark and attribute lookups dominate otherwise.  The golden
-determinism suite (``tests/golden``) pins its observable behaviour.
+without a sequence number or a heap push.  An untriggered FIFO entry is
+exactly a hold's grant (:meth:`~repro.sim.resources.Resource.hold`): the
+loop counts it as one event and starts the hold's timer itself.  The
+loop binds both levels and the event count to locals: it runs hundreds
+of thousands of times per macro benchmark and attribute lookups
+dominate otherwise.  The golden determinism suite (``tests/golden``)
+pins its observable behaviour.
 """
 
 from __future__ import annotations
@@ -167,6 +170,7 @@ class Simulator:
         event._ok = True
         event._triggered = False
         event._cancelled = False
+        event._waiter = None
         return event
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
@@ -184,6 +188,7 @@ class Simulator:
         timeout._ok = True
         timeout._triggered = True
         timeout._cancelled = False
+        timeout._waiter = None
         timeout.delay = delay = int(delay)
         if delay:
             heappush(self._queue,
@@ -193,8 +198,38 @@ class Simulator:
         return timeout
 
     def process(self, generator) -> Process:
-        """Register ``generator`` as a process starting at this instant."""
-        return Process(self, generator)
+        """Register ``generator`` as a process starting at this instant.
+
+        The one way to make a :class:`Process`: the process and its
+        bootstrap are built inline, once per spawn.  The bootstrap is
+        queued triggered, after the events already due now, with the
+        process in its waiter slot.
+        """
+        if not hasattr(generator, "send"):
+            raise TypeError(
+                f"process requires a generator, got {type(generator)!r}")
+        process = _new(Process)
+        process.sim = self
+        process.callbacks = []
+        process._value = None
+        process._ok = True
+        process._triggered = False
+        process._cancelled = False
+        process._waiter = None
+        process._generator = generator
+        process._waiting_on = None
+        bootstrap = _new(Event)
+        bootstrap.sim = self
+        bootstrap.callbacks = []
+        bootstrap._value = None
+        bootstrap._ok = True
+        bootstrap._triggered = True
+        bootstrap._cancelled = False
+        bootstrap._waiter = process
+        self._ready.append(bootstrap)
+        if self.sanitizer is not None:
+            self.sanitizer.watch_process(process)
+        return process
 
     def all_of(self, events) -> AllOf:
         """An event firing once every event in ``events`` has fired."""
@@ -229,11 +264,14 @@ class Simulator:
         """Time of the next live event, or ``None`` if the queue is empty.
 
         Tombstoned (cancelled) heads are purged on the way, so the
-        answer always refers to an event that will actually fire.
+        answer always refers to an event that will actually be
+        dispatched.  A withdrawn hold's grant is kept: it still counts
+        as an event.
         """
         ready = self._ready
         while ready:
-            if ready[0]._cancelled:
+            head = ready[0]
+            if head._cancelled and head._triggered:
                 ready.popleft()
             else:
                 return self._now
@@ -253,16 +291,20 @@ class Simulator:
         due now come from the FIFO; when it is empty the heap head is
         popped (a tombstone is dropped without moving the clock), the
         clock moves to it, and that instant's other heap entries join
-        the FIFO before the head's callbacks run.  A failed event nobody
-        waits on is kept for :meth:`check_orphan_failures`.  The event
-        count lives in a local and is written back before each observer
-        call and on every exit.
+        the FIFO before the head's callbacks run.  A live event resumes
+        the process in its waiter slot first, then runs its callbacks; a
+        failed event nobody waits on is kept for
+        :meth:`check_orphan_failures`.  An untriggered FIFO entry is a
+        hold's grant: it counts as one event and, unless its holder has
+        left, starts the hold's timer.  The event count lives in a local
+        and is written back before each observer call and on every exit.
         """
         queue = self._queue
         ready = self._ready
         pop = heappop
         popleft = ready.popleft
         append = ready.append
+        sequence = self._sequence
         orphans = self._orphan_failures
         observer = self._observer
         processed = self._event_count
@@ -273,6 +315,27 @@ class Simulator:
             while True:
                 if ready:
                     event = popleft()
+                    if not event._triggered:
+                        # a hold's grant: one event, which starts the
+                        # hold's timer unless its holder has left
+                        processed += 1
+                        if observer is not None:
+                            self._event_count = processed
+                            observer.on_event(self._now, event)
+                        if not event._cancelled:
+                            event._triggered = True
+                            delay = event.delay
+                            if delay:   # its sequence number is drawn now
+                                heappush(queue, (self._now + delay,
+                                                 next(sequence), event))
+                            else:
+                                append(event)
+                            tracker = event.tracker
+                            if tracker is not None:
+                                tracker.begin()
+                        if event is stop:
+                            break
+                        continue
                     if event._cancelled:
                         continue
                 elif queue:
@@ -290,12 +353,19 @@ class Simulator:
                 if observer is not None:
                     self._event_count = processed
                     observer.on_event(self._now, event)
+                waiter = event._waiter
                 # callbacks None marks the event processed
                 callbacks, event.callbacks = event.callbacks, None
-                if not callbacks and not event._ok:
+                if waiter is not None:
+                    # the slot waiter subscribed first; clearing the slot
+                    # leaves no process-event cycle behind
+                    event._waiter = None
+                    waiter._resume(event)
+                elif not callbacks and not event._ok:
                     orphans.append(event)
-                for callback in callbacks:
-                    callback(event)
+                if callbacks:   # most events have only their slot waiter
+                    for callback in callbacks:
+                        callback(event)
                 if event is stop:
                     break
             # with neither a deadline nor a stop event, only an empty

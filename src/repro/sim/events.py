@@ -7,14 +7,16 @@ hundreds of thousands of events per macro benchmark (see
 elegance for speed: ``__slots__`` everywhere, direct underscore-field
 access between the three kernel modules instead of property calls, and
 hot events built with ``object.__new__`` and inline field stores rather
-than through a constructor (``Simulator.event``/``timeout``,
-``Resource.acquire``/``hold``, ``Store.put``/``get``, the process
-bootstrap; ``tests/test_sim_kernel.py`` audits each against
-:meth:`Event.__init__`).  An event is processed exactly when its
-``callbacks`` is ``None``: the loop sets it so as it takes the list to
-run it, and no separate flag is kept.  Behavioural contracts are pinned
-by the golden determinism suite, so any change here must keep event
-schedules bit-identical.
+than through a constructor (``Simulator.event``/``timeout``/``process``
+and its bootstrap, ``Resource.acquire``/``hold``, ``Store.put``/``get``;
+``tests/test_sim_kernel.py`` audits each against :meth:`Event.__init__`).
+An event is processed exactly when its ``callbacks`` is ``None``: the
+loop sets it so as it takes the list to run it, and no separate flag is
+kept.  The first process to wait on an event sits in its ``_waiter``
+slot rather than in ``callbacks``; the loop resumes it before the
+callbacks, so a slot waiter always subscribed before every callback in
+the list.  Behavioural contracts are pinned by the golden determinism
+suite, so any change here must keep event schedules bit-identical.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ class Event:
     ``fail`` is called (it is then on the simulator's queue), and becomes
     *processed* once the simulator pops it and runs its callbacks; its
     ``callbacks`` list is ``None`` from then on.  Processes wait on
-    events by ``yield``-ing them.
+    events by ``yield``-ing them: the first one to wait while nothing
+    else has subscribed takes the ``_waiter`` slot, any later one
+    appends its resume to ``callbacks``.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",
-                 "_cancelled")
+                 "_cancelled", "_waiter")
 
     def __init__(self, sim) -> None:
         self.sim = sim
@@ -45,6 +49,8 @@ class Event:
         self._ok: bool = True
         self._triggered = False
         self._cancelled = False
+        #: the process resumed first on dispatch, or None
+        self._waiter: Any = None
 
     @property
     def triggered(self) -> bool:
@@ -186,6 +192,7 @@ class _Condition(Event):
         self._ok = True
         self._triggered = False
         self._cancelled = False
+        self._waiter = None
         self.events = events = list(events)
         pending = 0
         child_done = self._child_done

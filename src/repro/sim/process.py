@@ -4,19 +4,20 @@ Hot-path note: ``_resume`` runs once per generator step — by far the
 most frequent call in any simulation — so it reads the waited event's
 underscore fields directly and attempts the common wait case (a live
 event on the same simulator) inline, deferring to :meth:`_wait_on` only
-for error diagnostics and already-processed targets.  ``_waiting_on``
-is overwritten by each new wait and cleared only when the generator
-ends; an event the process is no longer waiting on is processed, so
-:meth:`Process._throw` skips it.
+for error diagnostics and already-processed targets.  A process waits
+in the event's ``_waiter`` slot when nothing else has subscribed yet,
+and appends its ``_resume`` to ``callbacks`` otherwise, so dispatch
+order stays subscription order.  ``_waiting_on`` is overwritten by each
+new wait and cleared only when the generator ends; an event the process
+is no longer waiting on is processed, so :meth:`Process._throw` skips
+it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any
 
 from repro.sim.events import Event, Interrupt
-
-_new = object.__new__
 
 
 class Process(Event):
@@ -25,36 +26,16 @@ class Process(Event):
     The process itself is an event: it triggers (with the generator's
     return value) when the generator finishes, so processes can wait on
     one another simply by yielding them.
+
+    :meth:`~repro.sim.engine.Simulator.process` is the one way to make
+    one: it builds the process and its bootstrap without a constructor
+    frame, once per spawn.  Calling ``Process(...)`` raises.
     """
 
     __slots__ = ("_generator", "_waiting_on")
 
-    def __init__(self, sim, generator: Generator) -> None:
-        if not hasattr(generator, "send"):
-            raise TypeError(f"process requires a generator, got {type(generator)!r}")
-        # Inline the Event field setup, as Simulator.event does: a
-        # process is built per spawn.
-        self.sim = sim
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._triggered = False
-        self._cancelled = False
-        self._generator = generator
-        self._waiting_on: Event = None
-        # Kick off at the current instant (after already-queued events):
-        # the bootstrap is built inline and queued triggered.
-        bootstrap = _new(Event)
-        bootstrap.sim = sim
-        bootstrap.callbacks = [self._resume]
-        bootstrap._value = None
-        bootstrap._ok = True
-        bootstrap._triggered = True
-        bootstrap._cancelled = False
-        sim._ready.append(bootstrap)
-        sanitizer = getattr(sim, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.watch_process(self)
+    def __init__(self, *_args, **_kwargs) -> None:
+        raise TypeError("a Process is made by sim.process(generator)")
 
     @property
     def is_alive(self) -> bool:
@@ -75,10 +56,13 @@ class Process(Event):
         waited = self._waiting_on
         self._waiting_on = None
         if waited is not None and waited.callbacks is not None:
-            try:
-                waited.callbacks.remove(self._resume)
-            except ValueError:
-                pass
+            if waited._waiter is self:
+                waited._waiter = None
+            else:
+                try:
+                    waited.callbacks.remove(self._resume)
+                except ValueError:
+                    pass
         try:
             target = self._generator.throw(exc)
         except StopIteration as stop:
@@ -122,7 +106,10 @@ class Process(Event):
         if callbacks is not None and target_sim is self.sim \
                 and isinstance(target, Event):
             self._waiting_on = target
-            callbacks.append(self._resume)
+            if callbacks or target._waiter is not None:
+                callbacks.append(self._resume)
+            else:
+                target._waiter = self
         else:
             self._wait_on(target)
 
@@ -134,6 +121,19 @@ class Process(Event):
         if target.sim is not self.sim:
             raise ValueError("yielded event belongs to a different simulator")
         self._waiting_on = target
-        target.add_callback(self._resume)
-    # NOTE: _resume subscribes via callbacks.append directly on its fast
-    # path; add_callback here covers the already-processed target case.
+        callbacks = target.callbacks
+        if callbacks is None:
+            # already processed: a late subscriber, resumed at this
+            # instant unless something moves the process on first
+            target.add_callback(self._resume_late)
+        elif callbacks or target._waiter is not None:
+            callbacks.append(self._resume)
+        else:
+            target._waiter = self
+
+    def _resume_late(self, target: Event) -> None:
+        """Resume from an already-processed ``target`` if the process
+        still waits on it: an interrupt that reached the process first
+        has moved it on, and that wait must not be resumed twice."""
+        if self._waiting_on is target:
+            self._resume(target)

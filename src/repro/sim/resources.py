@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Deque, Optional, Tuple
 
 from repro.sim.events import Event
@@ -12,31 +11,18 @@ _new = object.__new__
 
 
 class _HoldTimer(Event):
-    """The timer of one :meth:`Resource.hold`.
+    """One :meth:`Resource.hold`: its grant and then its timer.
 
-    It stays pending until the hold's grant is dispatched; the grant's
-    one callback, :meth:`_start`, then queues it ``delay`` ns ahead.
+    Untriggered, it is the grant: it waits in the resource's queue
+    while the resource is busy and sits in the simulator's FIFO once
+    granted.  The loop dispatches that untriggered FIFO entry as the
+    grant, one event, and then (unless the holder has left) marks it
+    triggered, queues it ``delay`` ns ahead and begins ``tracker``.
     The sequence number is drawn at that moment, which is exactly when
     a holder woken by the grant would have drawn it for its timeout.
     """
 
-    __slots__ = ("delay", "grant", "tracker")
-
-    def _start(self, _grant: Event) -> None:
-        """The grant's callback: queue the timer, busy the tracker."""
-        if self._cancelled:
-            return  # withdrawn: the holder left before this grant ran
-        sim = self.sim
-        self._triggered = True
-        delay = self.delay
-        if delay:
-            heappush(sim._queue,
-                     (sim._now + delay, next(sim._sequence), self))
-        else:
-            sim._ready.append(self)
-        tracker = self.tracker
-        if tracker is not None:
-            tracker.begin()
+    __slots__ = ("delay", "tracker")
 
 
 class Resource:
@@ -93,6 +79,7 @@ class Resource:
         event.callbacks = []
         event._ok = True
         event._cancelled = False
+        event._waiter = None
         if self._in_use < self.capacity:
             # inline _grant + succeed: the uncontended fast path
             if self._in_use == 0 and self._busy_since is None:
@@ -112,10 +99,13 @@ class Resource:
 
         Returns the hold's timer, which fires ``delay`` ns after the
         grant; the holder yields it and passes it to :meth:`release` in a
-        ``finally``.  The grant is an event of its own, dispatched where
-        :meth:`acquire`'s would be, and its callback starts the timer, so
-        the schedule is that of ``yield acquire()`` followed by ``yield
-        sim.timeout(delay)``, without waking the holder at the grant.  A
+        ``finally``.  The timer is its own grant: still untriggered, it
+        goes where :meth:`acquire`'s grant would, into the simulator's
+        FIFO when a unit is free or into this resource's queue until a
+        release grants it.  The loop dispatches it there as one event
+        and then starts it, so the schedule is that of ``yield
+        acquire()`` followed by ``yield sim.timeout(delay)``, without
+        waking the holder at the grant.  A
         :class:`~repro.sim.stats.UtilizationTracker` given as ``tracker``
         is busy from the grant to the release.
         """
@@ -131,24 +121,17 @@ class Resource:
         timer._ok = True
         timer._triggered = False
         timer._cancelled = False
+        timer._waiter = None
         timer.delay = int(delay)
         timer.tracker = tracker
-        timer.grant = grant = _new(Event)
-        grant.sim = sim
-        grant.callbacks = [timer._start]
-        grant._value = self
-        grant._ok = True
-        grant._cancelled = False
         if self._in_use < self.capacity:
-            # inline _grant + succeed: the uncontended fast path
+            # the uncontended fast path: granted now
             if self._in_use == 0 and self._busy_since is None:
                 self._busy_since = sim._now
             self._in_use += 1
-            grant._triggered = True
-            sim._ready.append(grant)
+            sim._ready.append(timer)
         else:
-            grant._triggered = False
-            self._waiters.append(grant)
+            self._waiters.append(timer)
         return timer
 
     def release(self, hold: Optional[Event] = None) -> None:
@@ -156,16 +139,17 @@ class Resource:
 
         A holder passes the timer :meth:`hold` gave it.  If the timer has
         not started, the holder is leaving before its grant ran (an
-        exception thrown into it while it waited): a request still
-        queued is withdrawn and no unit is returned; a unit already
-        granted is returned, and the timer never starts.
+        exception thrown into it while it waited), and the timer is
+        cancelled: a request still queued is withdrawn from the queue
+        and no unit is returned; a unit already granted is returned, and
+        the grant still waiting in the FIFO is dispatched without
+        starting the timer.
         """
         if hold is not None:
             if not hold._triggered:
                 hold._cancelled = True
-                grant = hold.grant
-                if not grant._triggered:
-                    self._waiters.remove(grant)
+                if hold in self._waiters:
+                    self._waiters.remove(hold)
                     return
             elif hold.tracker is not None:
                 hold.tracker.end()
@@ -182,7 +166,10 @@ class Resource:
         if self._in_use == 0 and self._busy_since is None:
             self._busy_since = self.sim._now
         self._in_use += 1
-        event.succeed(self)
+        if type(event) is _HoldTimer:
+            self.sim._ready.append(event)   # a hold: the loop starts it
+        else:
+            event.succeed(self)
 
     def busy_time(self) -> int:
         """Total ns during which at least one unit was held."""
@@ -223,6 +210,7 @@ class Store:
         event._value = None
         event._ok = True
         event._cancelled = False
+        event._waiter = None
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
             self._getters.popleft().succeed(item)
@@ -245,6 +233,7 @@ class Store:
         event.callbacks = []
         event._ok = True
         event._cancelled = False
+        event._waiter = None
         if self._items:
             event._triggered = True
             event._value = self._items.popleft()

@@ -7,12 +7,14 @@ from repro.sim import (
     AnyOf,
     Event,
     Interrupt,
+    Process,
     Resource,
     Simulator,
     Store,
     Timeout,
 )
 from repro.sim.engine import EmptySchedule
+from repro.sim.stats import UtilizationTracker
 
 
 @pytest.fixture
@@ -379,8 +381,9 @@ class TestStore:
 #
 # The hot events are built with ``object.__new__`` and inline field
 # stores, not through ``Event.__init__``.  Each path that builds an event
-# is audited here: every ``__slots__`` field is set, and the public reads
-# equal those of ``Event.__init__`` plus the path's own trigger.
+# is audited here: every ``__slots__`` field is set, the public reads
+# equal those of ``Event.__init__`` plus the path's own trigger, and the
+# waiter slot holds the path's process or ``None``.
 
 _PENDING = object()
 
@@ -416,7 +419,8 @@ def _store(sim, *items, capacity=None):
 
 
 #: name -> build(sim) returning (event, the value its trigger gives or
-#: _PENDING, its callbacks, its own fields)
+#: _PENDING, its callbacks, its own fields; ``_waiter`` is ``None``
+#: unless the fields name it)
 CONSTRUCTIONS = {}
 
 
@@ -464,26 +468,31 @@ def _acquire_granted(sim):
     return waiter, resource, [], {}
 
 
-@_construction("hold timer")
-def _hold_timer(sim):
-    resource = Resource(sim, 1, "r")
-    timer = resource.hold(4.0)
-    return timer, _PENDING, [], {"delay": 4, "tracker": None}
-
+# a hold is one object: untriggered it is the grant, in the FIFO when
+# a unit is free and in the resource's queue when not; the loop starts
+# it as the timer when it dispatches the grant
 
 @_construction("hold grant, free")
 def _hold_grant_free(sim):
     resource = Resource(sim, 1, "r")
-    timer = resource.hold(4)
-    return timer.grant, resource, [timer._start], {}
+    timer = resource.hold(4.0)
+    return timer, _PENDING, [], {"delay": 4, "tracker": None}
 
 
 @_construction("hold grant, contended")
 def _hold_grant_contended(sim):
     resource = Resource(sim, 1, "r")
     resource.acquire()
-    timer = resource.hold(4)
-    return timer.grant, _PENDING, [timer._start], {}
+    timer = resource.hold(4, UtilizationTracker(sim))
+    return timer, _PENDING, [], {"delay": 4, "tracker": timer.tracker}
+
+
+@_construction("hold timer, started by its grant")
+def _hold_timer_started(sim):
+    resource = Resource(sim, 1, "r")
+    timer = resource.hold(4, UtilizationTracker(sim))
+    sim.step()
+    return timer, None, [], {"delay": 4, "tracker": timer.tracker}
 
 
 @_construction("put, immediate")
@@ -524,7 +533,7 @@ def _get_waiting(sim):
 @_construction("process bootstrap")
 def _bootstrap(sim):
     process = sim.process(_idle(sim))
-    return sim._ready[-1], None, [process._resume], {}
+    return sim._ready[-1], None, [], {"_waiter": process}
 
 
 @_construction("process")
@@ -574,12 +583,13 @@ class TestConstructionAudit:
         slots = [slot for cls in type(event).__mro__
                  for slot in getattr(cls, "__slots__", ())]
         assert {"sim", "callbacks", "_value", "_ok", "_triggered",
-                "_cancelled"} <= set(slots)
+                "_cancelled", "_waiter"} <= set(slots)
         for slot in slots:
             getattr(event, slot)    # an unset slot raises AttributeError
         assert event.sim is sim
         assert _reads(event) == _reads(_like_init(value))
         assert event.callbacks == callbacks
+        assert event._waiter is fields.get("_waiter")
         for field, expected in fields.items():
             assert getattr(event, field) == expected, field
             assert type(getattr(event, field)) is type(expected), field
@@ -588,11 +598,76 @@ class TestConstructionAudit:
         if value is not _PENDING:
             assert _reads(event) == (True, True, True, False, value)
             assert event.callbacks is None
+        assert event._waiter is None
 
     def test_timeout_is_made_by_the_simulator_only(self, sim):
         with pytest.raises(TypeError, match="sim.timeout"):
             Timeout(sim, 5)
         assert sim.queue_length == 0
+
+    def test_process_is_made_by_the_simulator_only(self, sim):
+        with pytest.raises(TypeError, match="sim.process"):
+            Process(sim, _idle(sim))
+        assert sim.queue_length == 0
+        with pytest.raises(TypeError, match="requires a generator"):
+            sim.process(lambda: None)
+        assert sim.queue_length == 0
+
+    def test_process_waits_in_its_bootstrap_slot(self, sim):
+        """The bootstrap is queued triggered after the events already
+        due now; its dispatch resumes the process from the slot and
+        clears it, and the first wait takes the next event's slot."""
+        first = sim.timeout(0)
+        process = sim.process(_idle(sim))
+        bootstrap = sim._ready[-1]
+        assert list(sim._ready) == [first, bootstrap]
+        sim.step()
+        sim.step()
+        assert bootstrap.processed and bootstrap._waiter is None
+        waited = process._waiting_on
+        assert waited._waiter is process and waited.callbacks == []
+        sim.run()
+        assert waited._waiter is None and process.value is None
+
+    def test_hold_is_its_own_grant_free(self, sim):
+        """An uncontended hold queues its untriggered timer in the FIFO;
+        dispatching it is the grant, one event, which starts the timer
+        with a fresh sequence number; the timer then fires."""
+        resource = Resource(sim, 1, "r")
+        tracker = UtilizationTracker(sim)
+        timer = resource.hold(4, tracker)
+        assert list(sim._ready) == [timer] and sim.queue_length == 1
+        assert resource.in_use == 1 and sim.peek() == 0
+        sim.step()                      # the grant
+        assert sim.events_processed == 1
+        assert timer.triggered and not timer.processed
+        assert not sim._ready and sim._queue == [(4, 0, timer)]
+        assert tracker._busy_since == 0    # begun at the grant
+        sim.step()                      # the timer
+        assert sim.events_processed == 2 and sim.now == 4
+        assert _reads(timer) == (True, True, True, False, None)
+        resource.release(timer)
+        assert resource.in_use == 0 and tracker.busy_ns() == 4
+
+    def test_hold_is_its_own_grant_contended(self, sim):
+        """A contended hold waits in the resource's queue as its
+        untriggered timer; the release appends it to the FIFO as is."""
+        resource = Resource(sim, 1, "r")
+        grant = resource.acquire()
+        timer = resource.hold(0)
+        assert list(resource._waiters) == [timer]
+        assert list(sim._ready) == [grant]
+        sim.run()
+        assert not timer.triggered and resource.queued == 1
+        resource.release()
+        assert resource.queued == 0 and resource.in_use == 1
+        assert list(sim._ready) == [timer] and not timer.triggered
+        sim.step()                      # the grant; a zero delay re-queues
+        assert timer.triggered and list(sim._ready) == [timer]
+        sim.step()                      # the timer
+        assert timer.processed and sim.events_processed == 3
+        resource.release(timer)
+        assert resource.in_use == 0
 
     def test_processed_is_callbacks_none(self, sim):
         event = sim.event()
@@ -663,3 +738,91 @@ class TestKernelInvariants:
         process.succeed("early")
         with pytest.raises(RuntimeError, match="already triggered"):
             sim.run()
+
+    def test_slot_waiter_resumes_before_the_callbacks(self, sim):
+        """The first process to wait takes the slot; a process waiting
+        behind another subscriber appends its resume, so dispatch order
+        is subscription order."""
+        order = []
+        event = sim.event()
+
+        def waiter(name):
+            value = yield event
+            order.append((name, value))
+
+        first = sim.process(waiter("first"))
+        sim.run()
+        assert event._waiter is first and event.callbacks == []
+        event.add_callback(lambda _ev: order.append(("callback", None)))
+        second = sim.process(waiter("second"))
+        sim.run()
+        assert event._waiter is first
+        assert event.callbacks[-1] == second._resume
+        event.succeed("v")
+        sim.run()
+        assert order == [("first", "v"), ("callback", None),
+                         ("second", "v")]
+        assert event._waiter is None
+
+    def test_a_waiter_behind_a_condition_appends(self, sim):
+        event = sim.event()
+        condition = sim.any_of([event])
+
+        def waiter():
+            yield event
+
+        process = sim.process(waiter())
+        sim.run()
+        assert event._waiter is None
+        assert event.callbacks == [condition._child_done, process._resume]
+
+    def test_interrupt_clears_the_slot(self, sim):
+        """An interrupt takes a slot waiter out of the slot; the event,
+        when it fires later, resumes nobody and fails nobody."""
+        event = sim.event()
+        log = []
+
+        def waiter():
+            try:
+                yield event
+            except Interrupt as interrupt:
+                log.append((interrupt.cause, sim.now))
+            log.append((yield sim.timeout(5, "after")))
+
+        process = sim.process(waiter())
+        sim.run()
+        assert event._waiter is process
+        process.interrupt("poke")
+        sim.run(until=1)
+        assert event._waiter is None and log == [("poke", 0)]
+        event.succeed("late")
+        sim.run()
+        assert log == [("poke", 0), "after"] and not process.is_alive
+        sim.check_orphan_failures()
+
+    def test_interrupt_before_a_late_subscriber_resumes_once(self, sim):
+        """A process that waits on an already-processed event is resumed
+        by a late-subscriber event at the same instant.  An interrupt
+        that reaches it first moves it on, and that late resume must
+        not resume its next wait as well."""
+        log = []
+
+        def victim():
+            old = sim.timeout(0, "old")
+            yield sim.timeout(0)
+            try:
+                log.append(("waited", (yield old), sim.now))
+            except Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause, sim.now))
+            log.append(("next", (yield sim.timeout(10, "new")), sim.now))
+
+        process = sim.process(victim())
+
+        def interrupter():
+            process.interrupt("x")
+            yield sim.timeout(0)
+
+        sim.process(interrupter())
+        sim.run()
+        assert log == [("interrupted", "x", 0), ("next", "new", 10)]
+        assert process.value is None and sim.now == 10

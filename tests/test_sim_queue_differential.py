@@ -8,21 +8,25 @@ that pushed every event, zero-delay ones included, onto one heap of
 ``ReferenceSimulator`` routes every zero-delay schedule onto the heap at
 the current instant and runs the old ``_dispatch``, ``peek`` and
 ``step`` verbatim, and ``all_of``/``any_of`` build the old conditions.
-Hypothesis programs of a few processes drive both kernels through
-``run()``, stepped ``run(until=...)``, ``step()`` and ``run_process``;
-after every driver call the dispatch traces, ``events_processed``,
-``now``, ``queue_length``, ``peek()``, every resource's ``busy_time()``
-and every store's items and waiters must agree.  One store is
-unbounded; the other holds one item and starts full with a put blocked
-behind it, so puts block and gets admit them.
+Its loop reads the current event layout as the live one does: a live
+event resumes the process in its waiter slot before its callbacks, and
+an untriggered entry is a hold's grant, which starts the hold's timer
+unless its holder has left.  Hypothesis programs of a few processes
+drive both kernels through ``run()``, stepped ``run(until=...)``,
+``step()`` and ``run_process``; after every driver call the dispatch
+traces, ``events_processed``, ``now``, ``queue_length``, ``peek()``,
+every resource's ``busy_time()`` and every store's items and waiters
+must agree.  One store is unbounded; the other holds one item and
+starts full with a put blocked behind it, so puts block and gets admit
+them.
 
 The same programs also check ``Resource.hold`` against the idiom it
 replaces: a program's ``hold`` ops run once as ``hold(delay)`` and once
 as ``yield acquire()`` then ``yield sim.timeout(delay)``, on the one
-kernel, and the two runs must agree in the same way.  The hold's grant
-runs a kernel callback where the idiom resumes the holder, so the trace
-names the grant's owners as the processes waiting on its timer, and the
-timer as a ``Timeout``.
+kernel, and the two runs must agree in the same way.  A hold is its own
+grant, so the trace labels an untriggered hold timer as the idiom's
+grant event, whose owner is the holder waiting on it, and a started one
+as a ``Timeout``.
 """
 
 import heapq
@@ -132,7 +136,8 @@ class ReferenceSimulator(Simulator):
     def peek(self):
         queue = self._queue
         while queue:
-            if queue[0][2]._cancelled:
+            head = queue[0][2]
+            if head._cancelled and head._triggered:
                 heapq.heappop(queue)
             else:
                 return queue[0][0]
@@ -149,15 +154,30 @@ class ReferenceSimulator(Simulator):
                 if until is not None and queue[0][0] > until:
                     break
                 when, _seq, event = pop(queue)
-                if event._cancelled:
+                if event._cancelled and event._triggered:
                     continue
                 self._now = when
                 self._event_count += 1
                 if observer is not None:
                     observer.on_event(when, event)
+                if not event._triggered:
+                    # a hold's grant: start the timer unless the holder
+                    # has left
+                    if not event._cancelled:
+                        event._triggered = True
+                        self._enqueue(event.delay, event)
+                        if event.tracker is not None:
+                            event.tracker.begin()
+                    if event is stop:
+                        break
+                    continue
+                waiter = event._waiter
                 # callbacks None marks the event processed
                 callbacks, event.callbacks = event.callbacks, None
-                if not event._ok and not callbacks:
+                if waiter is not None:
+                    event._waiter = None
+                    waiter._resume(event)
+                elif not event._ok and not callbacks:
                     orphans.append(event)
                 for callback in callbacks:
                     callback(event)
@@ -200,9 +220,9 @@ class World:
 
     It is the kernel's observer: every dispatch is recorded as its
     instant, the event's kind, value and ok flag, and the owners of its
-    callbacks (named processes, or the condition kind).  ``holds``
-    picks how the program's ``hold`` ops take their resource:
-    ``Resource.hold`` or the acquire-then-timeout idiom.
+    subscribers in dispatch order (named processes, or the condition
+    kind).  ``holds`` picks how the program's ``hold`` ops take their
+    resource: ``Resource.hold`` or the acquire-then-timeout idiom.
     """
 
     def __init__(self, kernel, holds=False) -> None:
@@ -210,6 +230,8 @@ class World:
         sim._observer = self
         self.holds = holds
         self.names = {}
+        #: each hold's timer -> its resource, to label the grant
+        self.held = {}
         self.trace = []
         self.resources = (Resource(sim, 1, "r0"), Resource(sim, 2, "r1"))
         # an unbounded store, and a one-slot store that starts full with
@@ -221,28 +243,34 @@ class World:
                             (one_slot, "seed2"), (one_slot, "seed3")):
             store.put(item)
 
-    def _owners(self, callbacks):
+    def _owners(self, event):
+        """The process in the waiter slot first, then the callbacks'."""
         owners = []
-        for callback in callbacks:
+        if event._waiter is not None:
+            owners.append(self.names.get(event._waiter, "main"))
+        for callback in event.callbacks:
             target = getattr(callback, "__self__", None)
             if isinstance(target, Process):
                 owners.append(self.names.get(target, "main"))
             elif isinstance(target, _CONDITIONS):
                 owners.append(type(target).__name__)
-            elif isinstance(target, _HoldTimer):
-                # a hold's grant: the idiom would resume the processes
-                # now waiting on the timer
-                owners.extend(self._owners(target.callbacks))
             else:
                 owners.append(getattr(callback, "__qualname__", "?"))
         return owners
 
     # the observer protocol
     def on_event(self, when, event):
-        kind = ("Timeout" if isinstance(event, _HoldTimer)
-                else type(event).__name__)
-        self.trace.append((when, kind, _value_label(event._value),
-                           event._ok, tuple(self._owners(event.callbacks))))
+        if isinstance(event, _HoldTimer):
+            if event._triggered:
+                kind, value = "Timeout", event._value
+            else:
+                # a hold's grant: the idiom's grant event, which
+                # resumes the holder waiting on it
+                kind, value = "Event", self.held[event]
+        else:
+            kind, value = type(event).__name__, event._value
+        self.trace.append((when, kind, _value_label(value), event._ok,
+                           tuple(self._owners(event))))
 
     def on_stop(self, drained):
         self.trace.append(("stop", drained))
@@ -272,6 +300,29 @@ def _sleeper(sim, delay, value):
     except Interrupt as interrupt:
         return ("interrupted", interrupt.cause)
     return "slept"
+
+
+def _waiting(event):
+    """Wait on ``event``, which another process waits on too."""
+    try:
+        return (yield event)
+    except Interrupt as interrupt:
+        return ("interrupted", interrupt.cause)
+
+
+def _holder(world, index, delay):
+    """Hold resource ``index`` for ``delay`` ns; an interrupt may make
+    the holder leave before its grant ran."""
+    resource = world.resources[index]
+    timer = resource.hold(delay)
+    world.held[timer] = resource
+    try:
+        yield timer
+    except Interrupt as interrupt:
+        return ("left", interrupt.cause)
+    finally:
+        resource.release(timer)
+    return "held"
 
 
 def _script(world, name, ops):
@@ -312,6 +363,7 @@ def _script(world, name, ops):
                 resource = world.resources[op[1]]
                 if world.holds:
                     timer = resource.hold(op[2])
+                    world.held[timer] = resource
                     try:
                         yield timer
                     finally:
@@ -359,6 +411,35 @@ def _script(world, name, ops):
                 yield event
                 if sleeper.is_alive:
                     sleeper.interrupt(tag())
+            elif kind == "share":
+                # a second process waits on this one's event: the first
+                # waiter sits in the slot, the next appends to the list
+                event = sim.timeout(op[1], tag())
+                world.spawn(_waiting(event), tag())
+                if op[2]:
+                    yield sim.timeout(0, tag())  # the other waits first
+                yield event
+            elif kind == "unslot":
+                # interrupt the slot waiter of an event with a second
+                # waiter behind it, then wait on that event too
+                shared = sim.timeout(op[1], tag())
+                first = world.spawn(_waiting(shared), tag())
+                world.spawn(_waiting(shared), tag())
+                yield sim.timeout(op[2], tag())
+                if first.is_alive:
+                    first.interrupt(tag())
+                event = shared
+                yield event
+            elif kind == "leave":
+                # a holder interrupted at once leaves while its grant
+                # sits in the FIFO (or its request is queued); later, it
+                # may be holding or done
+                holder = world.spawn(_holder(world, op[1], op[2]), tag())
+                if op[3] is not None:
+                    event = sim.timeout(op[3], tag())
+                    yield event
+                if holder.is_alive:
+                    holder.interrupt(tag())
         except Boom:
             continue
         if event is not None and event.processed:
@@ -382,6 +463,14 @@ _ACQUIRE = st.tuples(st.just("acquire"), st.sampled_from([0, 1]), _DELAY)
 _CANCEL = st.sampled_from([("cancel", 0, None), ("cancel", 1, None),
                            ("cancel", 1, 0), ("cancel", 3, None),
                            ("cancel", 3, 0), ("cancel", 3, 1)])
+#: the slot waiter of an event due in d ns interrupted after w < d ns,
+#: with a second waiter behind it; or the event fired first
+_UNSLOT = st.sampled_from([("unslot", 1, 0), ("unslot", 3, 0),
+                           ("unslot", 3, 1), ("unslot", 0, 0)])
+#: a holder of resource 0 or 1 for d ns, interrupted at once (None) or
+#: after 0 or 1 ns
+_LEAVE = st.tuples(st.just("leave"), st.sampled_from([0, 1]), _DELAY,
+                   st.sampled_from([None, 0, 1]))
 _LEAF = st.one_of(
     st.tuples(st.just("timeout"), _DELAY),
     _HOLD,
@@ -392,6 +481,9 @@ _LEAF = st.one_of(
     _CANCEL,
     st.tuples(st.just("trigger"), st.booleans(), _DELAY, st.booleans()),
     st.tuples(st.just("interrupt"), _DELAY, _DELAY),
+    st.tuples(st.just("share"), _DELAY, st.booleans()),
+    _UNSLOT,
+    _LEAVE,
 )
 
 
@@ -405,7 +497,8 @@ PROGRAMS = _programs(_LEAF)
 #: resource-heavy programs: holds mixed with plain acquires, timeouts
 #: and cancels, spawned so that they contend
 HOLD_PROGRAMS = _programs(st.one_of(
-    _HOLD, _HOLD, _ACQUIRE, st.tuples(st.just("timeout"), _DELAY), _CANCEL))
+    _HOLD, _HOLD, _ACQUIRE, st.tuples(st.just("timeout"), _DELAY), _CANCEL,
+    _LEAVE))
 
 
 def _outcome(call, world):
@@ -418,7 +511,8 @@ def _outcome(call, world):
 
 
 def _kernels():
-    return [World(ReferenceSimulator), World(Simulator)]
+    return [World(ReferenceSimulator, holds=True),
+            World(Simulator, holds=True)]
 
 
 def _hold_idioms():
@@ -581,6 +675,30 @@ class TestHoldLeavingEarly:
         assert (resource.in_use, resource.queued) == (0, 0)
         assert resource.busy_time() == 10 == sim.now
         assert tracker.busy_ns() == 0
+
+    def test_grant_left_in_the_fifo_is_still_one_event(self):
+        """A holder that leaves before its grant ran leaves the grant in
+        the FIFO: ``peek()`` keeps it, ``step()`` stops on it, and it is
+        dispatched as one event that starts nothing."""
+        sim = Simulator()
+        resource = Resource(sim, 1, "r")
+        tracker = UtilizationTracker(sim)
+        log = []
+        holder = sim.process(self._holder(sim, resource, 5, log, tracker))
+        holder.interrupt("left")    # queued behind the holder's start-up
+        sim.step()                  # the start-up: hold() queues the grant
+        timer = holder._waiting_on
+        assert not timer.triggered and timer._waiter is holder
+        sim.step()                  # the interrupt: the holder leaves
+        assert log == [("left", 0)] and timer.cancelled
+        assert (resource.in_use, resource.queued) == (0, 0)
+        assert sim.peek() == 0 and sim._ready[0] is timer
+        sim.step()                  # the withdrawn grant, and only it
+        assert sim.events_processed == 3 and not timer.triggered
+        assert sim._ready[0] is holder
+        sim.run()
+        assert sim.events_processed == 4 and sim.now == 0
+        assert not timer.triggered and tracker.busy_ns() == 0
 
     def test_interrupt_while_holding_matches_the_idiom(self):
         """After the grant ran, ``hold`` behaves as the idiom does: the
