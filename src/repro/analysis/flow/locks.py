@@ -8,8 +8,10 @@ fixed timestamp, which is miserable to debug from a trace.
 
 This pass builds a static **acquire-order graph**: a directed edge
 ``A -> B`` whenever some function acquires lock ``B`` while already
-holding lock ``A``; ``B.hold(...)`` acquires ``B`` as ``B.acquire()``
-does.  Holding is tracked through an ordered walk of each
+holding lock ``A``.  ``B.hold(...)`` waits for ``B`` as
+``B.acquire()`` does, so it makes the same edges, but it returns its
+unit when its timer fires, so ``B`` is not held after it.  Holding is
+tracked through an ordered walk of each
 function body (``try/finally`` release pairing included), and the
 analysis is interprocedural: a function's summary lists every lock it
 transitively acquires, with locks received as *parameters* resolved at
@@ -43,7 +45,6 @@ from repro.analysis.flow.project import (
     ordered_body,
 )
 from repro.analysis.registry import ProjectSite, project_rule
-from repro.analysis.rules import ACQUIRE_CALLS
 
 #: longest simple cycle searched for (deadlocks beyond this are rare
 #: and the search is exponential in this bound)
@@ -141,7 +142,8 @@ class _FunctionLocks:
 
     def visit_call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ACQUIRE_CALLS:
+        if isinstance(func, ast.Attribute) and \
+                func.attr in ("acquire", "hold"):
             identity = self.lock_id(func.value)
             if identity is not None:
                 self.record_acquire(
@@ -149,7 +151,8 @@ class _FunctionLocks:
                              getattr(node, "lineno", 1),
                              f"`{identity}.{func.attr}()` at "
                              f"{self._where(node)} in "
-                             f"`{self.func.name}()`"))
+                             f"`{self.func.name}()`"),
+                    held=func.attr == "acquire")
             return
         if isinstance(func, ast.Attribute) and func.attr == "release":
             identity = self.lock_id(func.value)
@@ -163,14 +166,16 @@ class _FunctionLocks:
         if callee is not None and callee.qualname != self.func.qualname:
             self.apply_summary(node, callee)
 
-    def record_acquire(self, acq: _Acquire) -> None:
+    def record_acquire(self, acq: _Acquire, held: bool = True) -> None:
+        """Edges from every held lock to ``acq``; ``held`` is False for a
+        hold, whose unit is returned before the function goes on."""
         for holder in self.held:
             self.analyzer.add_edge(holder, acq)
         # one held entry per identity: the ordered walk visits *both*
         # arms of a branch (e.g. traced vs untraced acquisition of the
         # same resource), which would otherwise leave a phantom lock
         # held after its single release
-        if all(holder.lock != acq.lock for holder in self.held):
+        if held and all(holder.lock != acq.lock for holder in self.held):
             self.held.append(acq)
         self.acquired.setdefault(acq.lock, acq)
 

@@ -169,18 +169,18 @@ def check_unordered_iteration(src: SourceFile) -> Iterator[Site]:
 
 # -- SIM104: events nobody waits on / processes that never yield --------------
 
-_EVENT_MAKERS = {"timeout", "acquire", "all_of", "any_of"}
+_EVENT_MAKERS = {"timeout", "acquire", "hold"}
 
 
 @rule("SIM104", "discarded-event",
       "An event nobody waits on is a silent no-op wait: it is still "
-      "created (and a Timeout still *schedules* itself: it sits in the "
-      "heap, advances nothing, and perturbs events_processed) but "
-      "nobody resumes on it. Flags a wait primitive used as a bare "
-      "statement and a timeout bound to a name that is never read "
-      "again; `yield` it, cancel() it, or don't create it. Also flags "
-      "generator functions handed to `sim.process(...)` that contain no "
-      "yield at all.")
+      "created (a Timeout still *schedules* itself: it sits in the "
+      "heap, advances nothing, and perturbs events_processed; a hold "
+      "still takes its unit for its delay) but nobody resumes on it. "
+      "Flags a wait primitive used as a bare statement and a timeout "
+      "bound to a name that is never read again; `yield` it, pass it "
+      "on, or don't create it. Also flags generator functions handed "
+      "to `sim.process(...)` that contain no yield at all.")
 def check_discarded_event(src: SourceFile) -> Iterator[Site]:
     # (a) expression statements that create-and-drop a wait
     for node in src.nodes:
@@ -239,7 +239,7 @@ def check_discarded_event(src: SourceFile) -> Iterator[Site]:
                     call_func.attr == "timeout":
                 yield node, node.col_offset, \
                     f"timeout bound to `{node.targets[0].id}` is never " \
-                    "yielded, cancelled or passed on — it still fires"
+                    "yielded or passed on — it still fires"
 
 
 # -- SIM106: acquire/release pairing ------------------------------------------
@@ -256,18 +256,14 @@ def _finally_ranges(nodes: List[ast.AST]) -> List[Tuple[int, int]]:
     return ranges
 
 
-#: the calls that take a unit of a Resource (SIM106, SIM220): ``hold``
-#: is an acquire whose timer starts at the grant
-ACQUIRE_CALLS = ("acquire", "hold")
-
-
 @rule("SIM106", "acquire-release",
-      "Every `Resource.acquire()` or `Resource.hold()` needs a "
-      "`release()` on *all* exit paths of the same function: an "
-      "exception (Interrupt, model error) thrown into the process "
-      "between the two leaks the token and deadlocks every later waiter. "
-      "Put the release in a try/finally when any yield sits between "
-      "them.")
+      "Every `Resource.acquire()` needs a `release()` on *all* exit "
+      "paths of the same function: an exception (Interrupt, model "
+      "error) thrown into the process between the two leaks the token "
+      "and deadlocks every later waiter. Put the release in a "
+      "try/finally when any yield sits between them. A "
+      "`Resource.hold()` returns its unit when its timer fires and "
+      "needs no release.")
 def check_acquire_release(src: SourceFile) -> Iterator[Site]:
     for func in src.functions():
         nodes = src.own_nodes(func)
@@ -276,7 +272,7 @@ def check_acquire_release(src: SourceFile) -> Iterator[Site]:
         for node in nodes:
             if isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute):
-                if node.func.attr in ACQUIRE_CALLS:
+                if node.func.attr == "acquire":
                     acquires.append((node, ast.unparse(node.func.value)))
                 elif node.func.attr == "release":
                     releases.append((node, ast.unparse(node.func.value)))

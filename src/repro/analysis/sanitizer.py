@@ -23,11 +23,11 @@ detects:
 * **leaked tokens** — ``Resource`` units still held when ``run()``
   drains the queue (a deadline or ``run_process`` is no drain): an
   acquire whose release was skipped on some path;
+* **stuck waiters** — ``Resource`` requests still queued at that
+  drain, which no release will ever grant;
 * **stuck processes** — processes that never finished although the
   simulation has no events left to run them with (a deadlock, or a
-  wait on an event nobody will trigger);
-* **double cancels** — ``Timeout.cancel()`` on an already-cancelled
-  timeout, which usually means two owners think they own the timer.
+  wait on an event nobody will trigger).
 
 Violations accumulate on the sanitizer (and process-wide via
 :func:`all_violations`); :meth:`SimSanitizer.check` raises a
@@ -112,7 +112,7 @@ class SimSanitizer:
 
     ``on_event`` is the hot-loop entry point: one ring append plus one
     integer comparison per processed event.  Everything else runs on
-    cold paths (construction, stop, cancel, failure).
+    cold paths (construction, stop, failure).
     """
 
     __slots__ = ("sim", "violations", "label", "flight", "_high_water",
@@ -184,14 +184,6 @@ class SimSanitizer:
     def on_failure(self, error: BaseException) -> Optional[str]:
         """Dump a post-mortem when the run the sanitizer watched failed."""
         return self._dump(error=error)
-
-    # -- cold-path hooks ----------------------------------------------------
-
-    def on_double_cancel(self, timeout: Any) -> None:
-        """A Timeout was cancelled twice — two owners for one timer."""
-        self.violations.append(Violation(
-            "double-cancel", self.sim.now,
-            f"cancel() on an already-cancelled {timeout!r}"))
 
     # -- reporting ----------------------------------------------------------
 

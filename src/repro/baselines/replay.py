@@ -47,9 +47,7 @@ class ClosedLoopReplayer:
         is_random = pattern.startswith("rand")
 
         def one_slot():
-            while state["done"] + iodepth <= n_ios + iodepth - 1:
-                if state["done"] >= n_ios:
-                    break
+            while state["done"] < n_ios:
                 if is_random:
                     block = rng.randrange(n_blocks)
                 else:

@@ -28,12 +28,7 @@ class SystemBus:
         """Process generator: move ``nbytes`` across the crossbar."""
         if nbytes <= 0:
             return
-        lanes = self._lanes
-        timer = lanes.hold(self._transfer_ns[nbytes])
-        try:
-            yield timer
-        finally:
-            lanes.release(timer)
+        yield self._lanes.hold(self._transfer_ns[nbytes])
         self.bytes_moved += nbytes
         self.transactions += 1
 

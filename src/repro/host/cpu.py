@@ -107,13 +107,8 @@ class HostCpu:
             record = chosen.runs[id(mix)]
         except KeyError:
             record = chosen.runs[id(mix)] = MixRuns(mix, self.exec_ns(mix))
-        resource = chosen.resource
-        timer = resource.hold(record.ns, chosen.kernel_util if kernel
-                              else chosen.user_util)
-        try:
-            yield timer
-        finally:
-            resource.release(timer)
+        yield chosen.resource.hold(record.ns, chosen.kernel_util if kernel
+                                   else chosen.user_util)
         record.runs += 1
 
     def _pick(self, core: Optional[int]) -> int:

@@ -37,12 +37,7 @@ class HostMemory:
         del write  # symmetric timing; kept for call-site clarity
         if nbytes <= 0:
             return
-        bus = self._bus
-        timer = bus.hold(self._access_ns[nbytes])
-        try:
-            yield timer
-        finally:
-            bus.release(timer)
+        yield self._bus.hold(self._access_ns[nbytes])
         self.bytes_moved += nbytes
 
     # -- footprint ledger --------------------------------------------------------

@@ -37,24 +37,14 @@ class _Link:
     def send(self, nbytes: int):
         """Process: host-to-device transfer."""
         if nbytes > 0:
-            lane = self._tx
-            timer = lane.hold(self._serialize_ns[nbytes])
-            try:
-                yield timer
-            finally:
-                lane.release(timer)
+            yield self._tx.hold(self._serialize_ns[nbytes])
             yield self.sim.timeout(self.latency_ns)
         self.bytes_tx += nbytes
 
     def receive(self, nbytes: int):
         """Process: device-to-host transfer."""
         if nbytes > 0:
-            lane = self._rx
-            timer = lane.hold(self._serialize_ns[nbytes])
-            try:
-                yield timer
-            finally:
-                lane.release(timer)
+            yield self._rx.hold(self._serialize_ns[nbytes])
             yield self.sim.timeout(self.latency_ns)
         self.bytes_rx += nbytes
 

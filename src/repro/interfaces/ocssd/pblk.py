@@ -358,19 +358,22 @@ class PblkDriver(HostAdapter):
     # -- trim ---------------------------------------------------------------------------
 
     def _trim(self, req: IORequest, event):
-        """Deallocate every page the range touches: drop it from the
-        write buffer, unbind it and invalidate its flash page.  No vector
-        read and no data phase; a flush batch still programming one of
-        these pages leaves it unbound."""
+        """Deallocate every page the range covers whole: drop it from the
+        write buffer, unbind it and invalidate its flash page.  A page the
+        range covers only in part keeps its bytes, since deallocation is
+        advisory.  No vector read and no data phase; a flush batch still
+        programming one of these pages leaves it unbound."""
         tracer = self.sim.tracer
         with (tracer.span("ocssd.pblk.trim", req.req_id,
                           nsectors=req.nsectors)
               if tracer.enabled else NULL_SPAN_CONTEXT):
             req.t_device = self.sim.now
-            end_lpn = -(-(req.slba + req.nsectors) // self.sectors_per_page)
-            for lpn in range(req.slba // self.sectors_per_page, end_lpn):
-                if lpn >= self.logical_pages:
-                    raise ValueError(f"lpn {lpn} beyond pblk capacity")
+            spp = self.sectors_per_page
+            end = req.slba + req.nsectors
+            last = -(-end // spp) - 1   # the last page the range touches
+            if last >= self.logical_pages:
+                raise ValueError(f"lpn {last} beyond pblk capacity")
+            for lpn in range(-(-req.slba // spp), end // spp):
                 yield from self.cpu.execute(_MIX_READ_LOOKUP, kernel=True)
                 self._buffer.pop(lpn, None)
                 ppn = self.l2p[lpn]

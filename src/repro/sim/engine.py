@@ -6,12 +6,14 @@
 right after a stop event, or when the queue drains.  The queue has two
 levels: a heap of ``(when, seq, event)`` entries for events due later,
 and a FIFO of events due now, which a zero-delay schedule appends to
-without a sequence number or a heap push.  An untriggered FIFO entry is
-exactly a hold's grant (:meth:`~repro.sim.resources.Resource.hold`): the
-loop counts it as one event and starts the hold's timer itself.  The
-loop binds both levels and the event count to locals: it runs hundreds
-of thousands of times per macro benchmark and attribute lookups
-dominate otherwise.  The golden determinism suite (``tests/golden``)
+without a sequence number or a heap push.  Every queued event is
+dispatched and counted.  An untriggered FIFO entry is exactly a hold's
+grant (:meth:`~repro.sim.resources.Resource.hold`): the loop counts it
+as one event and starts the hold's timer itself, and when that timer
+fires the loop returns the hold's unit before anyone waiting on it
+resumes.  The loop binds both levels and the event count to locals: it
+runs hundreds of thousands of times per macro benchmark and attribute
+lookups dominate otherwise.  The golden determinism suite (``tests/golden``)
 pins its observable behaviour.
 """
 
@@ -22,8 +24,9 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Dict, Iterator, Optional
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
+from repro.sim.resources import _HoldTimer
 from repro.sim.tracer import NULL_TRACER
 
 _new = object.__new__
@@ -82,11 +85,8 @@ class Simulator:
     Every one of those entries was scheduled before the instant began,
     so this is exactly the (time, sequence) order of a single heap.
 
-    Cancelled events (see :meth:`~repro.sim.events.Timeout.cancel`) stay
-    queued as tombstones and are discarded when they reach the front —
-    without moving the clock and without counting toward
-    ``events_processed``, so a cancel storm does not perturb the
-    simulation-speed metric.
+    Every queued event is dispatched and counts toward
+    ``events_processed``: nothing leaves the queue any other way.
 
     Construction calls every factory installed in :data:`HOOKS`.  Every
     simulator carries a ``tracer`` (see :mod:`repro.sim.tracer`): the
@@ -154,8 +154,7 @@ class Simulator:
     @property
     def queue_length(self) -> int:
         """Events queued and not yet dispatched: those due later plus
-        those due now.  A cancelled timeout counts until the loop (or
-        :meth:`peek`) discards it at the front of the queue."""
+        those due now."""
         return len(self._queue) + len(self._ready)
 
     # -- factory helpers -------------------------------------------------
@@ -169,7 +168,6 @@ class Simulator:
         event._value = None
         event._ok = True
         event._triggered = False
-        event._cancelled = False
         event._waiter = None
         return event
 
@@ -187,7 +185,6 @@ class Simulator:
         timeout._value = value
         timeout._ok = True
         timeout._triggered = True
-        timeout._cancelled = False
         timeout._waiter = None
         timeout.delay = delay = int(delay)
         if delay:
@@ -214,7 +211,6 @@ class Simulator:
         process._value = None
         process._ok = True
         process._triggered = False
-        process._cancelled = False
         process._waiter = None
         process._generator = generator
         process._waiting_on = None
@@ -224,20 +220,11 @@ class Simulator:
         bootstrap._value = None
         bootstrap._ok = True
         bootstrap._triggered = True
-        bootstrap._cancelled = False
         bootstrap._waiter = process
         self._ready.append(bootstrap)
         if self.sanitizer is not None:
             self.sanitizer.watch_process(process)
         return process
-
-    def all_of(self, events) -> AllOf:
-        """An event firing once every event in ``events`` has fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """An event firing as soon as any event in ``events`` fires."""
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
 
@@ -261,43 +248,28 @@ class Simulator:
     # -- execution -------------------------------------------------------
 
     def peek(self) -> Optional[int]:
-        """Time of the next live event, or ``None`` if the queue is empty.
-
-        Tombstoned (cancelled) heads are purged on the way, so the
-        answer always refers to an event that will actually be
-        dispatched.  A withdrawn hold's grant is kept: it still counts
-        as an event.
-        """
-        ready = self._ready
-        while ready:
-            head = ready[0]
-            if head._cancelled and head._triggered:
-                ready.popleft()
-            else:
-                return self._now
+        """Time of the next event, or ``None`` if the queue is empty."""
+        if self._ready:
+            return self._now
         queue = self._queue
-        while queue:
-            if queue[0][2]._cancelled:
-                heappop(queue)
-            else:
-                return queue[0][0]
-        return None
+        return queue[0][0] if queue else None
 
     def _dispatch(self, until: Optional[int], stop: Optional[Event]) -> None:
-        """The event loop: pop live events in time order and run them.
+        """The event loop: pop events in time order and run them.
 
         Stops when the queue drains, before the first event later than
         ``until``, or right after ``stop`` has been dispatched.  Events
         due now come from the FIFO; when it is empty the heap head is
-        popped (a tombstone is dropped without moving the clock), the
-        clock moves to it, and that instant's other heap entries join
-        the FIFO before the head's callbacks run.  A live event resumes
-        the process in its waiter slot first, then runs its callbacks; a
-        failed event nobody waits on is kept for
+        popped, the clock moves to it, and that instant's other heap
+        entries join the FIFO before the head's callbacks run.  An event
+        resumes the process in its waiter slot first, then runs its
+        callbacks; a failed event nobody waits on is kept for
         :meth:`check_orphan_failures`.  An untriggered FIFO entry is a
-        hold's grant: it counts as one event and, unless its holder has
-        left, starts the hold's timer.  The event count lives in a local
-        and is written back before each observer call and on every exit.
+        hold's grant: it counts as one event and starts the hold's
+        timer.  A hold's timer ends its tracker and returns its unit,
+        which may grant the next waiter, before anything waiting on it
+        runs.  The event count lives in a local and is written back
+        before each observer call and on every exit.
         """
         queue = self._queue
         ready = self._ready
@@ -307,6 +279,7 @@ class Simulator:
         sequence = self._sequence
         orphans = self._orphan_failures
         observer = self._observer
+        hold_timer = _HoldTimer
         processed = self._event_count
         drained = False
         try:
@@ -317,33 +290,28 @@ class Simulator:
                     event = popleft()
                     if not event._triggered:
                         # a hold's grant: one event, which starts the
-                        # hold's timer unless its holder has left
+                        # hold's timer
                         processed += 1
                         if observer is not None:
                             self._event_count = processed
                             observer.on_event(self._now, event)
-                        if not event._cancelled:
-                            event._triggered = True
-                            delay = event.delay
-                            if delay:   # its sequence number is drawn now
-                                heappush(queue, (self._now + delay,
-                                                 next(sequence), event))
-                            else:
-                                append(event)
-                            tracker = event.tracker
-                            if tracker is not None:
-                                tracker.begin()
+                        event._triggered = True
+                        delay = event.delay
+                        if delay:   # its sequence number is drawn now
+                            heappush(queue, (self._now + delay,
+                                             next(sequence), event))
+                        else:
+                            append(event)
+                        tracker = event.tracker
+                        if tracker is not None:
+                            tracker.begin()
                         if event is stop:
                             break
-                        continue
-                    if event._cancelled:
                         continue
                 elif queue:
                     if until is not None and queue[0][0] > until:
                         break
                     when, _seq, event = pop(queue)
-                    if event._cancelled:
-                        continue
                     self._now = when
                     while queue and queue[0][0] == when:
                         append(pop(queue)[2])
@@ -353,6 +321,13 @@ class Simulator:
                 if observer is not None:
                     self._event_count = processed
                     observer.on_event(self._now, event)
+                if type(event) is hold_timer:
+                    # a hold's timer: the unit returns before anything
+                    # waiting on the timer runs
+                    tracker = event.tracker
+                    if tracker is not None:
+                        tracker.end()
+                    event.resource.release()
                 waiter = event._waiter
                 # callbacks None marks the event processed
                 callbacks, event.callbacks = event.callbacks, None
@@ -377,7 +352,7 @@ class Simulator:
                 observer.on_stop(drained)
 
     def step(self) -> None:
-        """Process exactly one live event (skipping tombstones)."""
+        """Process exactly one event."""
         if self.peek() is None:
             raise EmptySchedule()
         ready = self._ready

@@ -10,6 +10,8 @@ hot events built with ``object.__new__`` and inline field stores rather
 than through a constructor (``Simulator.event``/``timeout``/``process``
 and its bootstrap, ``Resource.acquire``/``hold``, ``Store.put``/``get``;
 ``tests/test_sim_kernel.py`` audits each against :meth:`Event.__init__`).
+Every queued event is dispatched and counted: nothing is withdrawn from
+the queue once it is there.
 An event is processed exactly when its ``callbacks`` is ``None``: the
 loop sets it so as it takes the list to run it, and no separate flag is
 kept.  The first process to wait on an event sits in its ``_waiter``
@@ -40,7 +42,7 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",
-                 "_cancelled", "_waiter")
+                 "_waiter")
 
     def __init__(self, sim) -> None:
         self.sim = sim
@@ -48,7 +50,6 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
-        self._cancelled = False
         #: the process resumed first on dispatch, or None
         self._waiter: Any = None
 
@@ -61,11 +62,6 @@ class Event:
     def processed(self) -> bool:
         """True once the simulator popped the event and ran callbacks."""
         return self.callbacks is None
-
-    @property
-    def cancelled(self) -> bool:
-        """True if the event was tombstoned before processing."""
-        return self._cancelled
 
     @property
     def ok(self) -> bool:
@@ -118,9 +114,8 @@ class Event:
             callbacks.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else (
-            "processed" if self.callbacks is None else (
-                "triggered" if self._triggered else "pending"))
+        state = "processed" if self.callbacks is None else (
+            "triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at t={self.sim.now}>"
 
 
@@ -130,37 +125,12 @@ class Timeout(Event):
     :meth:`~repro.sim.engine.Simulator.timeout` is the one way to make
     one: it builds the timeout without a constructor frame, once per
     simulated wait, and queues it.  Calling ``Timeout(...)`` raises.
-
-    A pending timeout may be :meth:`cancel`-led — e.g. an elevator's
-    anticipation timer obsoleted by an arriving request.  Cancellation
-    tombstones the heap entry: the simulator drops it lazily when it
-    reaches the head of the queue, without rebuilding the heap and
-    without counting it in ``events_processed``.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, *_args, **_kwargs) -> None:
         raise TypeError("a Timeout is made by sim.timeout(delay, value)")
-
-    def cancel(self) -> None:
-        """Tombstone the timeout so it never fires.
-
-        Only meaningful while the timeout is still queued; cancelling a
-        processed timeout is an error.  Waiters that registered before
-        the cancel will never be resumed by this event, so only cancel
-        timeouts you own exclusively (the usual speculative-timer case).
-        """
-        if self.callbacks is None:
-            raise RuntimeError("cannot cancel a processed timeout")
-        if self._cancelled:
-            # double cancel: two owners think they hold this timer —
-            # benign for the schedule (tombstoning is idempotent) but
-            # worth surfacing when the sanitizer is watching
-            sanitizer = getattr(self.sim, "sanitizer", None)
-            if sanitizer is not None:
-                sanitizer.on_double_cancel(self)
-        self._cancelled = True
 
 
 class Interrupt(Exception):
@@ -191,7 +161,6 @@ class _Condition(Event):
         self._value = None
         self._ok = True
         self._triggered = False
-        self._cancelled = False
         self._waiter = None
         self.events = events = list(events)
         pending = 0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Deque, Optional
 
 from repro.sim.events import Event
 
@@ -16,13 +16,15 @@ class _HoldTimer(Event):
     Untriggered, it is the grant: it waits in the resource's queue
     while the resource is busy and sits in the simulator's FIFO once
     granted.  The loop dispatches that untriggered FIFO entry as the
-    grant, one event, and then (unless the holder has left) marks it
-    triggered, queues it ``delay`` ns ahead and begins ``tracker``.
-    The sequence number is drawn at that moment, which is exactly when
-    a holder woken by the grant would have drawn it for its timeout.
+    grant, one event, and then marks it triggered, queues it ``delay``
+    ns ahead and begins ``tracker``.  The sequence number is drawn at
+    that moment, which is exactly when a holder woken by the grant
+    would have drawn it for its timeout.  When the timer fires, the
+    loop ends ``tracker`` and releases ``resource`` before it resumes
+    anyone waiting on the timer.
     """
 
-    __slots__ = ("delay", "tracker")
+    __slots__ = ("delay", "tracker", "resource")
 
 
 class Resource:
@@ -36,13 +38,10 @@ class Resource:
         resource.release()
 
     A holder whose work is a fixed delay decided at the call uses
-    :meth:`hold` instead, which wakes it once, when the delay is over::
+    :meth:`hold` instead, which wakes it once, when the delay is over
+    and the unit is already returned::
 
-        timer = resource.hold(delay)
-        try:
-            yield timer
-        finally:
-            resource.release(timer)
+        yield resource.hold(delay)
     """
 
     def __init__(self, sim, capacity: int = 1, name: str = "") -> None:
@@ -78,7 +77,6 @@ class Resource:
         event.sim = sim
         event.callbacks = []
         event._ok = True
-        event._cancelled = False
         event._waiter = None
         if self._in_use < self.capacity:
             # inline _grant + succeed: the uncontended fast path
@@ -98,16 +96,18 @@ class Resource:
         """Request one unit and hold it for ``delay`` ns from the grant.
 
         Returns the hold's timer, which fires ``delay`` ns after the
-        grant; the holder yields it and passes it to :meth:`release` in a
-        ``finally``.  The timer is its own grant: still untriggered, it
-        goes where :meth:`acquire`'s grant would, into the simulator's
-        FIFO when a unit is free or into this resource's queue until a
-        release grants it.  The loop dispatches it there as one event
-        and then starts it, so the schedule is that of ``yield
-        acquire()`` followed by ``yield sim.timeout(delay)``, without
-        waking the holder at the grant.  A
+        grant; the holder yields it.  The timer is its own grant: still
+        untriggered, it goes where :meth:`acquire`'s grant would, into
+        the simulator's FIFO when a unit is free or into this resource's
+        queue until a release grants it.  The loop dispatches it there
+        as one event and then starts it, and when it fires the loop
+        returns the unit before the holder resumes.  So the schedule is
+        that of ``yield acquire()``, ``yield sim.timeout(delay)`` and
+        ``release()``, without waking the holder at the grant.  A hold
+        runs its course: a holder that leaves early (an exception thrown
+        into it) keeps the unit busy until the timer fires.  A
         :class:`~repro.sim.stats.UtilizationTracker` given as ``tracker``
-        is busy from the grant to the release.
+        is busy from the grant to the timer.
         """
         if delay < 0:
             raise ValueError(f"negative hold delay: {delay}")
@@ -120,10 +120,10 @@ class Resource:
         timer._value = None
         timer._ok = True
         timer._triggered = False
-        timer._cancelled = False
         timer._waiter = None
         timer.delay = int(delay)
         timer.tracker = tracker
+        timer.resource = self
         if self._in_use < self.capacity:
             # the uncontended fast path: granted now
             if self._in_use == 0 and self._busy_since is None:
@@ -134,25 +134,8 @@ class Resource:
             self._waiters.append(timer)
         return timer
 
-    def release(self, hold: Optional[Event] = None) -> None:
-        """Return one unit, granting the oldest waiter if any.
-
-        A holder passes the timer :meth:`hold` gave it.  If the timer has
-        not started, the holder is leaving before its grant ran (an
-        exception thrown into it while it waited), and the timer is
-        cancelled: a request still queued is withdrawn from the queue
-        and no unit is returned; a unit already granted is returned, and
-        the grant still waiting in the FIFO is dispatched without
-        starting the timer.
-        """
-        if hold is not None:
-            if not hold._triggered:
-                hold._cancelled = True
-                if hold in self._waiters:
-                    self._waiters.remove(hold)
-                    return
-            elif hold.tracker is not None:
-                hold.tracker.end()
+    def release(self) -> None:
+        """Return one unit, granting the oldest waiter if any."""
         if self._in_use <= 0:
             raise RuntimeError(f"release() on idle resource {self.name!r}")
         self._in_use -= 1
@@ -185,23 +168,19 @@ class Resource:
 
 
 class Store:
-    """Unbounded-or-bounded FIFO channel between processes."""
+    """Unbounded FIFO channel between processes."""
 
-    def __init__(self, sim, capacity: Optional[int] = None, name: str = "") -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
+    def __init__(self, sim, name: str = "") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
-        """Append ``item``; the event fires once the store accepts it."""
+        """Append ``item``; the event fires at this instant."""
         sim = self.sim
         # Event.__init__'s fields, stored inline, as in Resource.acquire
         event = _new(Event)
@@ -209,20 +188,14 @@ class Store:
         event.callbacks = []
         event._value = None
         event._ok = True
-        event._cancelled = False
+        event._triggered = True
         event._waiter = None
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
             self._getters.popleft().succeed(item)
-            event._triggered = True
-            sim._ready.append(event)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event._triggered = True
-            sim._ready.append(event)
         else:
-            event._triggered = False
-            self._putters.append((event, item))
+            self._items.append(item)
+        sim._ready.append(event)
         return event
 
     def get(self) -> Event:
@@ -232,21 +205,14 @@ class Store:
         event.sim = sim
         event.callbacks = []
         event._ok = True
-        event._cancelled = False
         event._waiter = None
         if self._items:
             event._triggered = True
             event._value = self._items.popleft()
             sim._ready.append(event)
-            self._admit_putter()
         else:
             event._triggered = False
             event._value = None
             self._getters.append(event)
         return event
 
-    def _admit_putter(self) -> None:
-        if self._putters:
-            event, item = self._putters.popleft()
-            self._items.append(item)
-            event.succeed()

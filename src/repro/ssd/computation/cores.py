@@ -51,12 +51,7 @@ class EmbeddedCore:
             record = self._runs[id(mix)] = MixRuns(
                 mix, self.exec_ns(mix),
                 mix.total * self.config.energy_per_instruction)
-        resource = self.resource
-        timer = resource.hold(record.ns)
-        try:
-            yield timer
-        finally:
-            resource.release(timer)
+        yield self.resource.hold(record.ns)
         record.runs += 1
         self._dynamic_energy += record.energy
 

@@ -298,24 +298,28 @@ class InternalCacheLayer:
             yield from self._locked_flush(line_id)
 
     def trim(self, req: LineRequest):
-        """Process: deallocate a line's slots (TRIM / NVMe DSM).
+        """Process: deallocate the line's slots the range covers whole
+        (TRIM / NVMe DSM).
 
-        Drops any cached copies (including dirty data — TRIM says the
-        host no longer cares) and unbinds the mapping in the FTL.
+        Drops any cached copies of those slots (including dirty data —
+        TRIM says the host no longer cares) and unbinds their mapping in
+        the FTL.  A slot the range covers only in part keeps its bytes:
+        deallocation is advisory, and the sectors left out are live.
         """
         yield self._locks.acquire(req.line_id)
         try:
             yield from self.cores.execute("icl", self._lookup_mix)
+            whole = [slot for slot, (_off, n) in req.page_sectors.items()
+                     if n == self.sectors_per_page]
             line = self._lines.get(req.line_id)
             if line is not None:
-                for slot in req.page_sectors:
+                for slot in whole:
                     state = line.slots.pop(slot, None)
                     if state is not None:
                         self._mark_clean(line, state)
                 if not line.slots:
                     self._drop_line(line)
-            yield from self.ftl.trim(req.line_id, list(req.page_sectors),
-                                     track=req.track)
+            yield from self.ftl.trim(req.line_id, whole, track=req.track)
         finally:
             self._locks.release(req.line_id)
 

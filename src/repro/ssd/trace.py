@@ -12,6 +12,7 @@ Trace format: an iterable of ``TraceRecord`` or text lines
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Union
 
@@ -104,11 +105,11 @@ class SsdTraceReplayer:
 
             self.sim.run_process(driver())
         else:
-            queue = list(records)
+            queue = deque(records)
 
             def worker():
                 while queue:
-                    record = queue.pop(0)
+                    record = queue.popleft()
                     yield from issue(record)
 
             workers = [self.sim.process(worker())

@@ -5,6 +5,7 @@ def worker(sim, gate, mailbox):
     sim.timeout(5)                      # expect: SIM104
     gate.acquire()                      # expect: SIM104, SIM106
     mailbox.get()                       # expect: SIM104
+    gate.hold(5)                        # expect: SIM104
     yield sim.timeout(1)
 
 

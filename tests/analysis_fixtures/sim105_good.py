@@ -1,4 +1,4 @@
-"""SIM104 fixture, leak case: bound timeouts are yielded or cancelled."""
+"""SIM104 fixture, leak case: bound timeouts are yielded or passed on."""
 
 
 def worker(sim):
@@ -6,7 +6,6 @@ def worker(sim):
     yield watchdog
 
 
-def speculative(sim):
+def raced(sim, reply, first_of):
     watchdog = sim.timeout(50_000)
-    yield sim.timeout(1)
-    watchdog.cancel()
+    yield first_of([reply, watchdog])

@@ -10,14 +10,3 @@ def unprotected(sim, gate):
     yield gate.acquire()                # expect: SIM106
     yield sim.timeout(5)
     gate.release()
-
-
-def held_without_release(sim, gate):
-    timer = gate.hold(5)                # expect: SIM106
-    yield timer
-
-
-def held_unprotected(sim, gate):
-    timer = gate.hold(5)                # expect: SIM106
-    yield timer
-    gate.release(timer)

@@ -26,16 +26,13 @@ class Backend:
 
 
 class Bridge:
-    """The same inversion through ``hold``: it acquires as ``acquire``."""
+    """The same inversion through ``hold``: it waits as ``acquire``."""
 
     def upstream(self, sim):
         yield self.left.acquire()
         try:
             timer = self.right.hold(5)  # expect: SIM220
-            try:
-                yield timer
-            finally:
-                self.right.release(timer)
+            yield timer
         finally:
             self.left.release()
 
@@ -43,9 +40,6 @@ class Bridge:
         yield self.right.acquire()      # inverted: right before left
         try:
             timer = self.left.hold(7)
-            try:
-                yield timer
-            finally:
-                self.left.release(timer)
+            yield timer
         finally:
             self.right.release()

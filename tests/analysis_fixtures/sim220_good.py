@@ -32,10 +32,7 @@ class Bridge:
         yield self.left.acquire()
         try:
             timer = self.right.hold(5)
-            try:
-                yield timer
-            finally:
-                self.right.release(timer)
+            yield timer
         finally:
             self.left.release()
 
@@ -43,9 +40,26 @@ class Bridge:
         yield self.left.acquire()
         try:
             timer = self.right.hold(7)
-            try:
-                yield timer
-            finally:
-                self.right.release(timer)
+            yield timer
         finally:
             self.left.release()
+
+
+class Relay:
+    """A hold returns its unit itself: once ``first.hold(...)`` is over
+    nothing is held, so taking ``second`` after it orders nothing."""
+
+    def forward(self, sim):
+        yield self.first.hold(5)
+        yield self.second.acquire()
+        try:
+            yield sim.timeout(5)
+        finally:
+            self.second.release()
+
+    def backward(self, sim):
+        yield self.second.acquire()
+        try:
+            yield self.first.hold(7)
+        finally:
+            self.second.release()

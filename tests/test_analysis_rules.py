@@ -160,18 +160,10 @@ class TestFixturePairs:
 
 
 class TestHoldIsAnAcquire:
-    """``Resource.hold`` takes a unit as ``acquire`` does, so SIM106 and
-    SIM220 check it the same way."""
-
-    def test_sim106_flags_each_unpaired_hold(self):
-        path = FIXTURES / "sim106_bad.py"
-        hold_lines = {number for number, text
-                      in enumerate(path.read_text().splitlines(), 1)
-                      if ".hold(" in text}
-        flagged = {f.line for f in lint_source(str(path))
-                   if f.rule == "SIM106" and not f.suppressed}
-        assert len(hold_lines) == 2
-        assert hold_lines <= flagged
+    """``Resource.hold`` waits for a unit as ``acquire`` does but returns
+    it when its timer fires: SIM220 orders its wait, and holds nothing
+    after it (``sim220_good.py``'s ``Relay``), and SIM106 asks no
+    release of it (``sim106_good.py``'s ``held``)."""
 
     def test_sim220_sees_an_inversion_made_of_holds(self):
         hits = [f for f in lint_source(str(FIXTURES / "sim220_bad.py"))

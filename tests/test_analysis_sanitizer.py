@@ -267,49 +267,36 @@ class TestViolations:
         expected = ["stuck-process"] if entry == "run" else []
         assert _kinds(sim.sanitizer.violations) == expected
 
-    def test_double_cancel_detected(self):
-        enable_sanitizer()
-        sim = Simulator()
-        timer = sim.timeout(5)
-        timer.cancel()
-        timer.cancel()
-        assert _kinds(sim.sanitizer.violations) == ["double-cancel"]
-        assert all_violations() == sim.sanitizer.violations
-
-    def test_single_cancel_is_fine(self):
-        enable_sanitizer()
-        sim = Simulator()
-        sim.timeout(10)
-        timer = sim.timeout(5)
-        timer.cancel()
-        sim.run()
-        assert sim.sanitizer.violations == []
 
 
 # -- reporting and dumps ------------------------------------------------------
+
+def _leak_a_token(sim):
+    """Drain with one unit still held: exactly one leaked-token."""
+    grant = Resource(sim, capacity=1, name="gate").acquire()
+    sim.run()
+    assert grant.processed
+
 
 class TestReporting:
     def test_check_raises_with_every_violation_listed(self, tmp_path):
         enable_sanitizer(dump_dir=str(tmp_path))
         sim = Simulator()
-        timer = sim.timeout(5)
-        timer.cancel()
-        timer.cancel()
-        with pytest.raises(SanitizerError, match="double-cancel"):
+        _leak_a_token(sim)
+        assert all_violations() == sim.sanitizer.violations
+        with pytest.raises(SanitizerError, match="leaked-token"):
             sim.sanitizer.check()
 
     def test_check_dumps_a_post_mortem(self, tmp_path):
         enable_sanitizer(dump_dir=str(tmp_path))
         sim = Simulator()
-        timer = sim.timeout(5)
-        timer.cancel()
-        timer.cancel()
+        _leak_a_token(sim)
         with pytest.raises(SanitizerError):
             sim.sanitizer.check()
         dumps = list(tmp_path.glob("sanitizer-*.json"))
         assert len(dumps) == 1
         doc = json.loads(dumps[0].read_text())
-        assert doc["violations"][0]["kind"] == "double-cancel"
+        assert doc["violations"][0]["kind"] == "leaked-token"
         assert sim.sanitizer.dumped_to == str(dumps[0])
 
     def test_run_failure_dumps_through_the_sanitizer(self, tmp_path):
@@ -332,9 +319,7 @@ class TestReporting:
         enable_sanitizer()
         sim = Simulator()
         assert "no violations" in sim.sanitizer.report()
-        timer = sim.timeout(5)
-        timer.cancel()
-        timer.cancel()
+        _leak_a_token(sim)
         assert "1 violation(s)" in sim.sanitizer.report()
 
 

@@ -355,27 +355,6 @@ class TestStore:
         sim.run()
         assert out == [0, 1, 2, 3, 4]
 
-    def test_bounded_put_blocks(self, sim):
-        store = Store(sim, capacity=1)
-        timeline = []
-
-        def producer():
-            yield store.put("a")
-            timeline.append(("put-a", sim.now))
-            yield store.put("b")
-            timeline.append(("put-b", sim.now))
-
-        def consumer():
-            yield sim.timeout(50)
-            item = yield store.get()
-            timeline.append((f"got-{item}", sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert ("put-a", 0) in timeline
-        assert ("put-b", 50) in timeline
-
 
 # -- construction audit ---------------------------------------------------------
 #
@@ -403,16 +382,15 @@ def _reads(event):
         value = event.value
     except RuntimeError as error:
         value = f"raises {error}"
-    return (event.triggered, event.processed, event.ok, event.cancelled,
-            value)
+    return (event.triggered, event.processed, event.ok, value)
 
 
 def _idle(sim):
     yield sim.timeout(1)
 
 
-def _store(sim, *items, capacity=None):
-    store = Store(sim, capacity)
+def _store(sim, *items):
+    store = Store(sim)
     for item in items:
         store.put(item)
     return store
@@ -476,7 +454,8 @@ def _acquire_granted(sim):
 def _hold_grant_free(sim):
     resource = Resource(sim, 1, "r")
     timer = resource.hold(4.0)
-    return timer, _PENDING, [], {"delay": 4, "tracker": None}
+    return timer, _PENDING, [], {"delay": 4, "tracker": None,
+                                 "resource": resource}
 
 
 @_construction("hold grant, contended")
@@ -484,7 +463,8 @@ def _hold_grant_contended(sim):
     resource = Resource(sim, 1, "r")
     resource.acquire()
     timer = resource.hold(4, UtilizationTracker(sim))
-    return timer, _PENDING, [], {"delay": 4, "tracker": timer.tracker}
+    return timer, _PENDING, [], {"delay": 4, "tracker": timer.tracker,
+                                 "resource": resource}
 
 
 @_construction("hold timer, started by its grant")
@@ -492,7 +472,8 @@ def _hold_timer_started(sim):
     resource = Resource(sim, 1, "r")
     timer = resource.hold(4, UtilizationTracker(sim))
     sim.step()
-    return timer, None, [], {"delay": 4, "tracker": timer.tracker}
+    return timer, None, [], {"delay": 4, "tracker": timer.tracker,
+                             "resource": resource}
 
 
 @_construction("put, immediate")
@@ -513,11 +494,6 @@ def _getter_handed(sim):
     getter = store.get()
     store.put("x")
     return getter, "x", [], {}
-
-
-@_construction("put, blocked on a full store")
-def _put_blocked(sim):
-    return _store(sim, "a", capacity=1).put("b"), _PENDING, [], {}
 
 
 @_construction("get, immediate")
@@ -583,7 +559,7 @@ class TestConstructionAudit:
         slots = [slot for cls in type(event).__mro__
                  for slot in getattr(cls, "__slots__", ())]
         assert {"sim", "callbacks", "_value", "_ok", "_triggered",
-                "_cancelled", "_waiter"} <= set(slots)
+                "_waiter"} <= set(slots)
         for slot in slots:
             getattr(event, slot)    # an unset slot raises AttributeError
         assert event.sim is sim
@@ -596,7 +572,7 @@ class TestConstructionAudit:
         # an event triggered at construction is dispatched as it stands
         sim.run()
         if value is not _PENDING:
-            assert _reads(event) == (True, True, True, False, value)
+            assert _reads(event) == (True, True, True, value)
             assert event.callbacks is None
         assert event._waiter is None
 
@@ -632,7 +608,8 @@ class TestConstructionAudit:
     def test_hold_is_its_own_grant_free(self, sim):
         """An uncontended hold queues its untriggered timer in the FIFO;
         dispatching it is the grant, one event, which starts the timer
-        with a fresh sequence number; the timer then fires."""
+        with a fresh sequence number; the timer then fires and returns
+        the unit."""
         resource = Resource(sim, 1, "r")
         tracker = UtilizationTracker(sim)
         timer = resource.hold(4, tracker)
@@ -645,8 +622,7 @@ class TestConstructionAudit:
         assert tracker._busy_since == 0    # begun at the grant
         sim.step()                      # the timer
         assert sim.events_processed == 2 and sim.now == 4
-        assert _reads(timer) == (True, True, True, False, None)
-        resource.release(timer)
+        assert _reads(timer) == (True, True, True, None)
         assert resource.in_use == 0 and tracker.busy_ns() == 4
 
     def test_hold_is_its_own_grant_contended(self, sim):
@@ -666,8 +642,37 @@ class TestConstructionAudit:
         assert timer.triggered and list(sim._ready) == [timer]
         sim.step()                      # the timer
         assert timer.processed and sim.events_processed == 3
-        resource.release(timer)
         assert resource.in_use == 0
+
+    def test_a_fired_hold_returns_its_unit_before_its_waiters_run(self, sim):
+        """The timer's dispatch ends its tracker and returns its unit,
+        granting the next waiter, before the holder in its slot and the
+        callbacks behind it run."""
+        resource = Resource(sim, 1, "r")
+        tracker = UtilizationTracker(sim)
+        seen = []
+
+        def state(who):
+            seen.append((who, sim.now, resource.in_use, resource.queued,
+                         waiter.triggered, waiter.processed,
+                         tracker.busy_ns()))
+
+        def holder():
+            yield resource.hold(4, tracker)
+            state("holder")
+
+        sim.process(holder())
+        sim.run(until=0)                # the grant started the timer
+        [(when, _seq, timer)] = sim._queue
+        assert when == 4 and timer.triggered
+        waiter = resource.acquire()     # queued behind the hold
+        timer.add_callback(lambda _ev: state("callback"))
+        assert resource.queued == 1 and timer._waiter is not None
+        sim.step()
+        assert seen == [("holder", 4, 1, 0, True, False, 4),
+                        ("callback", 4, 1, 0, True, False, 4)]
+        sim.run()
+        assert waiter.processed and resource.in_use == 1
 
     def test_processed_is_callbacks_none(self, sim):
         event = sim.event()
@@ -675,10 +680,6 @@ class TestConstructionAudit:
         assert not event.processed and event.callbacks == []
         sim.run()
         assert event.processed and event.callbacks is None
-        timeout = sim.timeout(1)
-        sim.run()
-        with pytest.raises(RuntimeError, match="processed timeout"):
-            timeout.cancel()
 
 
 class TestKernelInvariants:
@@ -766,7 +767,7 @@ class TestKernelInvariants:
 
     def test_a_waiter_behind_a_condition_appends(self, sim):
         event = sim.event()
-        condition = sim.any_of([event])
+        condition = AnyOf(sim, [event])
 
         def waiter():
             yield event

@@ -7,18 +7,18 @@ that pushed every event, zero-delay ones included, onto one heap of
 ``_check``/``_results``.  That kernel lives on here as the reference:
 ``ReferenceSimulator`` routes every zero-delay schedule onto the heap at
 the current instant and runs the old ``_dispatch``, ``peek`` and
-``step`` verbatim, and ``all_of``/``any_of`` build the old conditions.
-Its loop reads the current event layout as the live one does: a live
-event resumes the process in its waiter slot before its callbacks, and
-an untriggered entry is a hold's grant, which starts the hold's timer
-unless its holder has left.  Hypothesis programs of a few processes
+``step`` verbatim, and its programs build the old conditions.  Its loop
+reads the current event layout as the live one does: it dispatches and
+counts every queued entry, an event resumes the process in its waiter
+slot before its callbacks, an untriggered entry is a hold's grant, which
+starts the hold's timer, and a hold's timer returns its unit before
+anything waiting on it runs.  Hypothesis programs of a few processes
 drive both kernels through ``run()``, stepped ``run(until=...)``,
 ``step()`` and ``run_process``; after every driver call the dispatch
 traces, ``events_processed``, ``now``, ``queue_length``, ``peek()``,
-every resource's ``busy_time()`` and every store's items and waiters
-must agree.  One store is unbounded; the other holds one item and
-starts full with a put blocked behind it, so puts block and gets admit
-them.
+every resource's ``busy_time()`` and every store's items and waiting
+getters must agree.  One store starts with two items, the other empty,
+so gets both take an item at once and wait for a put.
 
 The same programs also check ``Resource.hold`` against the idiom it
 replaces: a program's ``hold`` ops run once as ``hold(delay)`` and once
@@ -127,21 +127,9 @@ class ReferenceSimulator(Simulator):
         super().__init__()
         self._ready = _HeapReady(self)
 
-    def all_of(self, events):
-        return _Parent.AllOf(self, events)
-
-    def any_of(self, events):
-        return _Parent.AnyOf(self, events)
-
     def peek(self):
         queue = self._queue
-        while queue:
-            head = queue[0][2]
-            if head._cancelled and head._triggered:
-                heapq.heappop(queue)
-            else:
-                return queue[0][0]
-        return None
+        return queue[0][0] if queue else None
 
     def _dispatch(self, until, stop):
         queue = self._queue
@@ -154,23 +142,24 @@ class ReferenceSimulator(Simulator):
                 if until is not None and queue[0][0] > until:
                     break
                 when, _seq, event = pop(queue)
-                if event._cancelled and event._triggered:
-                    continue
                 self._now = when
                 self._event_count += 1
                 if observer is not None:
                     observer.on_event(when, event)
                 if not event._triggered:
-                    # a hold's grant: start the timer unless the holder
-                    # has left
-                    if not event._cancelled:
-                        event._triggered = True
-                        self._enqueue(event.delay, event)
-                        if event.tracker is not None:
-                            event.tracker.begin()
+                    # a hold's grant: start the timer
+                    event._triggered = True
+                    self._enqueue(event.delay, event)
+                    if event.tracker is not None:
+                        event.tracker.begin()
                     if event is stop:
                         break
                     continue
+                if isinstance(event, _HoldTimer):
+                    # a hold's timer: return the unit first
+                    if event.tracker is not None:
+                        event.tracker.end()
+                    event.resource.release()
                 waiter = event._waiter
                 # callbacks None marks the event processed
                 callbacks, event.callbacks = event.callbacks, None
@@ -204,6 +193,13 @@ class Boom(Exception):
 
 _CONDITIONS = (AllOf, AnyOf, _Parent.AllOf, _Parent.AnyOf)
 
+#: the conditions a program's ``allof``/``anyof`` ops build on each
+#: kernel: the reference builds the old ones
+_BUILDS = {
+    ReferenceSimulator: {"allof": _Parent.AllOf, "anyof": _Parent.AnyOf},
+    Simulator: {"allof": AllOf, "anyof": AnyOf},
+}
+
 
 def _value_label(value):
     if isinstance(value, Resource):
@@ -228,20 +224,17 @@ class World:
     def __init__(self, kernel, holds=False) -> None:
         self.sim = sim = kernel()
         sim._observer = self
+        self.builds = _BUILDS[kernel]
         self.holds = holds
         self.names = {}
         #: each hold's timer -> its resource, to label the grant
         self.held = {}
         self.trace = []
         self.resources = (Resource(sim, 1, "r0"), Resource(sim, 2, "r1"))
-        # an unbounded store, and a one-slot store that starts full with
-        # a put blocked behind it: a put there blocks until a get admits
-        # it (``_admit_putter``)
-        unbounded, one_slot = self.stores = (Store(sim, name="s0"),
-                                             Store(sim, 1, "s1"))
-        for store, item in ((unbounded, "seed0"), (unbounded, "seed1"),
-                            (one_slot, "seed2"), (one_slot, "seed3")):
-            store.put(item)
+        # a store holding two items, and an empty one whose gets wait
+        stocked, _empty = self.stores = (Store(sim, "s0"), Store(sim, "s1"))
+        for item in ("seed0", "seed1"):
+            stocked.put(item)
 
     def _owners(self, event):
         """The process in the waiter slot first, then the callbacks'."""
@@ -285,13 +278,11 @@ class World:
 
     def snapshot(self):
         sim = self.sim
-        length = sim.queue_length     # before peek() purges tombstones
-        return (list(self.trace), sim.events_processed, sim.now, length,
-                sim.peek(), len(sim._orphan_failures),
+        return (list(self.trace), sim.events_processed, sim.now,
+                sim.queue_length, sim.peek(), len(sim._orphan_failures),
                 [(r.busy_time(), r.in_use, r.queued)
                  for r in self.resources],
-                [(len(s), len(s._getters), len(s._putters))
-                 for s in self.stores])
+                [(len(s), len(s._getters)) for s in self.stores])
 
 
 def _sleeper(sim, delay, value):
@@ -308,21 +299,6 @@ def _waiting(event):
         return (yield event)
     except Interrupt as interrupt:
         return ("interrupted", interrupt.cause)
-
-
-def _holder(world, index, delay):
-    """Hold resource ``index`` for ``delay`` ns; an interrupt may make
-    the holder leave before its grant ran."""
-    resource = world.resources[index]
-    timer = resource.hold(delay)
-    world.held[timer] = resource
-    try:
-        yield timer
-    except Interrupt as interrupt:
-        return ("left", interrupt.cause)
-    finally:
-        resource.release(timer)
-    return "held"
 
 
 def _script(world, name, ops):
@@ -364,10 +340,7 @@ def _script(world, name, ops):
                 if world.holds:
                     timer = resource.hold(op[2])
                     world.held[timer] = resource
-                    try:
-                        yield timer
-                    finally:
-                        resource.release(timer)
+                    yield timer
                 else:
                     yield resource.acquire()
                     try:
@@ -382,20 +355,13 @@ def _script(world, name, ops):
                 yield event
             elif kind in ("allof", "anyof"):
                 children = [child(spec) for spec in op[1]]
-                build = sim.all_of if kind == "allof" else sim.any_of
-                event = build(children)
+                event = world.builds[kind](sim, children)
                 yield event
             elif kind == "spawn":
                 label = tag()
                 event = world.spawn(_script(world, label, op[1]), label)
                 if op[2]:
                     yield event
-            elif kind == "cancel":
-                doomed = sim.timeout(op[1], tag())
-                if op[2] is not None:
-                    event = sim.timeout(op[2], tag())
-                    yield event
-                doomed.cancel()
             elif kind == "trigger":
                 event = sim.event()
                 if op[1]:
@@ -430,16 +396,6 @@ def _script(world, name, ops):
                     first.interrupt(tag())
                 event = shared
                 yield event
-            elif kind == "leave":
-                # a holder interrupted at once leaves while its grant
-                # sits in the FIFO (or its request is queued); later, it
-                # may be holding or done
-                holder = world.spawn(_holder(world, op[1], op[2]), tag())
-                if op[3] is not None:
-                    event = sim.timeout(op[3], tag())
-                    yield event
-                if holder.is_alive:
-                    holder.interrupt(tag())
         except Boom:
             continue
         if event is not None and event.processed:
@@ -459,18 +415,10 @@ _CHILD = st.one_of(st.tuples(st.just("t"), _DELAY), st.just(("done",)),
 #: take resource 0 (one slot) or 1 (two slots) for 0, 1 or 3 ns
 _HOLD = st.tuples(st.just("hold"), st.sampled_from([0, 1]), _DELAY)
 _ACQUIRE = st.tuples(st.just("acquire"), st.sampled_from([0, 1]), _DELAY)
-# cancel a timeout of delay d at once, or after waiting less than d
-_CANCEL = st.sampled_from([("cancel", 0, None), ("cancel", 1, None),
-                           ("cancel", 1, 0), ("cancel", 3, None),
-                           ("cancel", 3, 0), ("cancel", 3, 1)])
 #: the slot waiter of an event due in d ns interrupted after w < d ns,
 #: with a second waiter behind it; or the event fired first
 _UNSLOT = st.sampled_from([("unslot", 1, 0), ("unslot", 3, 0),
                            ("unslot", 3, 1), ("unslot", 0, 0)])
-#: a holder of resource 0 or 1 for d ns, interrupted at once (None) or
-#: after 0 or 1 ns
-_LEAVE = st.tuples(st.just("leave"), st.sampled_from([0, 1]), _DELAY,
-                   st.sampled_from([None, 0, 1]))
 _LEAF = st.one_of(
     st.tuples(st.just("timeout"), _DELAY),
     _HOLD,
@@ -478,12 +426,10 @@ _LEAF = st.one_of(
     st.tuples(st.sampled_from(["put", "get"]), st.sampled_from([0, 1])),
     st.tuples(st.sampled_from(["allof", "anyof"]),
               st.lists(_CHILD, max_size=3)),
-    _CANCEL,
     st.tuples(st.just("trigger"), st.booleans(), _DELAY, st.booleans()),
     st.tuples(st.just("interrupt"), _DELAY, _DELAY),
     st.tuples(st.just("share"), _DELAY, st.booleans()),
     _UNSLOT,
-    _LEAVE,
 )
 
 
@@ -494,11 +440,10 @@ def _programs(leaf):
 
 
 PROGRAMS = _programs(_LEAF)
-#: resource-heavy programs: holds mixed with plain acquires, timeouts
-#: and cancels, spawned so that they contend
+#: resource-heavy programs: holds mixed with plain acquires and
+#: timeouts, spawned so that they contend
 HOLD_PROGRAMS = _programs(st.one_of(
-    _HOLD, _HOLD, _ACQUIRE, st.tuples(st.just("timeout"), _DELAY), _CANCEL,
-    _LEAVE))
+    _HOLD, _HOLD, _ACQUIRE, st.tuples(st.just("timeout"), _DELAY)))
 
 
 def _outcome(call, world):
@@ -616,22 +561,19 @@ def test_hold_step_matches_acquire_then_timeout(program):
 
 
 class TestHoldLeavingEarly:
-    """An exception thrown into a holder before its timer started
-    withdraws the request: no unit is returned that the holder never
-    got, and the timer never fires."""
+    """A hold runs its course: an exception thrown into its holder,
+    queued, granted or holding, takes the holder off the timer but
+    leaves the unit busy until the timer fires."""
 
     @staticmethod
     def _holder(sim, resource, delay, log, tracker=None):
-        timer = resource.hold(delay, tracker)
         try:
-            yield timer
+            yield resource.hold(delay, tracker)
             log.append(("done", sim.now))
         except Interrupt as interrupt:
             log.append((interrupt.cause, sim.now))
-        finally:
-            resource.release(timer)
 
-    def test_interrupt_while_queued_withdraws_the_request(self):
+    def test_interrupt_while_queued_leaves_the_hold_to_run(self):
         sim = Simulator()
         resource = Resource(sim, 1, "r")
         tracker = UtilizationTracker(sim)
@@ -642,19 +584,22 @@ class TestHoldLeavingEarly:
         def interrupter():
             yield sim.timeout(2)
             waiter.interrupt("queued")
+            yield sim.timeout(0)
+            log.append(("queue", resource.in_use, resource.queued))
 
         sim.process(interrupter())
         sim.run()
         sim.check_orphan_failures()
-        assert log == [("queued", 2), ("done", 10)]
+        assert log == [("queued", 2), ("queue", 1, 1), ("done", 10)]
         assert (resource.in_use, resource.queued) == (0, 0)
-        assert resource.busy_time() == 10 == sim.now
-        assert tracker.busy_ns() == 0
+        assert resource.busy_time() == 15 == sim.now
+        assert tracker.busy_ns() == 5
 
-    def test_throw_between_grant_and_its_dispatch_returns_the_unit(self):
-        """The first holder's release grants the waiter at t=10; an
-        event due at t=10 and queued ahead of that grant throws into the
-        waiter, so its timer has not started yet."""
+    def test_throw_between_grant_and_its_dispatch_keeps_the_unit_busy(self):
+        """The first hold's timer grants the waiter at t=10; an event due
+        at t=10 and queued ahead of that grant throws into the waiter,
+        whose timer has not started: it starts anyway, and the unit
+        returns when it fires."""
         sim = Simulator()
         resource = Resource(sim, 1, "r")
         tracker = UtilizationTracker(sim)
@@ -673,13 +618,13 @@ class TestHoldLeavingEarly:
         sim.check_orphan_failures()
         assert log == [("done", 10), ("granted", 10)]
         assert (resource.in_use, resource.queued) == (0, 0)
-        assert resource.busy_time() == 10 == sim.now
-        assert tracker.busy_ns() == 0
+        assert resource.busy_time() == 15 == sim.now
+        assert tracker.busy_ns() == 5
 
-    def test_grant_left_in_the_fifo_is_still_one_event(self):
+    def test_grant_left_in_the_fifo_still_starts_the_timer(self):
         """A holder that leaves before its grant ran leaves the grant in
-        the FIFO: ``peek()`` keeps it, ``step()`` stops on it, and it is
-        dispatched as one event that starts nothing."""
+        the FIFO: it is dispatched as one event and starts the timer,
+        whose firing returns the unit."""
         sim = Simulator()
         resource = Resource(sim, 1, "r")
         tracker = UtilizationTracker(sim)
@@ -690,54 +635,40 @@ class TestHoldLeavingEarly:
         timer = holder._waiting_on
         assert not timer.triggered and timer._waiter is holder
         sim.step()                  # the interrupt: the holder leaves
-        assert log == [("left", 0)] and timer.cancelled
-        assert (resource.in_use, resource.queued) == (0, 0)
+        assert log == [("left", 0)] and timer._waiter is None
+        assert (resource.in_use, resource.queued) == (1, 0)
         assert sim.peek() == 0 and sim._ready[0] is timer
-        sim.step()                  # the withdrawn grant, and only it
-        assert sim.events_processed == 3 and not timer.triggered
+        sim.step()                  # the grant starts the timer
+        assert sim.events_processed == 3 and timer.triggered
         assert sim._ready[0] is holder
         sim.run()
-        assert sim.events_processed == 4 and sim.now == 0
-        assert not timer.triggered and tracker.busy_ns() == 0
+        assert sim.events_processed == 5 and sim.now == 5
+        assert timer.processed and resource.in_use == 0
+        assert tracker.busy_ns() == 5 == resource.busy_time()
 
-    def test_interrupt_while_holding_matches_the_idiom(self):
-        """After the grant ran, ``hold`` behaves as the idiom does: the
-        unit is returned at the interrupt, and the timer still fires."""
-        def run(use_hold):
-            sim = Simulator()
-            resource = Resource(sim, 1, "r")
-            tracker = UtilizationTracker(sim)
-            log = []
+    def test_interrupt_while_holding_leaves_the_unit_busy(self):
+        """The unit returns when the timer fires, not at the interrupt,
+        and only then is the next holder in line granted."""
+        sim = Simulator()
+        resource = Resource(sim, 1, "r")
+        tracker = UtilizationTracker(sim)
+        log = []
+        holder = sim.process(self._holder(sim, resource, 10, log, tracker))
+        sim.process(self._holder(sim, resource, 3, log))
 
-            def idiom():
-                yield resource.acquire()
-                tracker.begin()
-                try:
-                    yield sim.timeout(10)
-                except Interrupt as interrupt:
-                    log.append((interrupt.cause, sim.now))
-                finally:
-                    tracker.end()
-                    resource.release()
+        def interrupter():
+            yield sim.timeout(4)
+            holder.interrupt("holding")
+            yield sim.timeout(0)
+            log.append(("queue", resource.in_use, resource.queued))
 
-            holder = sim.process(
-                self._holder(sim, resource, 10, log, tracker) if use_hold
-                else idiom())
-
-            def interrupter():
-                yield sim.timeout(4)
-                holder.interrupt("holding")
-
-            sim.process(interrupter())
-            sim.run()
-            return (log, sim.now, sim.events_processed,
-                    resource.busy_time(), tracker.busy_ns(),
-                    resource.in_use)
-
-        held, idiom = run(True), run(False)
-        assert held == idiom
-        assert held[:2] == ([("holding", 4)], 10)
-        assert held[3:] == (4, 4, 0)
+        sim.process(interrupter())
+        sim.run()
+        sim.check_orphan_failures()
+        assert log == [("holding", 4), ("queue", 1, 1), ("done", 13)]
+        assert (resource.in_use, resource.queued) == (0, 0)
+        assert resource.busy_time() == 13 == sim.now
+        assert tracker.busy_ns() == 10
 
     def test_tracker_is_busy_from_the_grant(self):
         sim = Simulator()

@@ -101,6 +101,32 @@ class TestTrim:
         assert system.run_process(scenario()) == bytes(64 * 512)
         assert moved["to_host"] == 0
 
+    @pytest.mark.parametrize("interface", ["nvme", "sata", "ufs", "ocssd"])
+    @pytest.mark.parametrize("trimmed", [2, 6])
+    def test_trim_deallocates_only_the_pages_it_covers_whole(
+            self, tiny_config, interface, trimmed):
+        """TRIM sectors [0, trimmed) of 8 written ones.  The flash pages
+        it covers whole read zeros; a page it covers in part keeps its
+        bytes, so the sectors past the range read what was written and
+        the trimmed ones read zeros or what was written."""
+        from repro.core.system import FullSystem
+        system = FullSystem(device=tiny_config, interface=interface,
+                            data_emulation=True)
+        data = FullSystem.pattern_data(0, 8)
+        spp = tiny_config.geometry.page_size // 512
+
+        def scenario():
+            yield from system.write(0, 8, data)
+            yield from system.trim(0, trimmed)
+            got = yield from system.read(0, 8)
+            return got
+
+        got = system.run_process(scenario())
+        whole, cut = trimmed // spp * spp * 512, trimmed * 512
+        assert got[:whole] == bytes(whole)
+        assert got[cut:] == data[cut:]
+        assert got[whole:cut] in (bytes(cut - whole), data[whole:cut])
+
     def test_trim_during_a_pblk_flush_wins(self, tiny_config, monkeypatch):
         """A TRIM that lands while a pblk flush batch programs its pages
         wins: the batch leaves them unbound and the range reads zeros."""
