@@ -17,8 +17,8 @@ detects:
 
 * **causality violations** — a popped event timestamped before the
   clock's high-water mark, i.e. something was force-scheduled into the
-  past (``sim._enqueue`` rejects negative delays, but a raw
-  ``heappush`` bypasses it); this is also what a non-monotonic ``now``
+  past (``sim._enqueue`` rejects negative delays, but a raw write to
+  the queue bypasses it); this is also what a non-monotonic ``now``
   looks like from the loop;
 * **leaked tokens** — ``Resource`` units still held when ``run()``
   drains the queue (a deadline or ``run_process`` is no drain): an

@@ -196,7 +196,12 @@ class FullSystem:
         """Process generator: submit an I/O at user level.
 
         Returns the completion event (fires with read payload or None).
-        Buffered (non-direct) I/O consults the page cache first.
+        Buffered (non-direct) I/O consults the page cache first.  A
+        request that reaches the block layer past the cache, a direct
+        I/O or a TRIM or a write the cache did not absorb, first writes
+        back the dirty pages of its range and waits for every writeback
+        of its range in flight (:meth:`_write_and_wait`), so it cannot
+        overtake an older write of its pages.
         """
         # end-to-end span: syscall entry to user-visible completion; it
         # closes from the completion event's callback, registered only
@@ -217,6 +222,10 @@ class FullSystem:
                 if span is not None:
                     tracer.end(span)
                 return served
+        cache = self.pagecache
+        if (cache.dirty or cache.writing) and (
+                direct or req.kind is not IOKind.READ):
+            yield from self._write_and_wait(req, stream_id, core)
         if self.data_emulation and req.kind in (IOKind.WRITE, IOKind.TRIM):
             # a write or TRIM reaching the device past the page cache:
             # its resident pages take the new bytes (zeros for a TRIM)
@@ -225,7 +234,6 @@ class FullSystem:
                 req.data if req.kind is IOKind.WRITE else None)
         buffered_read = not direct and req.kind.is_read
         if buffered_read:
-            cache = self.pagecache
             resident = cache.resident_data(req.slba, req.nsectors)
         event = yield from self.blocklayer.submit(req, stream_id=stream_id,
                                                   core=core)
@@ -259,6 +267,27 @@ class FullSystem:
             return done
         return None
 
+    def _write_and_wait(self, req: IORequest, stream_id: int,
+                        core: Optional[int]):
+        """Write back the dirty pages of ``req``'s range, then wait until
+        no writeback of the range is in flight: Linux's
+        ``filemap_write_and_wait_range`` before a direct I/O."""
+        cache = self.pagecache
+        for index in cache.dirty_in(req.slba, req.nsectors):
+            payload = cache.page_payload(index) if self.data_emulation \
+                else None
+            done = self.sim.event()
+            cache.clean(index, done)
+            wb_req = IORequest(IOKind.WRITE, index * 8, 8, data=payload)
+            yield from self.blocklayer.submit(wb_req, stream_id=stream_id,
+                                              core=core, done=done)
+        # a writeback that starts while this one waits is waited for too
+        pending = cache.writebacks_in(req.slba, req.nsectors)
+        while pending:
+            for done in pending:
+                yield done
+            pending = cache.writebacks_in(req.slba, req.nsectors)
+
     def _kick_writeback(self, stream_id: int) -> None:
         if self._writeback_running:
             return
@@ -269,22 +298,29 @@ class FullSystem:
 
     def _writeback(self, stream_id: int):
         cache = self.pagecache
+        writing = cache.writing
         try:
             while cache.dirty_count() > cache.capacity_pages // 8:
-                events = []
+                batch = []
                 for index in cache.dirty_pages(16):
                     payload = cache.page_payload(index) if self.data_emulation \
                         else None
                     # clear the page before the submit yields, as Linux's
                     # clear_page_dirty_for_io does: a write landing during
-                    # the submit re-dirties it for a later pass
-                    cache.clean(index)
+                    # the submit re-dirties it for a later pass.  The page
+                    # is under writeback until its write's event is done.
+                    done = self.sim.event()
+                    cache.clean(index, done)
                     wb_req = IORequest(IOKind.WRITE, index * 8, 8, data=payload)
-                    event = yield from self.blocklayer.submit(
-                        wb_req, stream_id=stream_id)
-                    events.append(event)
-                for event in events:
-                    yield event
+                    yield from self.blocklayer.submit(
+                        wb_req, stream_id=stream_id, done=done)
+                    batch.append((index, done))
+                for index, done in batch:
+                    yield done
+                    # the write completed: forget its mark, unless a
+                    # later writeback of the page replaced it
+                    if writing.get(index) is done:
+                        del writing[index]
                 for index, page in cache.evict_candidates():
                     if not page.dirty:
                         cache.drop(index)

@@ -22,9 +22,13 @@ from repro.experiments.common import (
 from repro.workloads.synthetic import PATTERN_RW
 
 
-def run(quick: bool = True, devices=None) -> Dict:
-    depths = QUICK_DEPTHS if quick else FULL_DEPTHS
-    n_ios = 600 if quick else 2000
+def run(quick: bool = True, devices=None, depths=None,
+        n_ios=None) -> Dict:
+    """Sweep ``devices`` (default: every real device) over ``depths``
+    with ``n_ios`` I/Os per point; ``quick`` picks the default depths
+    and I/O count."""
+    depths = depths or (QUICK_DEPTHS if quick else FULL_DEPTHS)
+    n_ios = n_ios or (600 if quick else 2000)
     devices = devices or list(REAL_DEVICES)
     results: Dict = {"depths": depths, "devices": {}}
     for device in devices:

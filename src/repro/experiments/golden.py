@@ -73,6 +73,20 @@ def digest(result) -> str:
 
 # -- the small configs --------------------------------------------------------
 
+def _fig03_04():
+    """The baseline simulators (Figs 3/4) in quick mode: the only pinned
+    run where many timed events share an instant."""
+    from repro.experiments import fig03_04_baselines
+    return fig03_04_baselines.run(quick=True)
+
+
+def _fig08_09():
+    """A Fig 8/9 validation slice: every real device and pattern at
+    depths 1 and 16, 200 I/Os per point, accuracy summary included."""
+    from repro.experiments import fig08_09_validation
+    return fig08_09_validation.run(quick=True, depths=[1, 16], n_ios=200)
+
+
 def _fig10():
     from repro.experiments import fig10_blocksize
     return fig10_blocksize.run(quick=True, devices=["intel750"],
@@ -144,6 +158,8 @@ def _perf_scenarios():
 
 #: golden case name -> result producer
 GOLDEN_CASES: Dict[str, Callable[[], Dict]] = {
+    "fig03_04_baselines": _fig03_04,
+    "fig08_09_validation": _fig08_09,
     "fig10_blocksize": _fig10,
     "fig11_overprovision": _fig11,
     "fig12_os_impact": _fig12,

@@ -48,11 +48,12 @@ class BlockLayer:
     # -- submission ------------------------------------------------------------
 
     def submit(self, req: IORequest, stream_id: int = 0,
-               core: Optional[int] = None):
+               core: Optional[int] = None, done=None):
         """Process generator: enqueue a request; returns the completion event.
 
         The returned event fires with the read payload (or None) once the
-        ISR and completion path have run.
+        ISR and completion path have run.  ``done``, a pending event the
+        caller made beforehand, is used as that event when given.
         """
         # The block-layer span covers queueing through ISR/completion, so
         # it cannot be a with-block here: it closes from the completion
@@ -63,7 +64,7 @@ class BlockLayer:
             if tracer.enabled else None
         yield from self.cpu.execute(self._mix["block"], core=core, kernel=True)
         self.requests_submitted += 1
-        user_event = self.sim.event()
+        user_event = self.sim.event() if done is None else done
 
         if self.profile.merge and self._try_merge(req, user_event):
             self.requests_merged += 1

@@ -2,15 +2,19 @@
 
 A 4 KB-page LRU cache over the block device.  Buffered reads hit here at
 host-DRAM speed; buffered writes dirty pages that a writeback process
-flushes.  Its footprint registers with the host-memory ledger, feeding
-the Fig 15c DRAM-usage timelines.
+flushes.  A page is *under writeback* from the moment writeback cleans it
+until its write completes (Linux's ``PG_writeback``): a direct I/O of
+the page waits for that write first (see
+:meth:`repro.core.system.FullSystem.submit_io`).  Its footprint
+registers with the host-memory ledger, feeding the Fig 15c DRAM-usage
+timelines.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.host.memory import HostMemory
 
@@ -36,8 +40,14 @@ class PageCache:
         self.data_emulation = data_emulation
         self.ledger_tag = ledger_tag
         self._pages: "OrderedDict[int, _CachedPage]" = OrderedDict()
-        # the dirty pages' indices, kept in _pages' LRU order
-        self._dirty: "OrderedDict[int, None]" = OrderedDict()
+        #: the dirty pages' indices, kept in _pages' LRU order
+        self.dirty: "OrderedDict[int, None]" = OrderedDict()
+        #: pages under writeback: each page cleaned for a write -> that
+        #: write's completion event, pending until the device has the
+        #: page.  Marks outlive eviction; the writer forgets its own
+        #: once the write completes, and :meth:`writebacks_in` forgets
+        #: the completed ones it finds.
+        self.writing: Dict[int, Any] = {}
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -55,7 +65,7 @@ class PageCache:
         if page is not None:
             self._pages.move_to_end(index)
             if page.dirty:
-                self._dirty.move_to_end(index)
+                self.dirty.move_to_end(index)
             return page
         page = _CachedPage()
         self._pages[index] = page
@@ -72,7 +82,7 @@ class PageCache:
 
     def drop(self, index: int) -> None:
         if self._pages.pop(index, None) is not None:
-            self._dirty.pop(index, None)
+            self.dirty.pop(index, None)
             self.memory.free(self.ledger_tag, PAGE)
 
     # -- lookup/update ----------------------------------------------------------
@@ -175,7 +185,7 @@ class PageCache:
             page = self._touch(idx)
             if not page.dirty:
                 page.dirty = True
-                self._dirty[idx] = None   # _touch made it the newest page
+                self.dirty[idx] = None   # _touch made it the newest page
             if self.data_emulation:
                 off = i * PAGE
                 page.data = bytearray(
@@ -203,19 +213,46 @@ class PageCache:
                 data[off:off + size] if data else bytes(size)
 
     def dirty_count(self) -> int:
-        return len(self._dirty)
+        return len(self.dirty)
 
     def dirty_pages(self, limit: Optional[int] = None) -> List[int]:
         """Dirty page indices, least recently used first; at most
         ``limit`` of them when given."""
-        return list(islice(self._dirty, limit))
+        return list(islice(self.dirty, limit))
 
-    def clean(self, index: int) -> None:
+    def dirty_in(self, slba: int, nsectors: int) -> List[int]:
+        """The range's dirty page indices, in page order."""
+        dirty = self.dirty
+        return [idx for idx in self._page_range(slba, nsectors)
+                if idx in dirty]
+
+    def writebacks_in(self, slba: int, nsectors: int) -> List[Any]:
+        """The completion events of the range's writebacks still in
+        flight, in page order; marks of completed ones are forgotten."""
+        writing = self.writing
+        pending = []
+        for idx in self._page_range(slba, nsectors):
+            done = writing.get(idx)
+            if done is None:
+                continue
+            if done.processed:
+                del writing[idx]
+            else:
+                pending.append(done)
+        return pending
+
+    def clean(self, index: int, done) -> None:
+        """Clear a page's dirty bit as its writeback is submitted.
+
+        ``done``, the write's completion event, puts the page under
+        writeback until it is processed.
+        """
         page = self._pages.get(index)
         if page is not None:
             page.dirty = False
-            self._dirty.pop(index, None)
+            self.dirty.pop(index, None)
             self.writebacks += 1
+        self.writing[index] = done
 
     def page_payload(self, index: int) -> Optional[bytes]:
         page = self._pages[index]

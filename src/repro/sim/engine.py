@@ -4,25 +4,26 @@
 :meth:`~Simulator.run_process` all drive one dispatch loop,
 :meth:`Simulator._dispatch`, which stops at a deadline (``until``),
 right after a stop event, or when the queue drains.  The queue has two
-levels: a heap of ``(when, seq, event)`` entries for events due later,
-and a FIFO of events due now, which a zero-delay schedule appends to
-without a sequence number or a heap push.  Every queued event is
-dispatched and counted.  An untriggered FIFO entry is exactly a hold's
-grant (:meth:`~repro.sim.resources.Resource.hold`): the loop counts it
-as one event and starts the hold's timer itself, and when that timer
-fires the loop returns the hold's unit before anyone waiting on it
-resumes.  The loop binds both levels and the event count to locals: it
-runs hundreds of thousands of times per macro benchmark and attribute
-lookups dominate otherwise.  The golden determinism suite (``tests/golden``)
-pins its observable behaviour.
+levels.  Events due later queue by *instant*, one distinct simulated
+time: a heap holds each pending instant once, and a dict maps it to its
+events in scheduling order, the event itself while it is alone and a
+list once a second one joins.  Events due now sit in a FIFO, which a
+zero-delay schedule appends to.  No entry carries a sequence number.
+Every queued event is dispatched and counted.  An untriggered FIFO entry
+is exactly a hold's grant (:meth:`~repro.sim.resources.Resource.hold`):
+the loop counts it as one event and starts the hold's timer itself, and
+when that timer fires the loop returns the hold's unit before anyone
+waiting on it resumes.  The loop binds both levels and the event count
+to locals: it runs hundreds of thousands of times per macro benchmark
+and attribute lookups dominate otherwise.  The golden determinism suite
+(``tests/golden``) pins its observable behaviour.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from itertools import count
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
@@ -77,13 +78,16 @@ class Simulator:
 
     Events scheduled for the same instant are processed in the order they
     were enqueued, which keeps every run bit-for-bit reproducible.  An
-    event due later goes on a heap with a monotonically increasing
-    sequence number as its tie-break; an event due now is appended to a
-    FIFO instead.  When the FIFO runs dry the loop pops the heap head,
-    moves the clock to it, and moves that instant's other heap entries
-    into the FIFO in heap order before running the head's callbacks.
-    Every one of those entries was scheduled before the instant began,
-    so this is exactly the (time, sequence) order of a single heap.
+    event due later joins its instant's entry in ``_timed``: it becomes
+    the entry when the instant is new, and the instant goes on the heap;
+    a second event turns the entry into a list, and later ones append to
+    it.  An event due now is appended to a FIFO instead.  When the FIFO
+    runs dry the loop pops the earliest instant, moves the clock to it,
+    and dispatches a lone event directly or moves the list into the FIFO
+    before running the head's callbacks.  Every event of an instant was
+    scheduled before the instant began, and in entry order, so this is
+    exactly the (time, sequence) order of a single heap of
+    ``(when, seq, event)`` with a global sequence counter.
 
     Every queued event is dispatched and counts toward
     ``events_processed``: nothing leaves the queue any other way.
@@ -108,11 +112,13 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: int = 0
-        #: events due later: a heap of (when, seq, event)
+        #: the instants with events due later: a heap, each instant once
         self._queue: list = []
+        #: each instant on the heap -> its event, or its list of events
+        #: once a second one joins, in scheduling order
+        self._timed: Dict[int, Any] = {}
         #: events due now, in dispatch order
         self._ready: deque = deque()
-        self._sequence: Iterator[int] = count()
         self._event_count: int = 0
         self._orphan_failures: list = []
         hooks = {slot: factory(self) for slot, factory in HOOKS.items()
@@ -153,9 +159,11 @@ class Simulator:
 
     @property
     def queue_length(self) -> int:
-        """Events queued and not yet dispatched: those due later plus
-        those due now."""
-        return len(self._queue) + len(self._ready)
+        """Events queued and not yet dispatched: those due later, summed
+        over their instants, plus those due now."""
+        return len(self._ready) + sum(
+            len(entry) if type(entry) is list else 1
+            for entry in self._timed.values())
 
     # -- factory helpers -------------------------------------------------
 
@@ -188,8 +196,17 @@ class Simulator:
         timeout._waiter = None
         timeout.delay = delay = int(delay)
         if delay:
-            heappush(self._queue,
-                     (self._now + delay, next(self._sequence), timeout))
+            # join the instant's entry (see _enqueue)
+            when = self._now + delay
+            timed = self._timed
+            entry = timed.get(when)
+            if entry is None:
+                timed[when] = timeout
+                heappush(self._queue, when)
+            elif type(entry) is list:
+                entry.append(timeout)
+            else:
+                timed[when] = [entry, timeout]
         else:
             self._ready.append(timeout)
         return timeout
@@ -229,12 +246,26 @@ class Simulator:
     # -- scheduling ------------------------------------------------------
 
     def _enqueue(self, delay: int, event: Event) -> None:
+        """Queue ``event`` ``delay`` ns from now.
+
+        An event due later joins its instant's entry: it is the entry of
+        a new instant, which goes on the heap; a second event makes the
+        entry a list of both, and a later one appends to that list.
+        """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         delay = int(delay)
         if delay:
-            heappush(self._queue,
-                     (self._now + delay, next(self._sequence), event))
+            when = self._now + delay
+            timed = self._timed
+            entry = timed.get(when)
+            if entry is None:
+                timed[when] = event
+                heappush(self._queue, when)
+            elif type(entry) is list:
+                entry.append(event)
+            else:
+                timed[when] = [entry, event]
         else:
             self._ready.append(event)
 
@@ -252,16 +283,17 @@ class Simulator:
         if self._ready:
             return self._now
         queue = self._queue
-        return queue[0][0] if queue else None
+        return queue[0] if queue else None
 
     def _dispatch(self, until: Optional[int], stop: Optional[Event]) -> None:
         """The event loop: pop events in time order and run them.
 
         Stops when the queue drains, before the first event later than
         ``until``, or right after ``stop`` has been dispatched.  Events
-        due now come from the FIFO; when it is empty the heap head is
-        popped, the clock moves to it, and that instant's other heap
-        entries join the FIFO before the head's callbacks run.  An event
+        due now come from the FIFO; when it is empty the earliest instant
+        is popped and the clock moves to it: a lone event is dispatched
+        directly, and a list joins the FIFO before its head's callbacks
+        run.  An event
         resumes the process in its waiter slot first, then runs its
         callbacks; a failed event nobody waits on is kept for
         :meth:`check_orphan_failures`.  An untriggered FIFO entry is a
@@ -272,11 +304,13 @@ class Simulator:
         before each observer call and on every exit.
         """
         queue = self._queue
+        timed = self._timed
         ready = self._ready
+        push = heappush
         pop = heappop
         popleft = ready.popleft
         append = ready.append
-        sequence = self._sequence
+        extend = ready.extend
         orphans = self._orphan_failures
         observer = self._observer
         hold_timer = _HoldTimer
@@ -297,9 +331,16 @@ class Simulator:
                             observer.on_event(self._now, event)
                         event._triggered = True
                         delay = event.delay
-                        if delay:   # its sequence number is drawn now
-                            heappush(queue, (self._now + delay,
-                                             next(sequence), event))
+                        if delay:   # it joins its instant's entry now
+                            when = self._now + delay
+                            entry = timed.get(when)
+                            if entry is None:
+                                timed[when] = event
+                                push(queue, when)
+                            elif type(entry) is list:
+                                entry.append(event)
+                            else:
+                                timed[when] = [entry, event]
                         else:
                             append(event)
                         tracker = event.tracker
@@ -309,12 +350,15 @@ class Simulator:
                             break
                         continue
                 elif queue:
-                    if until is not None and queue[0][0] > until:
+                    if until is not None and queue[0] > until:
                         break
-                    when, _seq, event = pop(queue)
-                    self._now = when
-                    while queue and queue[0][0] == when:
-                        append(pop(queue)[2])
+                    self._now = when = pop(queue)
+                    event = timed.pop(when)
+                    if type(event) is list:
+                        # the FIFO is empty: the instant's events join
+                        # it in order, and the head comes straight back
+                        extend(event)
+                        event = popleft()
                 else:
                     break
                 processed += 1
@@ -356,7 +400,13 @@ class Simulator:
         if self.peek() is None:
             raise EmptySchedule()
         ready = self._ready
-        self._dispatch(None, ready[0] if ready else self._queue[0][2])
+        if ready:
+            head = ready[0]
+        else:
+            head = self._timed[self._queue[0]]
+            if type(head) is list:
+                head = head[0]
+        self._dispatch(None, head)
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``."""

@@ -14,10 +14,11 @@ Every queued event is dispatched and counted: nothing is withdrawn from
 the queue once it is there.
 An event is processed exactly when its ``callbacks`` is ``None``: the
 loop sets it so as it takes the list to run it, and no separate flag is
-kept.  The first process to wait on an event sits in its ``_waiter``
-slot rather than in ``callbacks``; the loop resumes it before the
-callbacks, so a slot waiter always subscribed before every callback in
-the list.  Behavioural contracts are pinned by the golden determinism
+kept.  The first waiter on an event, a process or an
+``AllOf``/``AnyOf``, sits in its ``_waiter`` slot rather than in
+``callbacks``; the loop resumes it (``_waiter._resume(event)``) before
+the callbacks, so a slot waiter always subscribed before every callback
+in the list.  Behavioural contracts are pinned by the golden determinism
 suite, so any change here must keep event schedules bit-identical.
 """
 
@@ -36,9 +37,10 @@ class Event:
     ``fail`` is called (it is then on the simulator's queue), and becomes
     *processed* once the simulator pops it and runs its callbacks; its
     ``callbacks`` list is ``None`` from then on.  Processes wait on
-    events by ``yield``-ing them: the first one to wait while nothing
-    else has subscribed takes the ``_waiter`` slot, any later one
-    appends its resume to ``callbacks``.
+    events by ``yield``-ing them, and conditions by subscribing to their
+    children: the first waiter while nothing else has subscribed takes
+    the ``_waiter`` slot, any later one appends its resume to
+    ``callbacks``.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",
@@ -50,7 +52,7 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
-        #: the process resumed first on dispatch, or None
+        #: the process or condition resumed first on dispatch, or None
         self._waiter: Any = None
 
     @property
@@ -144,9 +146,12 @@ class Interrupt(Exception):
 class _Condition(Event):
     """Base for AllOf/AnyOf composite events.
 
-    Each subclass decides in its own ``_child_done``, which every
-    pending child calls when it is processed; the constructor settles a
+    Each subclass decides in its own ``_resume``, which every pending
+    child calls when it is processed; the constructor settles a
     condition whose children are already processed (or that has none).
+    A condition subscribes to a pending child as a process does: it
+    takes the child's ``_waiter`` slot when nothing else has subscribed
+    and appends its ``_resume`` to ``callbacks`` otherwise.
     ``_pending`` counts the children not yet processed at construction;
     ``AllOf`` counts it down.
     """
@@ -164,7 +169,6 @@ class _Condition(Event):
         self._waiter = None
         self.events = events = list(events)
         pending = 0
-        child_done = self._child_done
         for event in events:
             callbacks = event.callbacks
             if callbacks is None:       # processed
@@ -174,13 +178,16 @@ class _Condition(Event):
                     return
             else:
                 pending += 1
-                # append directly (no add_callback dispatch)
-                callbacks.append(child_done)
+                # subscribe as a process does: the free slot first
+                if callbacks or event._waiter is not None:
+                    callbacks.append(self._resume)
+                else:
+                    event._waiter = self
         self._pending = pending
         if pending < len(events) or not events:
             self._settle()
 
-    def _child_done(self, event: Event) -> None:
+    def _resume(self, event: Event) -> None:
         """A pending child was processed: trigger if that decides it."""
         raise NotImplementedError
 
@@ -195,7 +202,7 @@ class AllOf(_Condition):
 
     __slots__ = ()
 
-    def _child_done(self, event: Event) -> None:
+    def _resume(self, event: Event) -> None:
         self._pending -= 1
         if self._triggered:
             return
@@ -218,7 +225,7 @@ class AnyOf(_Condition):
 
     __slots__ = ()
 
-    def _child_done(self, event: Event) -> None:
+    def _resume(self, event: Event) -> None:
         if self._triggered:
             return
         if not event._ok:

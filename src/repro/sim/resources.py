@@ -17,9 +17,9 @@ class _HoldTimer(Event):
     while the resource is busy and sits in the simulator's FIFO once
     granted.  The loop dispatches that untriggered FIFO entry as the
     grant, one event, and then marks it triggered, queues it ``delay``
-    ns ahead and begins ``tracker``.  The sequence number is drawn at
+    ns ahead and begins ``tracker``.  It joins its instant's events at
     that moment, which is exactly when a holder woken by the grant
-    would have drawn it for its timeout.  When the timer fires, the
+    would have scheduled its timeout.  When the timer fires, the
     loop ends ``tracker`` and releases ``resource`` before it resumes
     anyone waiting on the timer.
     """

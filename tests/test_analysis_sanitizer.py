@@ -167,10 +167,12 @@ class TestViolations:
         sim.timeout(100)
         sim.run()
         assert sim.now == 100
-        # force-schedule into the past, bypassing _enqueue's guard
+        # force-schedule into the past, bypassing _enqueue's guard: the
+        # instant goes on the heap with the ghost as its lone event
         ghost = Event(sim)
         ghost._triggered = True
-        heappush(sim._queue, (5, next(sim._sequence), ghost))
+        heappush(sim._queue, 5)
+        sim._timed[5] = ghost
         sim.run()
         assert _kinds(sim.sanitizer.violations) == ["causality"]
         assert "scheduled into the past" in sim.sanitizer.violations[0].detail

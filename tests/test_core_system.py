@@ -341,6 +341,9 @@ class TestCacheBypassingWrites:
         assert got == on_device == bytes(4096)
 
     def test_direct_write_updates_a_dirty_page_for_writeback(self):
+        """The direct write first writes the dirty page back (its older
+        bytes must not reach the device after it), then updates the
+        cached copy."""
         system = self._system()
         sim = system.sim
 
@@ -348,10 +351,12 @@ class TestCacheBypassingWrites:
             yield from self._cache_page0(system)
             yield from system.write(0, 8, b"\x22" * 4096, direct=False)
             yield from system.write(0, 8, b"\xab" * 4096)
-            assert system.pagecache.dirty_pages() == [0]
+            assert system.pagecache.dirty_pages() == []
+            assert system.pagecache.writebacks == 1
             got = yield from system.read(0, 8, direct=False)
-            # a second dirty page kicks writeback of both
+            # two more dirty pages kick writeback
             yield from system.write(16, 8, direct=False)
+            yield from system.write(24, 8, direct=False)
             while system._writeback_running:
                 yield sim.timeout(100_000)
             on_device = yield from system.read(0, 8)

@@ -32,7 +32,7 @@ def assert_dirty_state_matches_recount(system):
     assert icl.dirty_line_count() == dirty_lines
     cache = system.pagecache
     recount = [i for i, p in cache._pages.items() if p.dirty]
-    assert list(cache._dirty) == recount
+    assert list(cache.dirty) == recount
     assert cache.dirty_count() == len(recount)
 
 

@@ -227,7 +227,7 @@ class TestPageCache:
         new, stale = b"n" * 4096, b"s" * 4096
         cache.write(0, 8, new)
         resident = cache.resident_data(0, 16)
-        cache.clean(0)
+        cache.clean(0, sim.event())
         cache.drop(0)
         got = cache.install_read(0, 16, stale + stale, resident)
         assert got == new + stale

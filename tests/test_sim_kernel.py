@@ -608,8 +608,8 @@ class TestConstructionAudit:
     def test_hold_is_its_own_grant_free(self, sim):
         """An uncontended hold queues its untriggered timer in the FIFO;
         dispatching it is the grant, one event, which starts the timer
-        with a fresh sequence number; the timer then fires and returns
-        the unit."""
+        as the lone event of its instant; the timer then fires and
+        returns the unit."""
         resource = Resource(sim, 1, "r")
         tracker = UtilizationTracker(sim)
         timer = resource.hold(4, tracker)
@@ -618,7 +618,8 @@ class TestConstructionAudit:
         sim.step()                      # the grant
         assert sim.events_processed == 1
         assert timer.triggered and not timer.processed
-        assert not sim._ready and sim._queue == [(4, 0, timer)]
+        assert not sim._ready and sim._queue == [4]
+        assert sim._timed == {4: timer} and sim.queue_length == 1
         assert tracker._busy_since == 0    # begun at the grant
         sim.step()                      # the timer
         assert sim.events_processed == 2 and sim.now == 4
@@ -663,7 +664,8 @@ class TestConstructionAudit:
 
         sim.process(holder())
         sim.run(until=0)                # the grant started the timer
-        [(when, _seq, timer)] = sim._queue
+        [when] = sim._queue
+        timer = sim._timed[when]        # the instant's lone event
         assert when == 4 and timer.triggered
         waiter = resource.acquire()     # queued behind the hold
         timer.add_callback(lambda _ev: state("callback"))
@@ -683,6 +685,35 @@ class TestConstructionAudit:
 
 
 class TestKernelInvariants:
+    def test_an_instant_holds_its_lone_event_then_a_list(self, sim):
+        """A new instant's entry is its event; a second event makes it a
+        list in scheduling order.  ``step()`` stops on the list's head,
+        and the rest dispatch before the head's zero-delay follow-up."""
+        order = []
+        first = sim.timeout(5, "a")
+        assert sim._queue == [5] and sim._timed == {5: first}
+        rest = [sim.timeout(5, "b"), sim.timeout(5, "c")]
+        later = sim.timeout(7, "later")
+        assert sim._queue == [5, 7] and sim.queue_length == 4
+        assert sim._timed[5] == [first] + rest
+        def log(event):
+            order.append(event.value)
+
+        def head(event):
+            log(event)
+            sim.timeout(0, "now").add_callback(log)
+
+        first.add_callback(head)
+        for event in rest:
+            event.add_callback(log)
+        sim.step()
+        assert order == ["a"] and sim.now == 5 and sim.peek() == 5
+        assert list(sim._ready)[:2] == rest and 5 not in sim._timed
+        sim.run(until=5)
+        assert order == ["a", "b", "c", "now"]
+        assert sim._queue == [7] and sim._timed == {7: later}
+        assert sim.queue_length == 1
+
     def test_events_processed_exact_in_observers_and_after_a_raise(self, sim):
         """The loop keeps its count in a local; it writes it back before
         each observer call and on every exit, a raise included."""
@@ -766,6 +797,8 @@ class TestKernelInvariants:
         assert event._waiter is None
 
     def test_a_waiter_behind_a_condition_appends(self, sim):
+        """A condition takes a free slot as a process does, and a
+        process waiting behind it appends its resume."""
         event = sim.event()
         condition = AnyOf(sim, [event])
 
@@ -774,8 +807,8 @@ class TestKernelInvariants:
 
         process = sim.process(waiter())
         sim.run()
-        assert event._waiter is None
-        assert event.callbacks == [condition._child_done, process._resume]
+        assert event._waiter is condition
+        assert event.callbacks == [process._resume]
 
     def test_interrupt_clears_the_slot(self, sim):
         """An interrupt takes a slot waiter out of the slot; the event,

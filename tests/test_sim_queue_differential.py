@@ -1,24 +1,31 @@
 """The two-level event queue against the single-heap loop it replaced.
 
-``Simulator`` keeps events due now in a FIFO beside its heap and fires
-``AllOf``/``AnyOf`` from their own ``_child_done``.  The kernel before
-that pushed every event, zero-delay ones included, onto one heap of
-``(when, seq, event)`` and let conditions decide through
-``_check``/``_results``.  That kernel lives on here as the reference:
-``ReferenceSimulator`` routes every zero-delay schedule onto the heap at
-the current instant and runs the old ``_dispatch``, ``peek`` and
-``step`` verbatim, and its programs build the old conditions.  Its loop
-reads the current event layout as the live one does: it dispatches and
-counts every queued entry, an event resumes the process in its waiter
-slot before its callbacks, an untriggered entry is a hold's grant, which
-starts the hold's timer, and a hold's timer returns its unit before
-anything waiting on it runs.  Hypothesis programs of a few processes
-drive both kernels through ``run()``, stepped ``run(until=...)``,
-``step()`` and ``run_process``; after every driver call the dispatch
-traces, ``events_processed``, ``now``, ``queue_length``, ``peek()``,
-every resource's ``busy_time()`` and every store's items and waiting
-getters must agree.  One store starts with two items, the other empty,
-so gets both take an item at once and wait for a put.
+``Simulator`` keeps events due now in a FIFO, queues events due later by
+instant (a heap of distinct instants and a dict from each to its
+events), and lets ``AllOf``/``AnyOf`` wait in their children's
+``_waiter`` slots and decide in their own ``_resume``.  The kernel
+before that pushed every event, zero-delay ones included, onto one heap
+of ``(when, seq, event)`` and let conditions append to their children's
+callbacks and decide through ``_check``/``_results``.  That kernel
+lives on here as the reference: ``ReferenceSimulator`` keeps its own
+heap and sequence counter, with its own ``timeout``, ``_enqueue``,
+``queue_length``, ``peek``, ``step`` and ``_dispatch``, and shares no
+queue code with the kernel; every zero-delay schedule goes onto that
+heap at the current instant, and its programs build the old conditions.
+Its loop reads the current event layout as the live one does: it
+dispatches and counts every queued entry, an event resumes the waiter in
+its slot before its callbacks, an untriggered entry is a hold's grant,
+which starts the hold's timer, and a hold's timer returns its unit
+before anything waiting on it runs.  Hypothesis programs of a few
+processes drive both kernels through ``run()``, stepped
+``run(until=...)``, ``step()`` and ``run_process``; after every such
+call the dispatch traces, ``events_processed``, ``now``,
+``queue_length``, ``peek()``, every resource's ``busy_time()`` and
+every store's items and waiting getters must agree.  One store starts
+with two items, the other empty, so gets both take an item at once and
+wait for a put.  Some programs land the timed events of several
+processes on one instant in interleaved order, and some subscribe a
+condition to a child that already has a waiter.
 
 The same programs also check ``Resource.hold`` against the idiom it
 replaces: a program's ``hold`` ops run once as ``hold(delay)`` and once
@@ -46,13 +53,13 @@ from repro.sim import (
     UtilizationTracker,
 )
 from repro.sim.engine import EmptySchedule
-from repro.sim.events import AllOf, AnyOf
+from repro.sim.events import AllOf, AnyOf, Timeout
 from repro.sim.resources import _HoldTimer
 
 
 class _HeapReady:
-    """Stands in for the FIFO: an event due now goes on the heap at the
-    current instant with the next sequence number."""
+    """Stands in for the FIFO: an event due now goes on the reference's
+    heap at the current instant with the next sequence number."""
 
     __slots__ = ("sim",)
 
@@ -61,7 +68,7 @@ class _HeapReady:
 
     def append(self, event) -> None:
         sim = self.sim
-        heapq.heappush(sim._queue, (sim._now, next(sim._sequence), event))
+        heapq.heappush(sim._heap, (sim._now, next(sim._sequence), event))
 
     def __len__(self) -> int:
         return 0
@@ -121,18 +128,48 @@ class _Parent:
 
 
 class ReferenceSimulator(Simulator):
-    """The single-heap kernel: one heap, every event through it."""
+    """The single-heap kernel: one heap of ``(when, seq, event)``, every
+    event through it.  It reads and writes none of the kernel's queue
+    (``_queue``, ``_timed``): its own ``timeout``, ``_enqueue``,
+    ``queue_length``, ``peek``, ``step`` and ``_dispatch`` use ``_heap``
+    and ``_sequence`` alone."""
 
     def __init__(self) -> None:
         super().__init__()
+        self._heap = []
+        self._sequence = count()
         self._ready = _HeapReady(self)
 
+    @property
+    def queue_length(self):
+        return len(self._heap)
+
+    def timeout(self, delay, value=None):
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        timeout = object.__new__(Timeout)
+        timeout.sim = self
+        timeout.callbacks = []
+        timeout._value = value
+        timeout._ok = True
+        timeout._triggered = True
+        timeout._waiter = None
+        timeout.delay = int(delay)
+        self._enqueue(timeout.delay, timeout)
+        return timeout
+
+    def _enqueue(self, delay, event):
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        heapq.heappush(self._heap, (self._now + int(delay),
+                                    next(self._sequence), event))
+
     def peek(self):
-        queue = self._queue
+        queue = self._heap
         return queue[0][0] if queue else None
 
     def _dispatch(self, until, stop):
-        queue = self._queue
+        queue = self._heap
         pop = heapq.heappop
         orphans = self._orphan_failures
         observer = self._observer
@@ -182,7 +219,7 @@ class ReferenceSimulator(Simulator):
     def step(self):
         if self.peek() is None:
             raise EmptySchedule()
-        self._dispatch(None, self._queue[0][2])
+        self._dispatch(None, self._heap[0][2])
 
 
 # -- the programs ---------------------------------------------------------------
@@ -236,17 +273,21 @@ class World:
         for item in ("seed0", "seed1"):
             stocked.put(item)
 
+    def _owner(self, target):
+        """A process by its name, a condition by its kind."""
+        if isinstance(target, _CONDITIONS):
+            return type(target).__name__
+        return self.names.get(target, "main")
+
     def _owners(self, event):
-        """The process in the waiter slot first, then the callbacks'."""
+        """The waiter in the slot first, then the callbacks'."""
         owners = []
         if event._waiter is not None:
-            owners.append(self.names.get(event._waiter, "main"))
+            owners.append(self._owner(event._waiter))
         for callback in event.callbacks:
             target = getattr(callback, "__self__", None)
-            if isinstance(target, Process):
-                owners.append(self.names.get(target, "main"))
-            elif isinstance(target, _CONDITIONS):
-                owners.append(type(target).__name__)
+            if isinstance(target, (Process,) + _CONDITIONS):
+                owners.append(self._owner(target))
             else:
                 owners.append(getattr(callback, "__qualname__", "?"))
         return owners
@@ -299,6 +340,15 @@ def _waiting(event):
         return (yield event)
     except Interrupt as interrupt:
         return ("interrupted", interrupt.cause)
+
+
+def _meeting(sim, offset, at, value):
+    """Wait ``offset`` ns, then wait for the instant ``at`` ns after the
+    start: meetings spawned together land on one instant, scheduled in
+    the order of their offsets."""
+    if offset:
+        yield sim.timeout(offset)
+    return (yield sim.timeout(at - offset, value))
 
 
 def _script(world, name, ops):
@@ -385,6 +435,30 @@ def _script(world, name, ops):
                 if op[2]:
                     yield sim.timeout(0, tag())  # the other waits first
                 yield event
+            elif kind == "meet":
+                # several processes, and this one, each schedule a
+                # timeout due on one instant 3 ns ahead; the offsets
+                # interleave their scheduling order with their spawn order
+                for offset in op[1]:
+                    label = tag()
+                    world.spawn(_meeting(sim, offset, 3, label), label)
+                event = sim.timeout(3, tag())
+                yield event
+            elif kind == "condshare":
+                # a condition subscribes to an event that already has a
+                # waiter (a process, or another condition), or takes the
+                # slot first and a process waits behind it
+                shared = sim.timeout(op[2], tag())
+                first, build = op[3], world.builds[op[1]]
+                if first == "process":
+                    world.spawn(_waiting(shared), tag())
+                    yield sim.timeout(0, tag())   # the process waits first
+                elif first == "condition":
+                    build(sim, [shared, sim.timeout(op[2] + 1, tag())])
+                event = build(sim, [sim.timeout(1, tag()), shared])
+                if first == "condition":
+                    world.spawn(_waiting(shared), tag())
+                yield event
             elif kind == "unslot":
                 # interrupt the slot waiter of an event with a second
                 # waiter behind it, then wait on that event too
@@ -419,8 +493,18 @@ _ACQUIRE = st.tuples(st.just("acquire"), st.sampled_from([0, 1]), _DELAY)
 #: with a second waiter behind it; or the event fired first
 _UNSLOT = st.sampled_from([("unslot", 1, 0), ("unslot", 3, 0),
                            ("unslot", 3, 1), ("unslot", 0, 0)])
+#: three or four processes meeting this one's timeout on one instant
+_MEET = st.tuples(st.just("meet"),
+                  st.lists(st.sampled_from([0, 1, 2]), min_size=2,
+                           max_size=3))
+#: a condition on an event with a waiter before or behind it
+_CONDSHARE = st.tuples(st.just("condshare"),
+                       st.sampled_from(["allof", "anyof"]), _DELAY,
+                       st.sampled_from(["process", "condition", "none"]))
 _LEAF = st.one_of(
     st.tuples(st.just("timeout"), _DELAY),
+    _MEET,
+    _CONDSHARE,
     _HOLD,
     _ACQUIRE,
     st.tuples(st.sampled_from(["put", "get"]), st.sampled_from([0, 1])),
@@ -440,6 +524,10 @@ def _programs(leaf):
 
 
 PROGRAMS = _programs(_LEAF)
+#: instant-sharing programs: meetings, conditions on shared events and
+#: timeouts, so that stepping stops on the heads of shared instants often
+SHARED_PROGRAMS = _programs(st.one_of(
+    _MEET, _MEET, _CONDSHARE, st.tuples(st.just("timeout"), _DELAY)))
 #: resource-heavy programs: holds mixed with plain acquires and
 #: timeouts, spawned so that they contend
 HOLD_PROGRAMS = _programs(st.one_of(
@@ -505,7 +593,8 @@ def test_run_matches_single_heap(program):
 
 
 @_PROFILE
-@given(PROGRAMS, st.lists(st.integers(0, 3), max_size=12))
+@given(st.one_of(PROGRAMS, SHARED_PROGRAMS),
+       st.lists(st.integers(0, 3), max_size=12))
 def test_stepped_run_until_matches_single_heap(program, strides):
     calls = [lambda world, stride=stride: world.sim.run(
         until=world.sim.now + stride) for stride in strides]
@@ -513,8 +602,9 @@ def test_stepped_run_until_matches_single_heap(program, strides):
 
 
 @_PROFILE
-@given(PROGRAMS)
+@given(st.one_of(PROGRAMS, SHARED_PROGRAMS))
 def test_step_matches_single_heap(program):
+    """``step()`` stops on every event, shared instants' heads included."""
     def steps():
         while True:
             yield lambda world: world.sim.step()
