@@ -33,10 +33,9 @@ class IOKind(enum.Enum):
 class IORequest:
     """One host-visible I/O, in 512-byte logical sectors.
 
-    The request records stage timestamps as it moves down the stack;
-    FIO's per-stage latency split (``FioResult.stage_breakdown``) reads
-    them, and they cost nothing when tracing is off.  Fig 14 measures its
-    three levels in three separate runs, not from these.
+    The request carries no timestamps: its issuer keeps the submit time,
+    and with causal capture armed (:mod:`repro.obs.causal`) its latency
+    is split into components that sum to it exactly.
     """
 
     kind: IOKind
@@ -44,12 +43,6 @@ class IORequest:
     nsectors: int                   # length in sectors
     data: Optional[bytes] = None    # real payload when data emulation is on
     req_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
-
-    # lifecycle timestamps (ns); -1 = not reached
-    t_submit: int = -1              # user-level submission (syscall entry)
-    t_driver: int = -1              # handed to the device driver
-    t_device: int = -1              # fetched by the device controller
-    t_backend_done: int = -1        # flash/cache service complete
 
     # set by drivers/controllers as the request is serviced
     queue_id: int = 0

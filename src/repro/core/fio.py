@@ -167,10 +167,10 @@ class IssueStream:
             req.queue_id = index
             yield from system.cpu.execute(USER_SUBMIT, core=index,
                                           kernel=False)
-            req.t_submit = sim.now
+            t_submit = sim.now
             completion = yield from system.submit_io(
                 req, stream_id=index, core=index, direct=self.direct)
-            completion.add_callback(self._on_complete(req, req.t_submit))
+            completion.add_callback(self._on_complete(req, t_submit))
             self.outstanding += 1
             self.issued += 1
             yield from system.cpu.execute(USER_REAP, core=index,
@@ -219,27 +219,16 @@ class FioEngine:
         bandwidth = BandwidthRecorder()
         read_bw = BandwidthRecorder()
         write_bw = BandwidthRecorder()
-        state = {"completed": 0, "bytes": 0, "staged": 0}
-        # running ns sums per stage over the "staged" timed I/Os, so
-        # memory stays constant however many I/Os complete
-        stages = {"kernel_submit": 0, "interface": 0, "device": 0,
-                  "completion": 0}
+        state = {"completed": 0, "bytes": 0}
         warmup_ios = int(job.total_ios * job.numjobs * job.warmup_fraction)
 
         def account(req: IORequest, t_submit: int, nbytes: int) -> None:
             """Count one completion; past the warm-up, time it and add
-            it to the bandwidth recorders and the stage sums."""
+            it to the bandwidth recorders."""
             state["completed"] += 1
             state["bytes"] += nbytes
             if state["completed"] > warmup_ios:
                 latency.record(sim.now - t_submit)
-                if (req.t_driver >= 0 and req.t_device >= 0
-                        and req.t_backend_done >= 0):
-                    stages["kernel_submit"] += req.t_driver - t_submit
-                    stages["interface"] += req.t_device - req.t_driver
-                    stages["device"] += req.t_backend_done - req.t_device
-                    stages["completion"] += sim.now - req.t_backend_done
-                    state["staged"] += 1
                 bandwidth.record(nbytes, sim.now)
                 (read_bw if req.kind.is_read else write_bw).record(
                     nbytes, sim.now)
@@ -270,13 +259,8 @@ class FioEngine:
         if latency.count < 100 and elapsed > 0:
             steady_mbps = (state["bytes"] / MB) / (elapsed / SEC)
 
-        staged = state["staged"]
-        breakdown = {name: (total / staged if staged else 0.0)
-                     for name, total in stages.items()}
-
         return FioResult(
             bandwidth_mbps=steady_mbps,
-            stage_breakdown=breakdown,
             read_bandwidth_mbps=read_bw.mbps(),
             write_bandwidth_mbps=write_bw.mbps(),
             iops=state["completed"] / (elapsed / SEC) if elapsed else 0.0,

@@ -20,9 +20,6 @@ class FioResult:
     total_bytes: int = 0
     elapsed_ns: int = 0
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    # where time went, per request stage (ns means); the request's
-    # lifecycle timestamps make user/interface/device levels separable
-    stage_breakdown: Dict[str, float] = field(default_factory=dict)
     # host-side observations
     host_kernel_utilization: float = 0.0
     # device-side observations

@@ -69,11 +69,11 @@ class FullSystem:
         self._wire_interface()
         self.blocklayer = BlockLayer(self.sim, self.cpu, self.kernel_profile,
                                      self.adapter)
-        self.pagecache = PageCache(self.sim, self.memory, page_cache_bytes,
+        self.pagecache = PageCache(self.sim, self.memory, self.blocklayer,
+                                   page_cache_bytes,
                                    data_emulation=data_emulation)
         self._syscall_mix = InstructionMix.typical(
             self.kernel_profile.syscall_submit_instr)
-        self._writeback_running = False
         self.metrics = MetricsRegistry()
         self._register_metrics()
         #: the latest multi-tenant run's tenants by index, which the
@@ -196,12 +196,13 @@ class FullSystem:
         """Process generator: submit an I/O at user level.
 
         Returns the completion event (fires with read payload or None).
-        Buffered (non-direct) I/O consults the page cache first.  A
-        request that reaches the block layer past the cache, a direct
-        I/O or a TRIM or a write the cache did not absorb, first writes
-        back the dirty pages of its range and waits for every writeback
-        of its range in flight (:meth:`_write_and_wait`), so it cannot
-        overtake an older write of its pages.
+        The page cache serves buffered (non-direct) I/O first
+        (:meth:`PageCache.serve`).  A request that reaches the block
+        layer past the cache, a direct I/O, a TRIM, a FLUSH or a write
+        the cache did not absorb, first has the cache write back the
+        dirty pages it covers (every one for a FLUSH) and wait for their
+        writebacks in flight (:meth:`PageCache.write_and_wait`), so it
+        cannot overtake an older write of its pages.
         """
         # end-to-end span: syscall entry to user-visible completion; it
         # closes from the completion event's callback, registered only
@@ -216,20 +217,20 @@ class FullSystem:
                 # are attributed to its namespace, not its request id
                 tracer.annotate_track(req.req_id, f"ns:{req.nsid}")
         yield from self.cpu.execute(self._syscall_mix, core=core, kernel=True)
+        cache = self.pagecache
         if not direct:
-            served = yield from self._buffered_path(req, stream_id, core)
+            served = yield from cache.serve(req, stream_id)
             if served is not None:
                 if span is not None:
                     tracer.end(span)
                 return served
-        cache = self.pagecache
         if (cache.dirty or cache.writing) and (
                 direct or req.kind is not IOKind.READ):
-            yield from self._write_and_wait(req, stream_id, core)
+            yield from cache.write_and_wait(req, stream_id, core)
         if self.data_emulation and req.kind in (IOKind.WRITE, IOKind.TRIM):
             # a write or TRIM reaching the device past the page cache:
             # its resident pages take the new bytes (zeros for a TRIM)
-            self.pagecache.overwrite(
+            cache.overwrite(
                 req.slba, req.nsectors,
                 req.data if req.kind is IOKind.WRITE else None)
         buffered_read = not direct and req.kind.is_read
@@ -250,83 +251,6 @@ class FullSystem:
             event.add_callback(lambda _ev: tracer.end(span))
         return event
 
-    def _buffered_path(self, req: IORequest, stream_id: int,
-                       core: Optional[int]):
-        """Try to serve from the page cache; returns an event or None."""
-        cache = self.pagecache
-        if req.kind.is_read and cache.lookup_read(req.slba, req.nsectors):
-            yield from self.memory.access(req.nbytes)
-            done = self.sim.event()
-            done.succeed(cache.read_data(req.slba, req.nsectors))
-            return done
-        if req.kind.is_write and cache.write(req.slba, req.nsectors, req.data):
-            yield from self.memory.access(req.nbytes, write=True)
-            done = self.sim.event()
-            done.succeed(None)
-            self._kick_writeback(stream_id)
-            return done
-        return None
-
-    def _write_and_wait(self, req: IORequest, stream_id: int,
-                        core: Optional[int]):
-        """Write back the dirty pages of ``req``'s range, then wait until
-        no writeback of the range is in flight: Linux's
-        ``filemap_write_and_wait_range`` before a direct I/O."""
-        cache = self.pagecache
-        for index in cache.dirty_in(req.slba, req.nsectors):
-            payload = cache.page_payload(index) if self.data_emulation \
-                else None
-            done = self.sim.event()
-            cache.clean(index, done)
-            wb_req = IORequest(IOKind.WRITE, index * 8, 8, data=payload)
-            yield from self.blocklayer.submit(wb_req, stream_id=stream_id,
-                                              core=core, done=done)
-        # a writeback that starts while this one waits is waited for too
-        pending = cache.writebacks_in(req.slba, req.nsectors)
-        while pending:
-            for done in pending:
-                yield done
-            pending = cache.writebacks_in(req.slba, req.nsectors)
-
-    def _kick_writeback(self, stream_id: int) -> None:
-        if self._writeback_running:
-            return
-        if self.pagecache.dirty_count() < self.pagecache.capacity_pages // 4:
-            return
-        self._writeback_running = True
-        self.sim.process(self._writeback(stream_id))
-
-    def _writeback(self, stream_id: int):
-        cache = self.pagecache
-        writing = cache.writing
-        try:
-            while cache.dirty_count() > cache.capacity_pages // 8:
-                batch = []
-                for index in cache.dirty_pages(16):
-                    payload = cache.page_payload(index) if self.data_emulation \
-                        else None
-                    # clear the page before the submit yields, as Linux's
-                    # clear_page_dirty_for_io does: a write landing during
-                    # the submit re-dirties it for a later pass.  The page
-                    # is under writeback until its write's event is done.
-                    done = self.sim.event()
-                    cache.clean(index, done)
-                    wb_req = IORequest(IOKind.WRITE, index * 8, 8, data=payload)
-                    yield from self.blocklayer.submit(
-                        wb_req, stream_id=stream_id, done=done)
-                    batch.append((index, done))
-                for index, done in batch:
-                    yield done
-                    # the write completed: forget its mark, unless a
-                    # later writeback of the page replaced it
-                    if writing.get(index) is done:
-                        del writing[index]
-                for index, page in cache.evict_candidates():
-                    if not page.dirty:
-                        cache.drop(index)
-        finally:
-            self._writeback_running = False
-
     # -- workload entry points ------------------------------------------------------
 
     def run_fio(self, job: FioJob) -> FioResult:
@@ -343,7 +267,6 @@ class FullSystem:
     def read(self, slba: int, nsectors: int, direct: bool = True):
         """Process generator: synchronous read convenience."""
         req = IORequest(IOKind.READ, slba, nsectors)
-        req.t_submit = self.sim.now
         event = yield from self.submit_io(req, direct=direct)
         data = yield event
         return data
@@ -351,14 +274,12 @@ class FullSystem:
     def write(self, slba: int, nsectors: int, data: Optional[bytes] = None,
               direct: bool = True):
         req = IORequest(IOKind.WRITE, slba, nsectors, data=data)
-        req.t_submit = self.sim.now
         event = yield from self.submit_io(req, direct=direct)
         yield event
 
     def trim(self, slba: int, nsectors: int):
         """Process generator: deallocate a range (NVMe DSM / ATA TRIM)."""
         req = IORequest(IOKind.TRIM, slba, nsectors)
-        req.t_submit = self.sim.now
         event = yield from self.submit_io(req)
         yield event
 

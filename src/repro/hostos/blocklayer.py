@@ -127,7 +127,6 @@ class BlockLayer:
             self._mergeable.pop((req.kind.value, req.nsid,
                                  req.slba + req.nsectors), None)
             yield from self.cpu.execute(self._mix["driver"], kernel=True)
-            req.t_driver = self.sim.now
             device_event = self.adapter.submit(req)
             self.inflight += 1
             self.requests_dispatched += 1

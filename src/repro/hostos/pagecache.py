@@ -1,13 +1,17 @@
-"""Host page cache for buffered I/O.
+"""Host page cache: buffered I/O and its writeback.
 
-A 4 KB-page LRU cache over the block device.  Buffered reads hit here at
-host-DRAM speed; buffered writes dirty pages that a writeback process
-flushes.  A page is *under writeback* from the moment writeback cleans it
-until its write completes (Linux's ``PG_writeback``): a direct I/O of
-the page waits for that write first (see
-:meth:`repro.core.system.FullSystem.submit_io`).  Its footprint
-registers with the host-memory ledger, feeding the Fig 15c DRAM-usage
-timelines.
+A 4 KB-page LRU cache over the block layer, and the one owner of
+buffered I/O, as Linux's filemap layer is.  :meth:`PageCache.serve`
+serves a buffered read hit at host-DRAM speed or absorbs a buffered
+write; once a quarter of the cache is dirty, a writeback process writes
+dirty pages back in batches until an eighth is.  A page is *under
+writeback* from the moment it is cleaned for its write until that
+write completes (Linux's ``PG_writeback``).  A request that reaches the
+block layer past the cache first calls :meth:`PageCache.write_and_wait`
+(see :meth:`repro.core.system.FullSystem.submit_io`), which writes back
+the dirty pages of its range, or every dirty page for a FLUSH, and
+waits for their writebacks in flight.  The cache's footprint registers
+with the host-memory ledger, feeding the Fig 15c DRAM-usage timelines.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from collections import OrderedDict
 from itertools import islice
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.common.iorequest import IOKind, IORequest
 from repro.host.memory import HostMemory
 
 PAGE = 4096
@@ -31,23 +36,26 @@ class _CachedPage:
 
 
 class PageCache:
-    def __init__(self, sim, memory: HostMemory, capacity_bytes: int,
-                 data_emulation: bool = False,
-                 ledger_tag: str = "pagecache") -> None:
+    def __init__(self, sim, memory: HostMemory, blocklayer,
+                 capacity_bytes: int, data_emulation: bool = False) -> None:
         self.sim = sim
         self.memory = memory
+        #: the :class:`~repro.hostos.blocklayer.BlockLayer` that written-back
+        #: pages go to
+        self.blocklayer = blocklayer
         self.capacity_pages = max(8, capacity_bytes // PAGE)
         self.data_emulation = data_emulation
-        self.ledger_tag = ledger_tag
         self._pages: "OrderedDict[int, _CachedPage]" = OrderedDict()
         #: the dirty pages' indices, kept in _pages' LRU order
         self.dirty: "OrderedDict[int, None]" = OrderedDict()
         #: pages under writeback: each page cleaned for a write -> that
         #: write's completion event, pending until the device has the
-        #: page.  Marks outlive eviction; the writer forgets its own
-        #: once the write completes, and :meth:`writebacks_in` forgets
-        #: the completed ones it finds.
+        #: page.  Marks outlive eviction; the writeback process forgets
+        #: its own once the write completes, and :meth:`write_and_wait`
+        #: forgets the completed ones it finds.
         self.writing: Dict[int, Any] = {}
+        #: True while the writeback process runs
+        self.writeback_running = False
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -69,7 +77,7 @@ class PageCache:
             return page
         page = _CachedPage()
         self._pages[index] = page
-        self.memory.allocate(self.ledger_tag, PAGE)
+        self.memory.allocate("pagecache", PAGE)
         return page
 
     def evict_candidates(self) -> List[Tuple[int, _CachedPage]]:
@@ -83,7 +91,7 @@ class PageCache:
     def drop(self, index: int) -> None:
         if self._pages.pop(index, None) is not None:
             self.dirty.pop(index, None)
-            self.memory.free(self.ledger_tag, PAGE)
+            self.memory.free("pagecache", PAGE)
 
     # -- lookup/update ----------------------------------------------------------
 
@@ -220,43 +228,114 @@ class PageCache:
         ``limit`` of them when given."""
         return list(islice(self.dirty, limit))
 
-    def dirty_in(self, slba: int, nsectors: int) -> List[int]:
-        """The range's dirty page indices, in page order."""
-        dirty = self.dirty
-        return [idx for idx in self._page_range(slba, nsectors)
-                if idx in dirty]
+    # -- buffered I/O and writeback ---------------------------------------------
 
-    def writebacks_in(self, slba: int, nsectors: int) -> List[Any]:
-        """The completion events of the range's writebacks still in
-        flight, in page order; marks of completed ones are forgotten."""
-        writing = self.writing
-        pending = []
-        for idx in self._page_range(slba, nsectors):
-            done = writing.get(idx)
-            if done is None:
-                continue
-            if done.processed:
-                del writing[idx]
-            else:
-                pending.append(done)
-        return pending
+    def serve(self, req: IORequest, stream_id: int):
+        """Process generator: serve a buffered I/O from host DRAM.
 
-    def clean(self, index: int, done) -> None:
-        """Clear a page's dirty bit as its writeback is submitted.
-
-        ``done``, the write's completion event, puts the page under
-        writeback until it is processed.
+        A read of a cached range is a hit; an aligned write is absorbed,
+        and starts writeback on ``stream_id`` once a quarter of the cache
+        is dirty.  Returns the request's completion event, already
+        succeeded, or None when the request must go to the device.
         """
-        page = self._pages.get(index)
-        if page is not None:
-            page.dirty = False
-            self.dirty.pop(index, None)
-            self.writebacks += 1
-        self.writing[index] = done
+        if req.kind.is_read and self.lookup_read(req.slba, req.nsectors):
+            yield from self.memory.access(req.nbytes)
+            done = self.sim.event()
+            done.succeed(self.read_data(req.slba, req.nsectors))
+            return done
+        if req.kind.is_write and self.write(req.slba, req.nsectors, req.data):
+            yield from self.memory.access(req.nbytes, write=True)
+            done = self.sim.event()
+            done.succeed(None)
+            if not self.writeback_running and \
+                    len(self.dirty) >= self.capacity_pages // 4:
+                self.writeback_running = True
+                self.sim.process(self._writeback_loop(stream_id))
+            return done
+        return None
 
-    def page_payload(self, index: int) -> Optional[bytes]:
-        page = self._pages[index]
-        return bytes(page.data) if page.data is not None else None
+    def write_and_wait(self, req: IORequest, stream_id: int,
+                       core: Optional[int]):
+        """Process generator: write back the dirty pages of ``req``'s
+        range in page order, then wait until no writeback of the range
+        is in flight: Linux's ``filemap_write_and_wait_range`` before a
+        direct I/O.  A FLUSH covers every page, as ``fsync`` does."""
+        flush = req.kind is IOKind.FLUSH
+        pages = self._page_range(req.slba, req.nsectors)
+        dirty = self.dirty
+        yield from self._write_back(
+            sorted(dirty) if flush else [idx for idx in pages if idx in dirty],
+            stream_id, core)
+        # a writeback that starts while this one waits is waited for too
+        writing = self.writing
+        while True:
+            pending = []
+            for idx in sorted(writing) if flush else pages:
+                done = writing.get(idx)
+                if done is None:
+                    continue
+                if done.processed:
+                    del writing[idx]
+                else:
+                    pending.append(done)
+            if not pending:
+                return
+            for done in pending:
+                yield done
+
+    def _writeback_loop(self, stream_id: int):
+        """Process: write dirty pages back, least recently used first, in
+        batches of 16 until at most an eighth of the cache is dirty; after
+        each batch, drop the clean pages over capacity."""
+        writing = self.writing
+        try:
+            while len(self.dirty) > self.capacity_pages // 8:
+                batch = yield from self._write_back(self.dirty_pages(16),
+                                                    stream_id, None)
+                for idx, done in batch:
+                    yield done
+                    # the write completed: forget its mark, unless a
+                    # later writeback of the page replaced it
+                    if writing.get(idx) is done:
+                        del writing[idx]
+                for idx, page in self.evict_candidates():
+                    if not page.dirty:
+                        self.drop(idx)
+        finally:
+            self.writeback_running = False
+
+    def _write_back(self, indices: List[int], stream_id: int,
+                    core: Optional[int]):
+        """Process generator: clean and submit each page of ``indices``
+        that is still dirty when its turn comes; returns ``(index,
+        done)`` per page submitted, ``done`` being its write's
+        completion event.
+
+        A page's dirty bit is cleared before its submit yields, as
+        Linux's ``clear_page_dirty_for_io`` does: a write landing during
+        the submit re-dirties it for a later pass.  A page another
+        writer cleaned meanwhile is skipped, as when that call returns
+        false, so a page is written back once each time it is dirtied.
+        The page is under writeback until ``done`` is processed.
+        """
+        pages, dirty, writing = self._pages, self.dirty, self.writing
+        submit = self.blocklayer.submit
+        submitted = []
+        for idx in indices:
+            if idx not in dirty:
+                continue
+            page = pages[idx]
+            payload = bytes(page.data) if self.data_emulation else None
+            done = self.sim.event()
+            page.dirty = False
+            del dirty[idx]
+            self.writebacks += 1
+            writing[idx] = done
+            yield from submit(IORequest(IOKind.WRITE, idx * _SECTORS_PER_PAGE,
+                                        _SECTORS_PER_PAGE, data=payload),
+                              stream_id=stream_id, core=core, done=done)
+            submitted.append((idx, done))
+        return submitted
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

@@ -123,8 +123,6 @@ class HTypeHost(HostAdapter):
               if tracer.enabled else NULL_SPAN_CONTEXT):
             yield from self.link.receive(protocol.completion_frame)
             yield self.sim.timeout(protocol.pipeline_ns)
-        if req.t_backend_done < 0:
-            req.t_backend_done = self.sim.now
         self._free_slots.append(cmd.slot)
         if self._slot_waiters:
             self._slot_waiters.popleft().succeed()
@@ -159,7 +157,6 @@ class HTypeController:
               if tracer.enabled else NULL_SPAN_CONTEXT):
             yield from self.ssd.cores.execute("hil", self._parse_mix)
             payload = None
-            req.t_device = self.sim.now
             if kind is IOKind.READ:
                 payload = yield self.ssd.submit(DeviceCommand(
                     IOKind.READ, req.slba, req.nsectors, host_request=req))
@@ -183,5 +180,4 @@ class HTypeController:
                     IOKind.TRIM, req.slba, req.nsectors))
             else:
                 raise ValueError(f"h-type controller cannot execute {kind}")
-            req.t_backend_done = self.sim.now
         yield from self.host.command_done(cmd, payload)

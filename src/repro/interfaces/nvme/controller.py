@@ -152,8 +152,6 @@ class NvmeController:
                                     priority=self.queue_priorities.get(qid, 1),
                                     data=req.data if req is not None else None,
                                     host_request=req)
-                if req is not None:
-                    req.t_device = self.sim.now
                 done = self.ssd.submit(cmd)
                 yield done
             elif sqe.opcode is NvmeOpcode.READ:
@@ -161,8 +159,6 @@ class NvmeController:
                                     queue_id=qid,
                                     priority=self.queue_priorities.get(qid, 1),
                                     host_request=req)
-                if req is not None:
-                    req.t_device = self.sim.now
                 done = self.ssd.submit(cmd)
                 payload = yield done
                 # push data device -> host (PRP walk)
@@ -176,9 +172,6 @@ class NvmeController:
                 yield self.ssd.submit(cmd)
             else:
                 raise ValueError(f"controller cannot execute {sqe.opcode}")
-
-            if req is not None:
-                req.t_backend_done = self.sim.now
         yield from self._complete(qid, sqe, payload)
 
     def _complete(self, qid: int, sqe: SubmissionEntry, payload):

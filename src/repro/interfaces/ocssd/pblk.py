@@ -140,7 +140,6 @@ class PblkDriver(HostAdapter):
         with (tracer.span("ocssd.pblk.write", req.req_id,
                           nsectors=req.nsectors)
               if tracer.enabled else NULL_SPAN_CONTEXT):
-            req.t_device = self.sim.now
             spp = self.sectors_per_page
             end = req.slba + req.nsectors
             for lpn in range(req.slba // spp, -(-end // spp)):
@@ -165,7 +164,6 @@ class PblkDriver(HostAdapter):
                 yield from self.memory.access(self.page_size, write=True)
             if len(self._buffer) >= self.buffer_capacity_pages // 2:
                 self._start_flush()
-            req.t_backend_done = self.sim.now
         event.succeed(None)
 
     def _buffer_slot(self, lpn: int, partial: bool, track: int):
@@ -319,7 +317,6 @@ class PblkDriver(HostAdapter):
         with (tracer.span("ocssd.pblk.read", req.req_id,
                           nsectors=req.nsectors)
               if tracer.enabled else NULL_SPAN_CONTEXT):
-            req.t_device = self.sim.now
             first_lpn = req.slba // self.sectors_per_page
             n_pages = max(1, -(-(req.slba % self.sectors_per_page
                                  + req.nsectors)
@@ -347,7 +344,6 @@ class PblkDriver(HostAdapter):
                     [ppn for _i, ppn in flash], track=req.req_id)
                 for (i, _ppn), payload in zip(flash, payloads):
                     chunks[i] = payload or bytes(self.page_size)
-            req.t_backend_done = self.sim.now
         if self.data_emulation:
             whole = b"".join(chunks)
             start = (req.slba % self.sectors_per_page) * 512
@@ -367,7 +363,6 @@ class PblkDriver(HostAdapter):
         with (tracer.span("ocssd.pblk.trim", req.req_id,
                           nsectors=req.nsectors)
               if tracer.enabled else NULL_SPAN_CONTEXT):
-            req.t_device = self.sim.now
             spp = self.sectors_per_page
             end = req.slba + req.nsectors
             last = -(-end // spp) - 1   # the last page the range touches
@@ -381,7 +376,6 @@ class PblkDriver(HostAdapter):
                     self.l2p[lpn] = UNMAPPED
                     self._invalidate(ppn)
             self._wake_buffer_waiters()
-            req.t_backend_done = self.sim.now
         event.succeed(None)
 
     # -- flush / GC -----------------------------------------------------------------------

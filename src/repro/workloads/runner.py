@@ -45,14 +45,14 @@ class EnterpriseRunner:
                 nbytes = req.nbytes   # merging may grow req.nsectors later
                 yield from system.cpu.execute(USER_SUBMIT, core=index,
                                               kernel=False)
-                req.t_submit = sim.now
+                t_submit = sim.now
                 event = yield from system.submit_io(req, stream_id=index,
                                                     core=index)
                 yield event
                 state["done"] += 1
                 state["bytes"] += nbytes
                 if state["done"] > warmup:
-                    latency.record(sim.now - req.t_submit)
+                    latency.record(sim.now - t_submit)
                     bandwidth.record(nbytes, sim.now)
                     (read_bw if req.kind.is_read else write_bw).record(
                         nbytes, sim.now)

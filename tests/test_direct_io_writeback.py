@@ -1,4 +1,4 @@
-"""Direct I/O orders after the page cache's writes of its range.
+"""Direct I/O and FLUSH order after the page cache's writes.
 
 Before a direct read, a direct write or a TRIM reaches the block layer,
 the dirty pages of its range are written back and every writeback of
@@ -7,7 +7,8 @@ a page is under writeback from the moment it is cleaned until its write
 completes).  Without that, the per-stream elevator queues let a direct
 write overtake an older writeback of its page, whose stale bytes then
 reach the device last, and a direct read of a dirty page reads the
-device's older bytes.
+device's older bytes.  A FLUSH writes back every dirty page and waits
+for every writeback in flight first, as ``fsync`` does.
 
 The race program: on the tiny config with data emulation and an 8-page
 page cache, stream 1 direct-writes page 5 and then, ``gap`` ns after
@@ -18,12 +19,22 @@ issued last: ``v2`` when ``v1`` returned before ``v2`` was issued.
 Writes that overlap in time may land in either order, but the device
 and the page cache must then agree.
 
+The duplicate program, on the same system: stream 0 buffered-writes
+pages ``0..n-1`` one after another, and stream 1 direct-writes ``m``
+pages from page ``first`` at ``at`` ns, which writes back the dirty
+pages of its range while the writeback process may hold some of them
+in its batch.  Each page is dirtied once, so each must be written back
+at most once.
+
 Tier-1 runs the named points.  ``REPRO_WRITEBACK_GRID=full`` (CI's
-analysis job) adds the grid of stream 0's start from 0 to 19 us and
-stream 1's gap from 0 to 59 us, in 5 us steps, on each configuration.
+analysis job) adds the race grid, stream 0's start from 0 to 19 us and
+stream 1's gap from 0 to 59 us in 5 us steps on each configuration,
+and the duplicate scan, ``n`` of 4, 8, 12 or 20, ``m`` of 2, 4 or 8,
+``first`` from 0 to 11 and ``at`` from 0 to 115 us in 5 us steps.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -46,8 +57,8 @@ CONFIGS = [("nvme", "4.4"), ("sata", "4.4"), ("nvme", "4.14")]
 GRID = [(interface, kernel, start * 1000, gap * 1000, None)
         for interface, kernel in CONFIGS
         for start in range(0, 20, 5) for gap in range(0, 60, 5)]
-POINTS = NAMED_POINTS + (
-    GRID if os.environ.get("REPRO_WRITEBACK_GRID") == "full" else [])
+FULL = os.environ.get("REPRO_WRITEBACK_GRID") == "full"
+POINTS = NAMED_POINTS + (GRID if FULL else [])
 
 
 def _system(interface="nvme", kernel="4.14"):
@@ -60,7 +71,7 @@ def _io(system, kind, page, data, stream, direct, times=None, name=None):
     issue and return instants under ``name``."""
     sim = system.sim
     req = IORequest(kind, page * 8, 8, data=data)
-    req.t_submit = issued = sim.now
+    issued = sim.now
     event = yield from system.submit_io(req, stream_id=stream, direct=direct)
     value = yield event
     if name is not None:
@@ -69,7 +80,7 @@ def _io(system, kind, page, data, stream, direct, times=None, name=None):
 
 
 def _idle_writeback(system):
-    while system._writeback_running:
+    while system.pagecache.writeback_running:
         yield system.sim.timeout(100_000)
 
 
@@ -155,7 +166,7 @@ def test_direct_write_waits_for_a_writeback_in_flight():
     def scenario():
         yield from _io(system, IOKind.WRITE, 0, V1, 0, False)
         yield from _io(system, IOKind.WRITE, 1, None, 0, False)
-        assert system._writeback_running
+        assert system.pagecache.writeback_running
         yield sim.timeout(0)    # writeback has cleaned page 0
         seen["marked"] = list(cache.writing)
         yield from _io(system, IOKind.WRITE, 0, V2, 1, True)
@@ -180,3 +191,77 @@ def test_trim_writes_back_a_dirty_page_first():
     assert system.run_process(scenario()) == bytes(4096)
     assert system.pagecache.writebacks == 1
     assert system.pagecache.read_data(0, 8) == bytes(4096)
+
+
+@pytest.mark.parametrize("interface", ["nvme", "sata", "ufs", "ocssd"])
+def test_flush_writes_the_page_cache_back_first(interface):
+    """A FLUSH after a buffered write has the dirty page written back,
+    and its write completed, before the FLUSH reaches the device."""
+    system = _system(interface)
+    cache = system.pagecache
+
+    def scenario():
+        yield from _io(system, IOKind.WRITE, 0, V1, 0, False)
+        event = yield from system.submit_io(IORequest(IOKind.FLUSH, 0, 0))
+        yield event
+
+    system.run_process(scenario())
+    assert cache.dirty_pages() == [] and cache.writebacks == 1
+    assert cache.writing == {}
+
+
+def _writebacks_per_page(n, m, first, at):
+    """Run the duplicate program; returns how often each page was
+    submitted for writeback, and the cache's writeback count."""
+    system = _system()
+    sim = system.sim
+    counts = Counter()
+    submit = system.blocklayer.submit
+
+    def counting_submit(req, *args, **kwargs):
+        # a writeback is one page; stream 1's direct write is longer
+        if req.nsectors == 8:
+            counts[req.slba // 8] += 1
+        return submit(req, *args, **kwargs)
+
+    system.blocklayer.submit = counting_submit
+
+    def stream0():
+        for page in range(n):
+            yield from _io(system, IOKind.WRITE, page, None, 0, False)
+
+    def stream1():
+        if at:
+            yield sim.timeout(at)
+        req = IORequest(IOKind.WRITE, first * 8, m * 8)
+        event = yield from system.submit_io(req, stream_id=1)
+        yield event
+
+    def main():
+        writer, direct = sim.process(stream0()), sim.process(stream1())
+        yield writer
+        yield direct
+        yield from _idle_writeback(system)
+
+    system.run_process(main())
+    return counts, system.pagecache.writebacks
+
+
+def test_a_page_is_written_back_once_each_time_it_is_dirtied():
+    """Pages 0-3 are dirtied once each; stream 1's direct write of pages
+    0-1 at 1 us and the writeback process both list page 1 for writeback,
+    and the second to reach it must skip the page the first cleaned."""
+    counts, writebacks = _writebacks_per_page(4, 2, 0, 1_000)
+    assert counts == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert writebacks == 4
+
+
+@pytest.mark.skipif(not FULL, reason="REPRO_WRITEBACK_GRID=full only")
+@pytest.mark.parametrize("n", [4, 8, 12, 20])
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_no_page_is_written_back_twice_on_the_scan(n, m):
+    twice = [(first, at, page)
+             for first in range(12) for at in range(0, 120_000, 5_000)
+             for page, count in _writebacks_per_page(n, m, first, at)[0]
+             .items() if count > 1]
+    assert twice == []

@@ -13,6 +13,7 @@ After an *intentional* model change, regenerate with::
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,11 @@ import pytest
 from repro.experiments import golden
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+EXPERIMENTS_DOC = Path(__file__).parent.parent / "EXPERIMENTS.md"
+#: a row of EXPERIMENTS.md's pinned Fig 8/9 table: device, bandwidth and
+#: latency accuracy in whole percent
+_ACCURACY_ROW_RE = re.compile(r"^ *\| (\w+) \| (\d+)% \| (\d+)% \|$",
+                              re.MULTILINE)
 
 
 def _load(case):
@@ -56,6 +62,15 @@ class TestGoldenFiles:
 
         for case in golden.GOLDEN_CASES:
             walk(_load(case)["payload"])
+
+    def test_experiments_doc_quotes_the_pinned_fig08_09_accuracy(self):
+        summary = _load("fig08_09_validation")["payload"]["summary"]
+        rows = _ACCURACY_ROW_RE.findall(EXPERIMENTS_DOC.read_text())
+        assert len(rows) == len({device for device, _bw, _lat in rows})
+        assert {device: (int(bw), int(lat)) for device, bw, lat in rows} == {
+            device: (round(100 * acc["bandwidth_accuracy"]),
+                     round(100 * acc["latency_accuracy"]))
+            for device, acc in summary.items()}
 
 
 class TestCanonicalization:

@@ -208,7 +208,9 @@ class TestBlockLayer:
 class TestPageCache:
     def _cache(self, sim, data=True):
         mem = HostMemory(sim, 1 * GB, bandwidth=10 * GB)
-        return PageCache(sim, mem, 1 * MB, data_emulation=data), mem
+        cpu = HostCpu(sim, 4, 4_000_000_000, model=CpuModel.O3)
+        layer = BlockLayer(sim, cpu, kernel_4_14(), _StubAdapter(sim))
+        return PageCache(sim, mem, layer, 1 * MB, data_emulation=data), mem
 
     def test_miss_then_hit(self):
         sim = Simulator()
@@ -227,7 +229,7 @@ class TestPageCache:
         new, stale = b"n" * 4096, b"s" * 4096
         cache.write(0, 8, new)
         resident = cache.resident_data(0, 16)
-        cache.clean(0, sim.event())
+        sim.run_process(cache.write_and_wait(req(IOKind.WRITE), 0, None))
         cache.drop(0)
         got = cache.install_read(0, 16, stale + stale, resident)
         assert got == new + stale
@@ -264,7 +266,7 @@ class TestPageCache:
     def test_eviction_candidates_when_over_capacity(self):
         sim = Simulator()
         mem = HostMemory(sim, 1 * GB, bandwidth=10 * GB)
-        cache = PageCache(sim, mem, 8 * 4096, data_emulation=False)
+        cache = PageCache(sim, mem, None, 8 * 4096, data_emulation=False)
         for i in range(12):
             cache.write(i * 8, 8, None)
         assert len(cache.evict_candidates()) == 4

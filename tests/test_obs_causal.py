@@ -322,6 +322,12 @@ class TestFullStackConservation:
                 for record in agg["worst"]:
                     assert sum(record["components"].values()) == \
                         record["total_ns"], (op, record)
+            # the device dominates small random reads
+            parts = system["ops"]["READ"]["components_ns"]
+            device = sum(parts.get(component, 0) for component in (
+                "icl", "ftl", "gc_stall", "channel_wait", "die_wait",
+                "die_busy"))
+            assert device > parts["host_queue"], parts
 
     def test_multi_tenant_blames_other_tenants(self, causal):
         from repro.fleet.scenarios import builtin_specs, run_scenario
