@@ -174,7 +174,7 @@ _EVENT_MAKERS = {"timeout", "acquire", "hold"}
 
 @rule("SIM104", "discarded-event",
       "An event nobody waits on is a silent no-op wait: it is still "
-      "created (a Timeout still *schedules* itself: it sits in the "
+      "created (a timeout still *schedules* itself: it sits in the "
       "heap, advances nothing, and perturbs events_processed; a hold "
       "still takes its unit for its delay) but nobody resumes on it. "
       "Flags a wait primitive used as a bare statement and a timeout "

@@ -43,6 +43,7 @@ from typing import Any, List, Optional
 
 from repro.obs.flightrec import FlightRecorder, write_post_mortem
 from repro.sim.engine import HOOKS
+from repro.sim.events import entry_name
 
 
 class SanitizerError(AssertionError):
@@ -145,11 +146,12 @@ class SimSanitizer:
 
     def on_event(self, when: int, event: Any) -> None:
         """Record one processed event; flag time running backwards."""
-        self.flight.note_event(when, type(event).__name__)
+        name = entry_name(event)
+        self.flight.note_event(when, name)
         if when < self._high_water:
             self.violations.append(Violation(
                 "causality", when,
-                f"{type(event).__name__} processed at t={when} after the "
+                f"{name} processed at t={when} after the "
                 f"clock reached t={self._high_water}: an event was "
                 "scheduled into the past"))
         else:

@@ -9,6 +9,7 @@ averaged over the depth sweep.
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 from repro.baselines.reference import REAL_DEVICES, accuracy, reference_at
@@ -64,9 +65,11 @@ def _summarize(results: Dict) -> Dict:
             for point in curve.values():
                 bw_acc.append(point["bandwidth_accuracy"])
                 lat_acc.append(point["latency_accuracy"])
+        # fsum is correctly rounded on every interpreter; float sum()
+        # is compensated from CPython 3.12 and moves the last bit
         summary[device] = {
-            "bandwidth_accuracy": sum(bw_acc) / len(bw_acc),
-            "latency_accuracy": sum(lat_acc) / len(lat_acc),
+            "bandwidth_accuracy": math.fsum(bw_acc) / len(bw_acc),
+            "latency_accuracy": math.fsum(lat_acc) / len(lat_acc),
         }
     return summary
 

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.obs.flightrec import FlightRecorder, write_post_mortem
 from repro.obs.timeseries import TimeSeries
 from repro.sim.engine import HOOKS
+from repro.sim.events import entry_name
 
 _probes: List["TelemetryProbe"] = []
 _epoch_listener: Optional[Callable[["TelemetryProbe", int], None]] = None
@@ -154,7 +155,7 @@ class TelemetryProbe:
 
     def on_event(self, when: int, event) -> None:
         """Record one processed event; sample when an epoch boundary passes."""
-        self.flight.note_event(when, type(event).__name__)
+        self.flight.note_event(when, entry_name(event))
         if when >= self.next_due:
             self._sample(when)
 

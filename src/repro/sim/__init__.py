@@ -9,7 +9,7 @@ Time is an integer number of nanoseconds.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Interrupt
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store
 from repro.sim.stats import TimeAverage, UtilizationTracker
@@ -17,7 +17,6 @@ from repro.sim.stats import TimeAverage, UtilizationTracker
 __all__ = [
     "Simulator",
     "Event",
-    "Timeout",
     "AllOf",
     "AnyOf",
     "Interrupt",

@@ -9,14 +9,17 @@ time: a heap holds each pending instant once, and a dict maps it to its
 events in scheduling order, the event itself while it is alone and a
 list once a second one joins.  Events due now sit in a FIFO, which a
 zero-delay schedule appends to.  No entry carries a sequence number.
-Every queued event is dispatched and counted.  An untriggered FIFO entry
-is exactly a hold's grant (:meth:`~repro.sim.resources.Resource.hold`):
-the loop counts it as one event and starts the hold's timer itself, and
-when that timer fires the loop returns the hold's unit before anyone
-waiting on it resumes.  The loop binds both levels and the event count
-to locals: it runs hundreds of thousands of times per macro benchmark
-and attribute lookups dominate otherwise.  The golden determinism suite
-(``tests/golden``) pins its observable behaviour.
+Every queued event is dispatched and counted.  Everything queued is an
+:class:`~repro.sim.events.Event`, except processes and conditions; a
+hold (:meth:`~repro.sim.resources.Resource.hold`) is an event whose
+``_hold_resource`` is set.  An untriggered FIFO entry is exactly a
+hold's grant: the loop counts it as one event and starts the hold's
+timer itself, and when that timer fires the loop returns the hold's
+unit before anyone waiting on it resumes.  The loop binds both levels
+and the event count to locals: it runs hundreds of thousands of times
+per macro benchmark and attribute lookups dominate otherwise.  The
+golden determinism suite (``tests/golden``) pins its observable
+behaviour.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Optional
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 from repro.sim.process import Process
-from repro.sim.resources import _HoldTimer
 from repro.sim.tracer import NULL_TRACER
 
 _new = object.__new__
@@ -177,24 +179,28 @@ class Simulator:
         event._ok = True
         event._triggered = False
         event._waiter = None
+        event._hold_tracker = None
+        event._hold_resource = None
         return event
 
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
+    def timeout(self, delay: int, value: Any = None) -> Event:
         """An event firing ``delay`` ns from now with ``value``.
 
-        The one way to make a :class:`Timeout`: built inline, triggered
-        and queued here, once per simulated wait.
+        A timeout is a plain :class:`Event`, built inline, triggered and
+        queued here, once per simulated wait.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        timeout = _new(Timeout)
+        timeout = _new(Event)
         timeout.sim = self
         timeout.callbacks = []
         timeout._value = value
         timeout._ok = True
         timeout._triggered = True
         timeout._waiter = None
-        timeout.delay = delay = int(delay)
+        timeout._hold_tracker = None
+        timeout._hold_resource = None
+        delay = int(delay)
         if delay:
             # join the instant's entry (see _enqueue)
             when = self._now + delay
@@ -229,6 +235,8 @@ class Simulator:
         process._ok = True
         process._triggered = False
         process._waiter = None
+        process._hold_tracker = None
+        process._hold_resource = None
         process._generator = generator
         process._waiting_on = None
         bootstrap = _new(Event)
@@ -238,6 +246,8 @@ class Simulator:
         bootstrap._ok = True
         bootstrap._triggered = True
         bootstrap._waiter = process
+        bootstrap._hold_tracker = None
+        bootstrap._hold_resource = None
         self._ready.append(bootstrap)
         if self.sanitizer is not None:
             self.sanitizer.watch_process(process)
@@ -298,10 +308,12 @@ class Simulator:
         callbacks; a failed event nobody waits on is kept for
         :meth:`check_orphan_failures`.  An untriggered FIFO entry is a
         hold's grant: it counts as one event and starts the hold's
-        timer.  A hold's timer ends its tracker and returns its unit,
-        which may grant the next waiter, before anything waiting on it
-        runs.  The event count lives in a local and is written back
-        before each observer call and on every exit.
+        timer, taking the delay that ``_value`` carried until then.  A
+        fired event with ``_hold_resource`` set is a hold's timer: it
+        ends its tracker and returns its unit, which may grant the next
+        waiter, before anything waiting on it runs.  The event count
+        lives in a local and is written back before each observer call
+        and on every exit.
         """
         queue = self._queue
         timed = self._timed
@@ -313,7 +325,6 @@ class Simulator:
         extend = ready.extend
         orphans = self._orphan_failures
         observer = self._observer
-        hold_timer = _HoldTimer
         processed = self._event_count
         drained = False
         try:
@@ -330,7 +341,10 @@ class Simulator:
                             self._event_count = processed
                             observer.on_event(self._now, event)
                         event._triggered = True
-                        delay = event.delay
+                        # the grant carried the delay: the timer fires
+                        # with None
+                        delay = event._value
+                        event._value = None
                         if delay:   # it joins its instant's entry now
                             when = self._now + delay
                             entry = timed.get(when)
@@ -343,7 +357,7 @@ class Simulator:
                                 timed[when] = [entry, event]
                         else:
                             append(event)
-                        tracker = event.tracker
+                        tracker = event._hold_tracker
                         if tracker is not None:
                             tracker.begin()
                         if event is stop:
@@ -365,13 +379,14 @@ class Simulator:
                 if observer is not None:
                     self._event_count = processed
                     observer.on_event(self._now, event)
-                if type(event) is hold_timer:
+                resource = event._hold_resource
+                if resource is not None:
                     # a hold's timer: the unit returns before anything
                     # waiting on the timer runs
-                    tracker = event.tracker
+                    tracker = event._hold_tracker
                     if tracker is not None:
                         tracker.end()
-                    event.resource.release()
+                    resource.release()
                 waiter = event._waiter
                 # callbacks None marks the event processed
                 callbacks, event.callbacks = event.callbacks, None

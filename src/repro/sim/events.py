@@ -10,6 +10,11 @@ hot events built with ``object.__new__`` and inline field stores rather
 than through a constructor (``Simulator.event``/``timeout``/``process``
 and its bootstrap, ``Resource.acquire``/``hold``, ``Store.put``/``get``;
 ``tests/test_sim_kernel.py`` audits each against :meth:`Event.__init__`).
+Everything the loop queues is an :class:`Event`, except processes and
+conditions, which carry behaviour: a timeout is a plain event queued
+ahead, and a hold is a plain event whose hold slots are set.  CPython
+specialises a slot access on the exact type it sees, so the loop's
+attribute sites stay specialised while one class comes through them.
 Every queued event is dispatched and counted: nothing is withdrawn from
 the queue once it is there.
 An event is processed exactly when its ``callbacks`` is ``None``: the
@@ -41,10 +46,17 @@ class Event:
     children: the first waiter while nothing else has subscribed takes
     the ``_waiter`` slot, any later one appends its resume to
     ``callbacks``.
+
+    A :meth:`~repro.sim.resources.Resource.hold` is an event whose
+    ``_hold_resource`` is set: untriggered, it is the hold's grant, and
+    its ``_value`` carries the hold's delay until the loop starts it as
+    the hold's timer (``value`` raises meanwhile, as on any pending
+    event); ``_hold_tracker`` is its utilization tracker or ``None``.
+    Both are ``None`` on every other event.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",
-                 "_waiter")
+                 "_waiter", "_hold_tracker", "_hold_resource")
 
     def __init__(self, sim) -> None:
         self.sim = sim
@@ -54,6 +66,9 @@ class Event:
         self._triggered = False
         #: the process or condition resumed first on dispatch, or None
         self._waiter: Any = None
+        #: a hold's tracker and resource; None unless this is a hold
+        self._hold_tracker: Any = None
+        self._hold_resource: Any = None
 
     @property
     def triggered(self) -> bool:
@@ -121,18 +136,12 @@ class Event:
         return f"<{type(self).__name__} {state} at t={self.sim.now}>"
 
 
-class Timeout(Event):
-    """An event that fires a fixed delay after creation.
-
-    :meth:`~repro.sim.engine.Simulator.timeout` is the one way to make
-    one: it builds the timeout without a constructor frame, once per
-    simulated wait, and queues it.  Calling ``Timeout(...)`` raises.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, *_args, **_kwargs) -> None:
-        raise TypeError("a Timeout is made by sim.timeout(delay, value)")
+def entry_name(event: Event) -> str:
+    """Name a dispatched queue entry for a flight recorder: a hold's
+    grant (still untriggered) or its timer, or else the event's class."""
+    if event._hold_resource is not None:
+        return "hold timer" if event._triggered else "hold grant"
+    return type(event).__name__
 
 
 class Interrupt(Exception):
@@ -167,6 +176,8 @@ class _Condition(Event):
         self._ok = True
         self._triggered = False
         self._waiter = None
+        self._hold_tracker = None
+        self._hold_resource = None
         self.events = events = list(events)
         pending = 0
         for event in events:

@@ -10,23 +10,6 @@ from repro.sim.events import Event
 _new = object.__new__
 
 
-class _HoldTimer(Event):
-    """One :meth:`Resource.hold`: its grant and then its timer.
-
-    Untriggered, it is the grant: it waits in the resource's queue
-    while the resource is busy and sits in the simulator's FIFO once
-    granted.  The loop dispatches that untriggered FIFO entry as the
-    grant, one event, and then marks it triggered, queues it ``delay``
-    ns ahead and begins ``tracker``.  It joins its instant's events at
-    that moment, which is exactly when a holder woken by the grant
-    would have scheduled its timeout.  When the timer fires, the
-    loop ends ``tracker`` and releases ``resource`` before it resumes
-    anyone waiting on the timer.
-    """
-
-    __slots__ = ("delay", "tracker", "resource")
-
-
 class Resource:
     """A capacity-limited resource with FIFO granting.
 
@@ -78,6 +61,8 @@ class Resource:
         event.callbacks = []
         event._ok = True
         event._waiter = None
+        event._hold_tracker = None
+        event._hold_resource = None
         if self._in_use < self.capacity:
             # inline _grant + succeed: the uncontended fast path
             if self._in_use == 0 and self._busy_since is None:
@@ -95,17 +80,19 @@ class Resource:
     def hold(self, delay: int, tracker=None) -> Event:
         """Request one unit and hold it for ``delay`` ns from the grant.
 
-        Returns the hold's timer, which fires ``delay`` ns after the
-        grant; the holder yields it.  The timer is its own grant: still
-        untriggered, it goes where :meth:`acquire`'s grant would, into
-        the simulator's FIFO when a unit is free or into this resource's
-        queue until a release grants it.  The loop dispatches it there
-        as one event and then starts it, and when it fires the loop
-        returns the unit before the holder resumes.  So the schedule is
-        that of ``yield acquire()``, ``yield sim.timeout(delay)`` and
-        ``release()``, without waking the holder at the grant.  A hold
-        runs its course: a holder that leaves early (an exception thrown
-        into it) keeps the unit busy until the timer fires.  A
+        Returns the hold's timer, an :class:`Event` with its hold slots
+        set, which fires ``delay`` ns after the grant; the holder yields
+        it.  The timer is its own grant: still untriggered, it carries
+        ``delay`` in ``_value`` and goes where :meth:`acquire`'s grant
+        would, into the simulator's FIFO when a unit is free or into
+        this resource's queue until a release grants it.  The loop
+        dispatches it there as one event and then starts it, and when
+        it fires the loop returns the unit before the holder resumes.
+        So the schedule is that of ``yield acquire()``, ``yield
+        sim.timeout(delay)`` and ``release()``, without waking the
+        holder at the grant.  A hold runs its course: a holder that
+        leaves early (an exception thrown into it) keeps the unit busy
+        until the timer fires.  A
         :class:`~repro.sim.stats.UtilizationTracker` given as ``tracker``
         is busy from the grant to the timer.
         """
@@ -114,16 +101,15 @@ class Resource:
         sim = self.sim
         # Inline the Event field setup, as acquire does: this runs once
         # per modelled operation.
-        timer = _new(_HoldTimer)
+        timer = _new(Event)
         timer.sim = sim
         timer.callbacks = []
-        timer._value = None
+        timer._value = int(delay)   # until the loop starts the timer
         timer._ok = True
         timer._triggered = False
         timer._waiter = None
-        timer.delay = int(delay)
-        timer.tracker = tracker
-        timer.resource = self
+        timer._hold_tracker = tracker
+        timer._hold_resource = self
         if self._in_use < self.capacity:
             # the uncontended fast path: granted now
             if self._in_use == 0 and self._busy_since is None:
@@ -149,7 +135,7 @@ class Resource:
         if self._in_use == 0 and self._busy_since is None:
             self._busy_since = self.sim._now
         self._in_use += 1
-        if type(event) is _HoldTimer:
+        if event._hold_resource is not None:
             self.sim._ready.append(event)   # a hold: the loop starts it
         else:
             event.succeed(self)
@@ -190,6 +176,8 @@ class Store:
         event._ok = True
         event._triggered = True
         event._waiter = None
+        event._hold_tracker = None
+        event._hold_resource = None
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
             self._getters.popleft().succeed(item)
@@ -206,6 +194,8 @@ class Store:
         event.callbacks = []
         event._ok = True
         event._waiter = None
+        event._hold_tracker = None
+        event._hold_resource = None
         if self._items:
             event._triggered = True
             event._value = self._items.popleft()

@@ -21,7 +21,7 @@ from repro.obs.telemetry import (
     telemetry_enabled,
 )
 from repro.obs.timeseries import TimeSeries, sparkline
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -326,6 +326,29 @@ class TestFlightRecorder:
         assert doc["sim"]["now_ns"] == 120
         assert doc["recent_events"]          # the ring made it out
         assert sim.telemetry.dumped_to == str(dumps[0])
+
+    @pytest.mark.parametrize("writer", ["flightrec", "sanitizer"])
+    def test_dump_names_a_hold_by_its_grant_and_timer(self, tmp_path,
+                                                       writer):
+        """Timeouts and holds are plain events: the recorders name a
+        hold's grant and its timer from the event's fields."""
+        arm = enable_telemetry if writer == "flightrec" else enable_sanitizer
+        arm(dump_dir=str(tmp_path))
+        sim = Simulator()
+        die = Resource(sim, 1, "die")
+
+        def doomed():
+            yield sim.timeout(5)
+            yield die.hold(10)
+            raise RuntimeError("program failed")
+
+        with pytest.raises(RuntimeError, match="program failed"):
+            sim.run_process(doomed())
+        [dump] = tmp_path.glob(f"{writer}-*.json")
+        doc = json.loads(dump.read_text())
+        assert doc["recent_events"] == [
+            [0, "Event"], [5, "Event"], [5, "hold grant"],
+            [15, "hold timer"], [15, "Process"]]
 
     def test_dump_on_deadline_miss(self, tmp_path):
         enable_telemetry(dump_dir=str(tmp_path))

@@ -11,7 +11,6 @@ from repro.sim import (
     Resource,
     Simulator,
     Store,
-    Timeout,
 )
 from repro.sim.engine import EmptySchedule
 from repro.sim.stats import UtilizationTracker
@@ -360,9 +359,10 @@ class TestStore:
 #
 # The hot events are built with ``object.__new__`` and inline field
 # stores, not through ``Event.__init__``.  Each path that builds an event
-# is audited here: every ``__slots__`` field is set, the public reads
+# is audited here: it builds a plain ``Event`` unless it makes a process
+# or a condition, every ``__slots__`` field is set, the public reads
 # equal those of ``Event.__init__`` plus the path's own trigger, and the
-# waiter slot holds the path's process or ``None``.
+# waiter and hold slots hold the path's own or ``None``.
 
 _PENDING = object()
 
@@ -396,15 +396,29 @@ def _store(sim, *items):
     return store
 
 
+def _patient(sim):
+    try:
+        yield sim.timeout(5)
+    except Interrupt:
+        pass
+
+
 #: name -> build(sim) returning (event, the value its trigger gives or
-#: _PENDING, its callbacks, its own fields; ``_waiter`` is ``None``
-#: unless the fields name it)
+#: _PENDING, its callbacks, its own fields; ``_waiter``,
+#: ``_hold_tracker`` and ``_hold_resource`` are ``None`` unless the
+#: fields name them)
 CONSTRUCTIONS = {}
 
+#: the paths that build a subclass, each with its class; every other
+#: path builds a plain Event
+SUBCLASSES = {}
 
-def _construction(name):
+
+def _construction(name, cls=Event):
     def register(build):
         CONSTRUCTIONS[name] = build
+        if cls is not Event:
+            SUBCLASSES[name] = cls
         return build
     return register
 
@@ -416,12 +430,36 @@ def _event(sim):
 
 @_construction("timeout(0)")
 def _timeout_now(sim):
-    return sim.timeout(0), None, [], {"delay": 0}
+    return sim.timeout(0), None, [], {}
 
 
 @_construction("timeout(d, value)")
 def _timeout_later(sim):
-    return sim.timeout(7.0, "v"), "v", [], {"delay": 7}
+    return sim.timeout(7.0, "v"), "v", [], {}
+
+
+@_construction("schedule")
+def _scheduled(sim):
+    event = sim.schedule(3, lambda: None)
+    return event, None, list(event.callbacks), {}
+
+
+@_construction("interrupt's poke")
+def _poke(sim):
+    process = sim.process(_patient(sim))
+    sim.run(until=0)                    # the process waits on its timeout
+    process.interrupt("why")
+    poke = sim._ready[-1]
+    return poke, None, list(poke.callbacks), {}
+
+
+@_construction("late subscriber's event")
+def _late(sim):
+    done = sim.timeout(0)
+    sim.run()
+    done.add_callback(lambda _ev: None)
+    late = sim._ready[-1]
+    return late, None, list(late.callbacks), {}
 
 
 @_construction("acquire, free")
@@ -446,34 +484,36 @@ def _acquire_granted(sim):
     return waiter, resource, [], {}
 
 
-# a hold is one object: untriggered it is the grant, in the FIFO when
-# a unit is free and in the resource's queue when not; the loop starts
-# it as the timer when it dispatches the grant
+# a hold is one plain event with its hold slots set: untriggered it is
+# the grant, carrying its delay in ``_value``, in the FIFO when a unit
+# is free and in the resource's queue when not; the loop starts it as
+# the timer when it dispatches the grant
 
 @_construction("hold grant, free")
 def _hold_grant_free(sim):
     resource = Resource(sim, 1, "r")
     timer = resource.hold(4.0)
-    return timer, _PENDING, [], {"delay": 4, "tracker": None,
-                                 "resource": resource}
+    return timer, _PENDING, [], {"_value": 4, "_hold_resource": resource}
 
 
 @_construction("hold grant, contended")
 def _hold_grant_contended(sim):
     resource = Resource(sim, 1, "r")
     resource.acquire()
-    timer = resource.hold(4, UtilizationTracker(sim))
-    return timer, _PENDING, [], {"delay": 4, "tracker": timer.tracker,
-                                 "resource": resource}
+    tracker = UtilizationTracker(sim)
+    timer = resource.hold(4, tracker)
+    return timer, _PENDING, [], {"_value": 4, "_hold_tracker": tracker,
+                                 "_hold_resource": resource}
 
 
 @_construction("hold timer, started by its grant")
 def _hold_timer_started(sim):
     resource = Resource(sim, 1, "r")
-    timer = resource.hold(4, UtilizationTracker(sim))
+    tracker = UtilizationTracker(sim)
+    timer = resource.hold(4, tracker)
     sim.step()
-    return timer, None, [], {"delay": 4, "tracker": timer.tracker,
-                             "resource": resource}
+    return timer, None, [], {"_hold_tracker": tracker,
+                             "_hold_resource": resource}
 
 
 @_construction("put, immediate")
@@ -512,14 +552,14 @@ def _bootstrap(sim):
     return sim._ready[-1], None, [], {"_waiter": process}
 
 
-@_construction("process")
+@_construction("process", Process)
 def _process(sim):
     generator = _idle(sim)
     return (sim.process(generator), _PENDING, [],
             {"_generator": generator, "_waiting_on": None})
 
 
-@_construction("AllOf, pending")
+@_construction("AllOf, pending", AllOf)
 def _all_of_pending(sim):
     children = [sim.timeout(1, "a"), sim.timeout(2, "b")]
     condition = AllOf(sim, children)
@@ -527,7 +567,7 @@ def _all_of_pending(sim):
             {"events": children, "_pending": 2})
 
 
-@_construction("AllOf, children processed")
+@_construction("AllOf, children processed", AllOf)
 def _all_of_settled(sim):
     children = [sim.timeout(0, "a"), sim.timeout(0, "b")]
     sim.run()
@@ -535,14 +575,14 @@ def _all_of_settled(sim):
             {"events": children, "_pending": 0})
 
 
-@_construction("AnyOf, pending")
+@_construction("AnyOf, pending", AnyOf)
 def _any_of_pending(sim):
     children = [sim.timeout(1, "a"), sim.timeout(2, "b")]
     return (AnyOf(sim, children), _PENDING, [],
             {"events": children, "_pending": 2})
 
 
-@_construction("AnyOf, a child processed")
+@_construction("AnyOf, a child processed", AnyOf)
 def _any_of_settled(sim):
     done = sim.timeout(0, "a")
     sim.run()
@@ -556,16 +596,18 @@ class TestConstructionAudit:
     def test_fields_and_reads_match_init_plus_trigger(self, name):
         sim = Simulator()
         event, value, callbacks, fields = CONSTRUCTIONS[name](sim)
+        assert type(event) is SUBCLASSES.get(name, Event)
         slots = [slot for cls in type(event).__mro__
                  for slot in getattr(cls, "__slots__", ())]
         assert {"sim", "callbacks", "_value", "_ok", "_triggered",
-                "_waiter"} <= set(slots)
+                "_waiter", "_hold_tracker", "_hold_resource"} <= set(slots)
         for slot in slots:
             getattr(event, slot)    # an unset slot raises AttributeError
         assert event.sim is sim
         assert _reads(event) == _reads(_like_init(value))
         assert event.callbacks == callbacks
-        assert event._waiter is fields.get("_waiter")
+        for slot in ("_waiter", "_hold_tracker", "_hold_resource"):
+            assert getattr(event, slot) is fields.get(slot), slot
         for field, expected in fields.items():
             assert getattr(event, field) == expected, field
             assert type(getattr(event, field)) is type(expected), field
@@ -576,10 +618,19 @@ class TestConstructionAudit:
             assert event.callbacks is None
         assert event._waiter is None
 
-    def test_timeout_is_made_by_the_simulator_only(self, sim):
-        with pytest.raises(TypeError, match="sim.timeout"):
-            Timeout(sim, 5)
-        assert sim.queue_length == 0
+    def test_timeout_is_a_plain_event_queued_alone(self, sim):
+        """``sim.timeout`` returns a plain Event and queues it, and
+        nothing else: one queue entry per timeout.  A float delay is
+        made an int, so its instant and the clock stay ints."""
+        now, later = sim.timeout(0, "a"), sim.timeout(5.0, "b")
+        assert type(now) is Event and type(later) is Event
+        assert list(sim._ready) == [now] and sim._timed == {5: later}
+        assert sim._queue == [5] and sim.queue_length == 2
+        assert type(sim._queue[0]) is int
+        assert [type(when) for when in sim._timed] == [int]
+        sim.run()
+        assert sim.events_processed == 2 and sim.now == 5
+        assert type(sim.now) is int
 
     def test_process_is_made_by_the_simulator_only(self, sim):
         with pytest.raises(TypeError, match="sim.process"):

@@ -30,10 +30,10 @@ condition to a child that already has a waiter.
 The same programs also check ``Resource.hold`` against the idiom it
 replaces: a program's ``hold`` ops run once as ``hold(delay)`` and once
 as ``yield acquire()`` then ``yield sim.timeout(delay)``, on the one
-kernel, and the two runs must agree in the same way.  A hold is its own
-grant, so the trace labels an untriggered hold timer as the idiom's
-grant event, whose owner is the holder waiting on it, and a started one
-as a ``Timeout``.
+kernel, and the two runs must agree in the same way.  A hold is a plain
+event that is its own grant, so the trace labels an untriggered hold as
+the idiom's grant event, whose owner is the holder waiting on it, and a
+started one by its class, as the idiom's timeout is labelled.
 """
 
 import heapq
@@ -53,8 +53,7 @@ from repro.sim import (
     UtilizationTracker,
 )
 from repro.sim.engine import EmptySchedule
-from repro.sim.events import AllOf, AnyOf, Timeout
-from repro.sim.resources import _HoldTimer
+from repro.sim.events import AllOf, AnyOf
 
 
 class _HeapReady:
@@ -147,15 +146,10 @@ class ReferenceSimulator(Simulator):
     def timeout(self, delay, value=None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        timeout = object.__new__(Timeout)
-        timeout.sim = self
-        timeout.callbacks = []
+        timeout = Event(self)
         timeout._value = value
-        timeout._ok = True
         timeout._triggered = True
-        timeout._waiter = None
-        timeout.delay = int(delay)
-        self._enqueue(timeout.delay, timeout)
+        self._enqueue(delay, timeout)
         return timeout
 
     def _enqueue(self, delay, event):
@@ -184,19 +178,20 @@ class ReferenceSimulator(Simulator):
                 if observer is not None:
                     observer.on_event(when, event)
                 if not event._triggered:
-                    # a hold's grant: start the timer
+                    # a hold's grant, carrying its delay: start the timer
                     event._triggered = True
-                    self._enqueue(event.delay, event)
-                    if event.tracker is not None:
-                        event.tracker.begin()
+                    delay, event._value = event._value, None
+                    self._enqueue(delay, event)
+                    if event._hold_tracker is not None:
+                        event._hold_tracker.begin()
                     if event is stop:
                         break
                     continue
-                if isinstance(event, _HoldTimer):
+                if event._hold_resource is not None:
                     # a hold's timer: return the unit first
-                    if event.tracker is not None:
-                        event.tracker.end()
-                    event.resource.release()
+                    if event._hold_tracker is not None:
+                        event._hold_tracker.end()
+                    event._hold_resource.release()
                 waiter = event._waiter
                 # callbacks None marks the event processed
                 callbacks, event.callbacks = event.callbacks, None
@@ -294,14 +289,12 @@ class World:
 
     # the observer protocol
     def on_event(self, when, event):
-        if isinstance(event, _HoldTimer):
-            if event._triggered:
-                kind, value = "Timeout", event._value
-            else:
-                # a hold's grant: the idiom's grant event, which
-                # resumes the holder waiting on it
-                kind, value = "Event", self.held[event]
+        if event._hold_resource is not None and not event._triggered:
+            # a hold's grant: the idiom's grant event, which resumes
+            # the holder waiting on it
+            kind, value = "Event", self.held[event]
         else:
+            # a started hold is a plain event, as the idiom's timeout is
             kind, value = type(event).__name__, event._value
         self.trace.append((when, kind, _value_label(value), event._ok,
                            tuple(self._owners(event))))
