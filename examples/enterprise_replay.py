@@ -7,7 +7,8 @@ storage, display-ads payload) at user level on Linux 4.4 (CFQ) and 4.14
 """
 
 from repro.core import FullSystem, presets
-from repro.workloads import ENTERPRISE_WORKLOADS, EnterpriseRunner
+from repro.core.enterprise import EnterpriseRunner
+from repro.workloads import ENTERPRISE_WORKLOADS
 
 
 def main() -> None:

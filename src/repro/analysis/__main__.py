@@ -3,7 +3,6 @@
 Usage::
 
     python -m repro.analysis lint [PATH ...] [--json] [--show-suppressed]
-                                  [--baseline FILE] [--changed [REF]]
                                   [--exclude FRAGMENT ...]
     python -m repro.analysis rules
 
@@ -11,13 +10,7 @@ Usage::
 carry a reason), 1 otherwise — CI gates on exactly this
 (docs/ANALYSIS.md).  With no paths it lints ``src/repro`` relative to
 the current directory, falling back to the installed package location.
-
-``--changed [REF]`` scopes *reporting* to files changed versus a git
-ref (default ``HEAD``); the whole project is still parsed so the
-cross-file analyses keep their precision.  Outside a git checkout it
-degrades to a full run.  ``--baseline FILE`` applies an adoption
-baseline (:mod:`repro.analysis.baseline`); ``--exclude`` drops paths
-containing a fragment (e.g. lint fixtures).
+``--exclude`` drops paths containing a fragment (e.g. lint fixtures).
 
 ``--json`` emits the versioned ``repro.analysis/1`` document: a single
 object with ``schema``, sorted ``findings`` (rule, file:line, message,
@@ -30,18 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
-from typing import List, Optional, Set
+from typing import List, Optional
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import FindingSet
-from repro.analysis.registry import (
-    all_project_rules,
-    all_rules,
-    iter_python_files,
-    lint_paths,
-)
+from repro.analysis.registry import all_project_rules, all_rules, lint_paths
 
 #: version tag of the --json document; bump on breaking shape changes
 JSON_SCHEMA = "repro.analysis/1"
@@ -53,35 +39,6 @@ def _default_paths() -> List[str]:
         return [candidate]
     import repro
     return [os.path.dirname(os.path.abspath(repro.__file__))]
-
-
-def changed_files(ref: str) -> Optional[Set[str]]:
-    """Files changed vs ``ref`` (committed + worktree), or None when
-    not in a git checkout (callers fall back to a full run)."""
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            capture_output=True, text=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if proc.returncode != 0:
-        return None
-    return {line.strip() for line in proc.stdout.splitlines()
-            if line.strip()}
-
-
-def _report_scope(paths: List[str], ref: str,
-                  exclude: List[str]) -> Optional[Set[str]]:
-    """The ``report_only`` set for ``--changed``: linted files that are
-    also changed vs ``ref`` (path-normalized)."""
-    changed = changed_files(ref)
-    if changed is None:
-        print("simlint: not a git checkout; --changed ignored",
-              file=sys.stderr)
-        return None
-    normalized_changed = {os.path.normpath(p) for p in changed}
-    return {candidate for candidate in iter_python_files(paths, exclude)
-            if os.path.normpath(candidate) in normalized_changed}
 
 
 def _print_text(result: FindingSet, show_suppressed: bool) -> None:
@@ -139,12 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="machine-readable repro.analysis/1 report")
     lint.add_argument("--show-suppressed", action="store_true",
                       help="also print suppressed findings")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="adoption baseline file "
-                           "(`RULE path[:line] -- reason` per line)")
-    lint.add_argument("--changed", nargs="?", const="HEAD", metavar="REF",
-                      help="report only files changed vs REF "
-                           "(default HEAD); full run outside git")
     lint.add_argument("--exclude", action="append", default=[],
                       metavar="FRAGMENT",
                       help="skip paths containing FRAGMENT "
@@ -162,18 +113,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"    {prule.rationale}")
         return 0
 
-    paths = args.paths or _default_paths()
-    report_only: Optional[Set[str]] = None
-    if args.changed is not None:
-        report_only = _report_scope(paths, args.changed, args.exclude)
-        if report_only is not None and not report_only:
-            print("simlint: no linted files changed vs "
-                  f"{args.changed}; nothing to do", file=sys.stderr)
-            return 0
-
-    baseline = Baseline.load(args.baseline) if args.baseline else None
-    result = lint_paths(paths, baseline=baseline, exclude=args.exclude,
-                        report_only=report_only)
+    result = lint_paths(args.paths or _default_paths(),
+                        exclude=args.exclude)
     if args.as_json:
         _print_json(result)
     else:

@@ -11,9 +11,8 @@ Two kinds of rules register here:
   :mod:`repro.analysis.flow`.
 
 The driver (:func:`lint_source` / :func:`lint_paths`) parses each file
-once, runs both rule families, applies the per-line suppressions from
-:mod:`repro.analysis.findings` and finally the adoption baseline from
-:mod:`repro.analysis.baseline` when one is given.
+once, runs both rule families and applies the per-line suppressions
+from :mod:`repro.analysis.findings`, the one way to silence a finding.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -360,26 +358,16 @@ def iter_python_files(paths: Iterable[str],
 def lint_paths(paths: Iterable[str],
                rules: Optional[Iterable[Rule]] = None,
                project_rules: Optional[Iterable[ProjectRule]] = None,
-               baseline: Optional["object"] = None,
-               exclude: Sequence[str] = (),
-               report_only: Optional[Set[str]] = None) -> FindingSet:
+               exclude: Sequence[str] = ()) -> FindingSet:
     """Lint every ``*.py`` under ``paths``; returns the full finding set.
 
-    ``report_only`` (``lint --changed``): the whole project is still
-    parsed — so call graphs and summaries keep their cross-file
-    precision — but findings are only *reported* for the given paths,
-    and per-file rules skip unchanged modules entirely.
-
-    ``baseline`` is a parsed :class:`repro.analysis.baseline.Baseline`;
-    matching findings are marked suppressed with the entry's reason,
-    and stale entries for linted files are reported as SIM100.
+    Every file is parsed once; the project rules see all of them
+    together, so call graphs and summaries keep their cross-file
+    precision.
     """
     selected = list(rules) if rules is not None else all_rules()
     selected_project = list(project_rules) if project_rules is not None \
         else all_project_rules()
-
-    def reported(path: str) -> bool:
-        return report_only is None or path in report_only
 
     sources: List[SourceFile] = []
     findings: List[Finding] = []
@@ -387,26 +375,17 @@ def lint_paths(paths: Iterable[str],
         try:
             src = SourceFile.parse(filename)
         except SyntaxError as exc:
-            if reported(filename):
-                findings.append(Finding(
-                    rule=META_RULE, path=filename, line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"file does not parse: {exc.msg}"))
+            findings.append(Finding(
+                rule=META_RULE, path=filename, line=exc.lineno or 1,
+                col=exc.offset or 0,
+                message=f"file does not parse: {exc.msg}"))
             continue
         sources.append(src)
-        if reported(filename):
-            findings.extend(_file_findings(src, selected))
+        findings.extend(_file_findings(src, selected))
 
-    findings.extend(f for f in _project_findings(sources, selected_project)
-                    if reported(f.path))
+    findings.extend(_project_findings(sources, selected_project))
     for src in sources:
-        if reported(src.path):
-            findings.extend(_suppression_meta(src, findings))
-
-    if baseline is not None:
-        findings = baseline.apply(
-            findings, linted_paths={src.path for src in sources
-                                    if reported(src.path)})
+        findings.extend(_suppression_meta(src, findings))
     result = FindingSet()
     result.extend(_sort_findings(findings))
     return result

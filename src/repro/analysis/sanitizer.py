@@ -39,11 +39,12 @@ Violations accumulate on the sanitizer (and process-wide via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.flightrec import FlightRecorder, write_post_mortem
 from repro.sim.engine import HOOKS
 from repro.sim.events import entry_name
+from repro.sim.process import Process
 
 
 class SanitizerError(AssertionError):
@@ -111,9 +112,10 @@ def all_violations() -> List[Violation]:
 class SimSanitizer:
     """Per-simulator invariant checker, an observer of the event loop.
 
-    ``on_event`` is the hot-loop entry point: one ring append plus one
-    integer comparison per processed event.  Everything else runs on
-    cold paths (construction, stop, failure).
+    ``on_event`` is the hot-loop entry point: one type test, one ring
+    append and one integer comparison per processed event, plus one
+    dict removal per finished process.  Everything else runs on cold
+    paths (construction, stop, failure).
     """
 
     __slots__ = ("sim", "violations", "label", "flight", "_high_water",
@@ -128,7 +130,9 @@ class SimSanitizer:
         self.flight = FlightRecorder(flight_events, label=label)
         self._high_water = 0
         self._resources: List[Any] = []
-        self._processes: List[Any] = []
+        #: the processes whose completion the loop has not dispatched,
+        #: in creation order
+        self._processes: Dict[Process, None] = {}
         self._dump_dir = dump_dir
         self.dumped_to: Optional[str] = None
 
@@ -138,14 +142,18 @@ class SimSanitizer:
         """Track a Resource for the leaked-token drain check."""
         self._resources.append(resource)
 
-    def watch_process(self, process: Any) -> None:
-        """Track a Process for the stuck-process drain check."""
-        self._processes.append(process)
+    def watch_process(self, process: Process) -> None:
+        """Track a Process for the stuck-process drain check until the
+        loop dispatches its completion."""
+        self._processes[process] = None
 
     # -- the observer protocol ----------------------------------------------
 
     def on_event(self, when: int, event: Any) -> None:
-        """Record one processed event; flag time running backwards."""
+        """Record one processed event; flag time running backwards.  A
+        process's own event is its completion: it stops being watched."""
+        if type(event) is Process:
+            self._processes.pop(event, None)
         name = entry_name(event)
         self.flight.note_event(when, name)
         if when < self._high_water:

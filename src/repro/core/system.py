@@ -38,8 +38,7 @@ class FullSystem:
                  cpu_model: Optional[CpuModel] = None,
                  data_emulation: bool = False,
                  page_cache_bytes: int = 64 * 1024 * 1024,
-                 nvme_transfer_mode: str = "prp",
-                 nvme_queue_priorities: Optional[dict] = None) -> None:
+                 nvme_transfer_mode: str = "prp") -> None:
         if interface not in INTERFACES:
             raise ValueError(f"unknown interface {interface!r}; "
                              f"choose from {INTERFACES}")
@@ -65,7 +64,6 @@ class FullSystem:
         self.bus = SystemBus(self.sim, platform.sysbus_bandwidth)
         self.ssd = SSD(self.sim, device, data_emulation=data_emulation)
         self._nvme_transfer_mode = nvme_transfer_mode
-        self._nvme_queue_priorities = nvme_queue_priorities or {}
         self._wire_interface()
         self.blocklayer = BlockLayer(self.sim, self.cpu, self.kernel_profile,
                                      self.adapter)
@@ -95,9 +93,8 @@ class FullSystem:
                 n_io_queues=self.platform.n_cores,
                 transfer_mode=TransferMode(self._nvme_transfer_mode),
                 total_sectors=self.ssd.config.logical_sectors)
-            self.controller = NvmeController(
-                sim, self.ssd, self.dma, self.adapter,
-                queue_priorities=self._nvme_queue_priorities)
+            self.controller = NvmeController(sim, self.ssd, self.dma,
+                                             self.adapter)
         elif self.interface in ("sata", "ufs"):
             from repro.interfaces.htype import HTypeController, HTypeHost
             from repro.interfaces.sata.fis import SATA

@@ -13,9 +13,9 @@ from typing import Dict
 
 from repro.common.render import format_table
 from repro.core import presets
+from repro.core.enterprise import EnterpriseRunner
 from repro.core.system import FullSystem
 from repro.workloads.enterprise import ENTERPRISE_WORKLOADS
-from repro.workloads.runner import EnterpriseRunner
 
 WORKLOAD_ORDER = ["24HR", "24HRS", "DAP", "CFS", "MSNFS"]
 KERNELS = ["4.4", "4.14"]

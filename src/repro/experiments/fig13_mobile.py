@@ -17,10 +17,10 @@ from typing import Dict
 
 from repro.common.render import format_table
 from repro.core import presets
+from repro.core.enterprise import EnterpriseRunner
 from repro.core.system import FullSystem
 from repro.host.platform import mobile_platform, pc_platform
 from repro.workloads.enterprise import ENTERPRISE_WORKLOADS
-from repro.workloads.runner import EnterpriseRunner
 
 WORKLOAD_ORDER = ["24HR", "24HRS", "CFS", "DAP", "MSNFS"]
 

@@ -28,13 +28,15 @@ _MSI_BYTES = 16
 
 
 class NvmeController:
-    def __init__(self, sim, ssd: SSD, dma: DmaEngine, driver: NvmeDriver,
-                 queue_priorities: Dict[int, int] = None) -> None:
+    def __init__(self, sim, ssd: SSD, dma: DmaEngine,
+                 driver: NvmeDriver) -> None:
         self.sim = sim
         self.ssd = ssd
         self.dma = dma
         self.driver = driver
-        self.queue_priorities = queue_priorities or {}
+        #: WRR priority class per submission queue id (default 1); the
+        #: multi-tenant engine fills it, one entry per tenant queue
+        self.queue_priorities: Dict[int, int] = {}
         driver.attach_controller(self)
         self._doorbell_mix = InstructionMix.typical(
             ssd.config.costs.doorbell_service)

@@ -209,7 +209,6 @@ class FTLConfig:
 class HILConfig:
     arbitration: str = "rr"              # "fifo" | "rr" | "wrr" | "wfq"
     wrr_weights: Tuple[int, ...] = (4, 2, 1)   # high/medium/low priorities
-    fetch_burst: int = 8                 # commands fetched per arbitration turn
     # per-queue WFQ weights, indexed by queue_id - 1 (missing entries -> 1)
     qos_weights: Tuple[int, ...] = ()
     # max commands in service at once; 0 = unbounded (legacy behaviour).
@@ -222,7 +221,6 @@ class HILConfig:
 class FILConfig:
     # Order in which striped pages spread over resources (Sprinkler-style).
     parallelism_order: str = "channel_first"   # or "way_first"
-    transfer_whole_page: bool = False    # False: partial page I/O on reads
     # Superpage line placement: "rotate" interleaves consecutive lines over
     # all channel/way groups (max parallelism); "banded" maps contiguous LBA
     # bands to disjoint groups, confining each namespace's traffic — and its

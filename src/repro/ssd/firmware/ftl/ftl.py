@@ -190,9 +190,8 @@ class FlashTranslationLayer:
         """
         ppns = yield from self.translate(line_id, slots, track=track)
         mapped = [(slot, ppn) for slot, ppn in ppns.items() if ppn != UNMAPPED]
-        payload = (0 if self.config.fil.transfer_whole_page
-                   else self.config.geometry.page_size)
-        yield from self.fil.read_group([ppn for _slot, ppn in mapped], payload,
+        yield from self.fil.read_group([ppn for _slot, ppn in mapped],
+                                       self.config.geometry.page_size,
                                        track=track)
         result: Dict[int, Optional[bytes]] = {slot: None for slot in slots}
         for slot, ppn in mapped:

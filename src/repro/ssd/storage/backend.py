@@ -113,7 +113,7 @@ class FlashBackend:
             return ns
 
     def _payload_bytes(self, nbytes: int) -> int:
-        if self.config.fil.transfer_whole_page or nbytes <= 0:
+        if nbytes <= 0:
             return self.config.geometry.page_size
         return min(nbytes, self.config.geometry.page_size)
 

@@ -1,11 +1,10 @@
 """Workload generation: FIO-style synthetic patterns and the Table III
-enterprise workloads (24HR, 24HRS, CFS, MSNFS, DAP)."""
+enterprise workloads (24HR, 24HRS, CFS, MSNFS, DAP).  The user-level
+runner that replays them is :class:`repro.core.enterprise.EnterpriseRunner`."""
 
 from repro.workloads.enterprise import ENTERPRISE_WORKLOADS, WorkloadSpec
-from repro.workloads.runner import EnterpriseRunner
 
 __all__ = [
     "WorkloadSpec",
     "ENTERPRISE_WORKLOADS",
-    "EnterpriseRunner",
 ]

@@ -1,7 +1,6 @@
 """The simflow whole-project framework: module resolution, the call
-graph, cross-file unit/taint/lock analysis, the adoption baseline, the
-versioned ``--json`` report and ``lint --changed`` (docs/ANALYSIS.md,
-"The dataflow pass").
+graph, cross-file unit/taint/lock analysis and the versioned ``--json``
+report (docs/ANALYSIS.md, "The dataflow pass").
 """
 
 import ast
@@ -13,8 +12,6 @@ import textwrap
 from pathlib import Path
 
 import repro
-from repro.analysis.baseline import Baseline
-from repro.analysis.findings import META_RULE, Finding
 from repro.analysis.flow import Project, module_name_for
 from repro.analysis.flow.unitcheck import Unit, unit_of_identifier
 from repro.analysis.registry import (
@@ -313,71 +310,6 @@ class TestLockOrder:
         assert all(f.rule != "SIM220" for f in _unsup(findings))
 
 
-# -- the adoption baseline ----------------------------------------------------
-
-class TestBaseline:
-    def _finding(self, rule="SIM210", path="tests/test_x.py", line=7):
-        return Finding(rule=rule, path=path, line=line, col=0,
-                       message="m")
-
-    def test_entry_suppresses_matching_finding_with_reason(self):
-        baseline = Baseline.parse("b.txt", textwrap.dedent("""
-            # comment
-            SIM210 tests/test_x.py -- replay stores wall time by design
-        """))
-        out = baseline.apply([self._finding()],
-                             linted_paths={"tests/test_x.py"})
-        assert out[0].suppressed
-        assert "replay stores wall time" in out[0].reason
-
-    def test_line_scoped_entry_matches_only_that_line(self):
-        baseline = Baseline.parse(
-            "b.txt", "SIM210 tests/test_x.py:7 -- pinned\n")
-        hit, miss = self._finding(line=7), self._finding(line=9)
-        out = baseline.apply([hit, miss], linted_paths=set())
-        assert out[0].suppressed and not out[1].suppressed
-
-    def test_reasonless_entry_is_sim100(self):
-        baseline = Baseline.parse("b.txt", "SIM210 tests/test_x.py\n")
-        out = baseline.apply([], linted_paths=set())
-        assert [f.rule for f in out] == [META_RULE]
-        assert "reason" in out[0].message
-
-    def test_unparseable_line_is_sim100(self):
-        baseline = Baseline.parse("b.txt", "what even is this\n")
-        out = baseline.apply([], linted_paths=set())
-        assert [f.rule for f in out] == [META_RULE]
-
-    def test_stale_entry_for_linted_file_is_sim100(self):
-        baseline = Baseline.parse(
-            "b.txt", "SIM210 tests/test_x.py -- fixed long ago\n")
-        out = baseline.apply([], linted_paths={"tests/test_x.py"})
-        assert [f.rule for f in out] == [META_RULE]
-        assert "stale" in out[0].message
-
-    def test_out_of_scope_entry_is_left_alone(self):
-        baseline = Baseline.parse(
-            "b.txt", "SIM210 tests/test_y.py -- other tree\n")
-        out = baseline.apply([], linted_paths={"tests/test_x.py"})
-        assert out == []
-
-    def test_paths_match_by_suffix(self):
-        baseline = Baseline.parse(
-            "b.txt", "SIM210 tests/test_x.py -- suffix match\n")
-        finding = self._finding(path="/abs/checkout/tests/test_x.py")
-        out = baseline.apply([finding], linted_paths=set())
-        assert out[0].suppressed
-
-    def test_repo_baseline_entries_all_carry_reasons(self):
-        repo_baseline = Path(__file__).parent.parent / \
-            "analysis-baseline.txt"
-        baseline = Baseline.load(str(repo_baseline))
-        assert baseline.malformed == []
-        assert baseline.entries
-        for entry in baseline.entries:
-            assert len(entry.reason) > 10, entry
-
-
 # -- file iteration -----------------------------------------------------------
 
 def test_iter_python_files_exclude(tmp_path):
@@ -387,16 +319,16 @@ def test_iter_python_files_exclude(tmp_path):
     assert [os.path.basename(p) for p in got] == ["keep.py"]
 
 
-# -- the CLI: versioned JSON, --changed ---------------------------------------
+# -- the CLI: versioned JSON -------------------------------------------------
 
-def _run_cli(*args, cwd=None):
+def _run_cli(*args):
     src_dir = Path(repro.__file__).parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src_dir)] + env.get("PYTHONPATH", "").split(os.pathsep))
     return subprocess.run(
         [sys.executable, "-m", "repro.analysis", *args],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+        capture_output=True, text=True, env=env, timeout=120)
 
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
@@ -436,47 +368,3 @@ class TestJsonSchema:
         keys = [(f["path"], f["line"], f["col"], f["rule"])
                 for f in doc["findings"]]
         assert keys == sorted(keys)
-
-
-class TestChanged:
-    def _git(self, cwd, *args):
-        return subprocess.run(["git", *args], cwd=cwd,
-                              capture_output=True, text=True, timeout=60)
-
-    def test_changed_scopes_reporting_to_touched_files(self, tmp_path):
-        _write(tmp_path, "clean.py", """
-            import time
-            wall = time.time()
-        """)
-        _write(tmp_path, "touched.py", "x = 1\n")
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "-c", "user.email=t@t", "-c", "user.name=t",
-                  "add", ".")
-        self._git(tmp_path, "-c", "user.email=t@t", "-c", "user.name=t",
-                  "commit", "-qm", "seed")
-        # introduce a violation in touched.py only
-        (tmp_path / "touched.py").write_text(
-            "import random\nx = random.random()\n")
-        proc = _run_cli("lint", ".", "--changed", "HEAD", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert "touched.py" in proc.stdout
-        # clean.py also has a violation, but was not changed
-        assert "clean.py" not in proc.stdout
-
-    def test_changed_with_no_touched_files_exits_zero(self, tmp_path):
-        _write(tmp_path, "clean.py", "x = 1\n")
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "-c", "user.email=t@t", "-c", "user.name=t",
-                  "add", ".")
-        self._git(tmp_path, "-c", "user.email=t@t", "-c", "user.name=t",
-                  "commit", "-qm", "seed")
-        proc = _run_cli("lint", ".", "--changed", cwd=tmp_path)
-        assert proc.returncode == 0
-        assert "nothing to do" in proc.stderr
-
-    def test_changed_outside_git_falls_back_to_full_run(self, tmp_path):
-        _write(tmp_path, "bad.py", "import time\nwall = time.time()\n")
-        proc = _run_cli("lint", ".", "--changed", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert "--changed ignored" in proc.stderr
-        assert "SIM110" in proc.stdout

@@ -99,6 +99,18 @@ class TestArming:
                 if name not in ("repro", "repro.common")
                 and not name.startswith("repro.common.")] == []
 
+    def test_workloads_import_loads_no_core(self):
+        """``repro.core`` imports the workload generators, never the
+        other way round: a bare ``import repro.workloads`` loads no
+        ``repro.core`` module."""
+        proc = _fresh_python("import sys, repro.workloads; print(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "repro.workloads.enterprise" in loaded
+        assert [name for name in loaded
+                if name == "repro.core" or name.startswith("repro.core.")] \
+            == []
+
     def test_core_system_import_loads_no_instrument(self):
         """The model imports nothing from the layers that observe or
         drive it: ``import repro.core.system`` loads no ``repro.obs``,
@@ -164,7 +176,7 @@ class TestViolations:
     def test_causality_violation_detected(self):
         enable_sanitizer()
         sim = Simulator()
-        sim.timeout(100)
+        sim.timeout(100)  # simlint: disable=SIM104 -- sanitizer tests schedule bare timeouts to drive the queue under test
         sim.run()
         assert sim.now == 100
         # force-schedule into the past, bypassing _enqueue's guard: the
@@ -201,11 +213,11 @@ class TestViolations:
         gate = Resource(sim, capacity=1, name="gate")
 
         def hog():
-            yield gate.acquire()
+            yield gate.acquire()  # simlint: disable=SIM106 -- leaked-token detection test holds a token past process end on purpose
             yield sim.timeout(5)  # ends still holding the token
 
         def starved():
-            yield gate.acquire()  # never granted
+            yield gate.acquire()  # simlint: disable=SIM106 -- stuck-waiter detection test queues an acquire that is never granted, on purpose
 
         sim.process(hog())
         sim.process(starved())
@@ -225,6 +237,32 @@ class TestViolations:
         sim.process(waiter())
         sim.run()
         assert _kinds(sim.sanitizer.violations) == ["stuck-process"]
+
+    def test_only_live_processes_stay_watched(self):
+        """A process leaves the watch list when the loop dispatches its
+        completion, so many short processes leave only the live ones
+        watched; the drain reports those in creation order."""
+        enable_sanitizer()
+        sim = Simulator()
+
+        def waiter():
+            yield Event(sim)  # nobody will ever trigger this
+
+        def quick(delay):
+            yield sim.timeout(delay)
+
+        first = sim.process(waiter())
+        for delay in range(1, 201):
+            sim.process(quick(delay))
+        second = sim.process(waiter())
+        sim.run(until=100)
+        assert len(sim.sanitizer._processes) == 102
+        sim.run()
+        assert list(sim.sanitizer._processes) == [first, second]
+        violations = sim.sanitizer.violations
+        assert _kinds(violations) == ["stuck-process"] * 2
+        assert repr(first) in violations[0].detail
+        assert repr(second) in violations[1].detail
 
     def test_deadline_cut_run_skips_the_drain_audit(self):
         """`run(until=...)` is not a drain: held tokens are legitimate."""
@@ -275,7 +313,7 @@ class TestViolations:
 
 def _leak_a_token(sim):
     """Drain with one unit still held: exactly one leaked-token."""
-    grant = Resource(sim, capacity=1, name="gate").acquire()
+    grant = Resource(sim, capacity=1, name="gate").acquire()  # simlint: disable=SIM106 -- leaked-token detection helper holds a token past the drain on purpose
     sim.run()
     assert grant.processed
 

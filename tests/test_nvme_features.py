@@ -47,8 +47,8 @@ class TestWrrArbitration:
         device = tiny_config.with_overrides(
             hil=HILConfig(arbitration="wrr", wrr_weights=(8, 2, 1)))
         # queue 1 = high priority (class 0), others low (class 2)
-        system = FullSystem(device=device, interface="nvme",
-                            nvme_queue_priorities={1: 0, 2: 2, 3: 2, 4: 2})
+        system = FullSystem(device=device, interface="nvme")
+        system.controller.queue_priorities.update({1: 0, 2: 2, 3: 2, 4: 2})
         system.precondition()
         result = system.run_fio(FioJob(rw="randread", bs=2048, iodepth=8,
                                        numjobs=4, total_ios=150, seed=3))

@@ -103,10 +103,10 @@ class TestSwitch:
 class TestBitIdentical:
     def test_run_process_identical_on_and_off(self):
         plain = Simulator()
-        value_plain = plain.run_process(_pingpong(plain))
+        value_plain = plain.run_process(_pingpong(plain))  # simlint: disable=SIM104 -- profiler equivalence tests drive _pingpong through both code paths; the helper returns its inner generator
         profiled = Simulator()
         with new_profile():
-            value_profiled = profiled.run_process(_pingpong(profiled))
+            value_profiled = profiled.run_process(_pingpong(profiled))  # simlint: disable=SIM104 -- profiler equivalence tests drive _pingpong through both code paths; the helper returns its inner generator
         assert value_profiled == value_plain
         assert profiled.now == plain.now
         assert profiled.events_processed == plain.events_processed

@@ -113,7 +113,7 @@ class TestEvents:
 
     def test_negative_timeout_rejected(self, sim):
         with pytest.raises(ValueError):
-            sim.timeout(-5)
+            sim.timeout(-5)  # simlint: disable=SIM104 -- kernel test: a negative delay must raise before anything is queued
 
 
 class TestProcess:
@@ -251,7 +251,7 @@ class TestResource:
         spans = []
 
         def worker(hold):
-            yield res.acquire()
+            yield res.acquire()  # simlint: disable=SIM106 -- resource semantics tests model well-behaved workers without exception paths
             start = sim.now
             yield sim.timeout(hold)
             res.release()
@@ -267,7 +267,7 @@ class TestResource:
         done = []
 
         def worker():
-            yield res.acquire()
+            yield res.acquire()  # simlint: disable=SIM106 -- resource semantics tests model well-behaved workers without exception paths
             yield sim.timeout(10)
             res.release()
             done.append(sim.now)
@@ -286,7 +286,7 @@ class TestResource:
         res = Resource(sim, capacity=1)
 
         def worker():
-            yield res.acquire()
+            yield res.acquire()  # simlint: disable=SIM106 -- resource semantics tests model well-behaved workers without exception paths
             yield sim.timeout(40)
             res.release()
             yield sim.timeout(60)
@@ -301,7 +301,7 @@ class TestResource:
         order = []
 
         def worker(tag):
-            yield res.acquire()
+            yield res.acquire()  # simlint: disable=SIM106 -- resource semantics tests model well-behaved workers without exception paths
             order.append(tag)
             yield sim.timeout(1)
             res.release()
@@ -465,20 +465,20 @@ def _late(sim):
 @_construction("acquire, free")
 def _acquire_free(sim):
     resource = Resource(sim, 1, "r")
-    return resource.acquire(), resource, [], {}
+    return resource.acquire(), resource, [], {}  # simlint: disable=SIM106 -- construction audit reads the granted acquire; nothing runs to release it
 
 
 @_construction("acquire, contended")
 def _acquire_contended(sim):
     resource = Resource(sim, 1, "r")
-    resource.acquire()
-    return resource.acquire(), _PENDING, [], {}
+    resource.acquire()  # simlint: disable=SIM104, SIM106 -- construction audit takes the only unit so the next acquire queues
+    return resource.acquire(), _PENDING, [], {}  # simlint: disable=SIM106 -- construction audit reads the queued acquire; nothing runs to grant it
 
 
 @_construction("acquire, granted by a release")
 def _acquire_granted(sim):
     resource = Resource(sim, 1, "r")
-    resource.acquire()
+    resource.acquire()  # simlint: disable=SIM104 -- construction audit takes the unit that the release hands to the waiter
     waiter = resource.acquire()
     resource.release()
     return waiter, resource, [], {}
@@ -499,7 +499,7 @@ def _hold_grant_free(sim):
 @_construction("hold grant, contended")
 def _hold_grant_contended(sim):
     resource = Resource(sim, 1, "r")
-    resource.acquire()
+    resource.acquire()  # simlint: disable=SIM104, SIM106 -- construction audit takes the only unit so the hold queues
     tracker = UtilizationTracker(sim)
     timer = resource.hold(4, tracker)
     return timer, _PENDING, [], {"_value": 4, "_hold_tracker": tracker,
@@ -524,7 +524,7 @@ def _put_now(sim):
 @_construction("put, to a waiting getter")
 def _put_to_getter(sim):
     store = _store(sim)
-    store.get()
+    store.get()  # simlint: disable=SIM104 -- construction audit leaves a getter waiting for the put under test
     return store.put("x"), None, [], {}
 
 
@@ -718,7 +718,7 @@ class TestConstructionAudit:
         [when] = sim._queue
         timer = sim._timed[when]        # the instant's lone event
         assert when == 4 and timer.triggered
-        waiter = resource.acquire()     # queued behind the hold
+        waiter = resource.acquire()  # simlint: disable=SIM106 -- queued behind the hold; the test ends at the timer's dispatch
         timer.add_callback(lambda _ev: state("callback"))
         assert resource.queued == 1 and timer._waiter is not None
         sim.step()
